@@ -73,10 +73,14 @@ def _csv_report(
 
 
 def _load_profile(path: str) -> core.Profile:
-    text = Path(path).read_text()
-    if path.endswith(".csv"):
-        return core.profile_from_csv_text(text)
-    return core.profile_from_json_dict(json.loads(text))
+    try:
+        text = Path(path).read_text()
+        if path.endswith(".csv"):
+            return core.profile_from_csv_text(text)
+        data = json.loads(text)
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise DataError(f"cannot parse profile {path}: {e}") from e
+    return core.profile_from_json_dict(data)
 
 
 def _profile_body(profile: core.Profile, fmt: str) -> str:
@@ -539,7 +543,7 @@ def fit_cmd(data_path: str, aggregate: str, out: str | None):
         points = sorted(by_m.items())
     slope, residual = fit_slope(points)
     _json_report(
-        RunConfig.of("fit", data=data_path),
+        RunConfig.of("fit", data=data_path, aggregate=aggregate),
         {"slope": format(slope, ".12g"), "residual": format(residual, ".12g"),
          "points": len(points)},
         out,

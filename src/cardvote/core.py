@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import NormalizationError, PreconditionError, UndefinedRatioError
+from .errors import DataError, NormalizationError, PreconditionError, UndefinedRatioError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -291,13 +291,22 @@ def profile_from_json_dict(data: dict) -> Profile:
         m, n, prefs = data["m"], data["n"], data["prefs"]
     except (KeyError, TypeError) as e:
         raise PreconditionError(f"profile JSON missing field: {e}") from e
+    if not isinstance(prefs, list) or not all(isinstance(row, list) for row in prefs):
+        raise DataError("profile JSON 'prefs' must be a list of voter rows")
     if len(prefs) != n:
         raise PreconditionError(f"profile declares n={n} but has {len(prefs)} voters")
     out = []
     for row in prefs:
         if len(row) != m:
             raise PreconditionError(f"voter row has {len(row)} values, expected m={m}")
-        out.append(Preference.relaxed(Fraction(num, den) for num, den in row))
+        try:
+            values = [Fraction(num, den) for num, den in row]
+        except (TypeError, ValueError, ZeroDivisionError) as e:
+            raise DataError(
+                f"voter row {row!r} needs integer [numerator, denominator] pairs "
+                f"with nonzero denominators: {e}"
+            ) from e
+        out.append(Preference.relaxed(values))
     return Profile.of(out)
 
 
@@ -313,4 +322,8 @@ def profile_from_csv_text(text: str) -> Profile:
     rows = [row for row in csv.reader(io.StringIO(text)) if row]
     if not rows:
         raise PreconditionError("empty profile CSV")
-    return Profile.of(Preference.relaxed(Fraction(cell) for cell in row) for row in rows)
+    try:
+        values = [[Fraction(cell) for cell in row] for row in rows]
+    except (ValueError, ZeroDivisionError) as e:
+        raise DataError(f"profile CSV cell is not an exact rational: {e}") from e
+    return Profile.of(Preference.relaxed(row) for row in values)

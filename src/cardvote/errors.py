@@ -18,6 +18,12 @@ class PreconditionError(CardvoteError):
     """Raised when an operation's stated precondition is violated."""
 
 
+class OutOfRangeError(PreconditionError, IndexError):
+    """Raised when a profile has too few candidates for a mechanism's
+    candidate index or quota; still an IndexError for callers catching
+    one."""
+
+
 class WeightError(CardvoteError):
     """Raised for mixture weights that are negative or do not sum to one."""
 

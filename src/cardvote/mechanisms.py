@@ -29,6 +29,7 @@ from .core import (
 from .errors import (
     BudgetError,
     MechanismSpecError,
+    OutOfRangeError,
     PreconditionError,
     WeightError,
 )
@@ -40,12 +41,14 @@ def integer_cbrt(x: int) -> int:
         raise PreconditionError("cube root of negative value")
     if x == 0:
         return 0
-    t = max(1, round(x ** (1.0 / 3.0)))
-    while t ** 3 > x:
-        t -= 1
-    while (t + 1) ** 3 <= x:
-        t += 1
-    return t
+    # Newton's iteration from 2**ceil(bits/3) > x**(1/3) decreases strictly
+    # until it reaches the floor of the cube root.
+    t = 1 << -(-x.bit_length() // 3)
+    while True:
+        s = (2 * t + x // (t * t)) // 3
+        if s >= t:
+            return t
+        t = s
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,7 @@ def constant_winner(j: int) -> Mechanism:
 
     def evaluate(profile: Profile) -> CandidateDistribution:
         if not 1 <= j <= profile.m:
-            raise IndexError(f"candidate {j} out of range 1..{profile.m}")
+            raise OutOfRangeError(f"candidate {j} out of range 1..{profile.m}")
         return CandidateDistribution.point(j, profile.m)
 
     return Mechanism(f"const:{j}", evaluate, claimed_truthful=True, claimed_ordinal=True)
@@ -94,7 +97,7 @@ def j1q(q: int) -> Mechanism:
 
     def evaluate(profile: Profile) -> CandidateDistribution:
         if q > profile.m:
-            raise IndexError(f"q={q} exceeds candidate count {profile.m}")
+            raise OutOfRangeError(f"q={q} exceeds candidate count {profile.m}")
         n, m = profile.n, profile.m
         share = Fraction(1, n * q)
         probs = [ZERO] * m
@@ -127,7 +130,7 @@ def j2q(q: int) -> Mechanism:
     def evaluate(profile: Profile) -> CandidateDistribution:
         m, n = profile.m, profile.n
         if m < 2:
-            raise IndexError("pairwise voting needs at least 2 candidates")
+            raise OutOfRangeError("pairwise voting needs at least 2 candidates")
         npairs = m * (m - 1) // 2
         half = Fraction(1, 2 * npairs)
         probs = [ZERO] * m

@@ -15,11 +15,18 @@ misreports in preference order.  The profile space splits into disjoint
 lexicographic ranges, so the scan could be partitioned across workers and
 the minimum-lexicographic witness recovered by reduction; the implementation
 here is single-threaded.
+
+The truthfulness scan decides in integer arithmetic whether a voter can gain
+at all: grid utilities are scaled by k and each distribution by the lcm of
+its denominators, and the test runs once per (voter, other voters' reports)
+group.  Only a group that admits a gain is replayed with exact `Fraction`
+utilities, misreport by misreport, to build the first witness.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
@@ -220,6 +227,14 @@ def check_truthful(
     under the misreport.  The first strict violation (in enumeration order)
     is returned with its exact positive gain; re-evaluating the mechanism on
     the witness reproduces the gain.
+
+    A voter's outcomes depend only on the other voters' reports, so the scan
+    decides "does any report beat the honest one?" once per (voter, others)
+    group, for every honest type at once, as an exact integer comparison
+    over the group's distinct distributions.  Profiles and voters are then
+    walked in enumeration order; the first flagged (profile, voter) is
+    replayed over its misreports in order with `Fraction` utilities, which
+    yields the same witness as testing every misreport directly.
     """
     scan = _GridScan(mech, m, n, k, tie_free)
     pref_count = len(scan.prefs)
@@ -227,40 +242,75 @@ def check_truthful(
     if work > budget:
         raise BudgetError(work, budget, "truthfulness scan")
 
-    # Expected utility of holding preference p while the ballot box holds
-    # the profile encoded by key.
-    utility_cache: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+    # Utilities scaled by k: grid value s/k becomes the integer s.
+    steps = [tuple(int(v * k) for v in p.values) for p in scan.prefs]
+    # Distributions as (lcm of denominators, integer numerators).
+    integer_dists: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
 
-    def utility(pref_idx: int, key: tuple[int, ...]) -> Fraction:
-        cached = utility_cache.get((pref_idx, key))
-        if cached is None:
-            values = scan.prefs[pref_idx].values
+    def integer_dist(key: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        found = integer_dists.get(key)
+        if found is None:
             probs = scan.dist(key).probs
-            cached = sum((p * v for p, v in zip(probs, values)), ZERO)
-            utility_cache[(pref_idx, key)] = cached
-        return cached
+            lcm = math.lcm(*(p.denominator for p in probs))
+            found = (lcm, tuple(p.numerator * (lcm // p.denominator) for p in probs))
+            integer_dists[key] = found
+        return found
 
+    def can_gain(voter: int, others: tuple[int, ...]) -> tuple[bool, ...]:
+        # Entry h: some report gives honest type h strictly more than its own.
+        outcomes = [
+            integer_dist(others[:voter] + (r,) + others[voter:])
+            for r in range(pref_count)
+        ]
+        distinct = set(outcomes)
+        lcm = math.lcm(*(scale for scale, _ in distinct))
+        common = {d: tuple(c * (lcm // d[0]) for c in d[1]) for d in distinct}
+        vectors = list(common.values())
+        flags = []
+        for honest_idx, own in enumerate(outcomes):
+            s = steps[honest_idx]
+            honest = sum(a * b for a, b in zip(s, common[own]))
+            flags.append(any(sum(a * b for a, b in zip(s, v)) > honest for v in vectors))
+        return tuple(flags)
+
+    groups: dict[tuple[int, tuple[int, ...]], tuple[bool, ...]] = {}
     for key in scan.keys():
         for voter in range(n):
-            honest_idx = key[voter]
-            honest = utility(honest_idx, key)
-            for mis_idx in range(pref_count):
-                if mis_idx == honest_idx:
-                    continue
-                mis_key = key[:voter] + (mis_idx,) + key[voter + 1:]
-                gained = utility(honest_idx, mis_key)
-                if gained > honest:
-                    witness = TruthfulnessWitness(
-                        scan.profile(key),
-                        voter + 1,
-                        scan.prefs[mis_idx],
-                        honest,
-                        gained,
-                    )
-                    return WitnessReport(
-                        "truthful", mech.name, False, scan.space(), witness
-                    )
+            group = (voter, key[:voter] + key[voter + 1:])
+            flags = groups.get(group)
+            if flags is None:
+                flags = groups[group] = can_gain(*group)
+            if flags[key[voter]]:
+                witness = _first_truthfulness_witness(scan, key, voter)
+                return WitnessReport("truthful", mech.name, False, scan.space(), witness)
     return WitnessReport("truthful", mech.name, True, scan.space())
+
+
+def _first_truthfulness_witness(
+    scan: _GridScan, key: tuple[int, ...], voter: int
+) -> TruthfulnessWitness:
+    """The first misreport, in preference order, that strictly raises the
+    voter's exact expected utility at the profile encoded by key."""
+    honest_idx = key[voter]
+    values = scan.prefs[honest_idx].values
+
+    def utility(profile_key: tuple[int, ...]) -> Fraction:
+        probs = scan.dist(profile_key).probs
+        return sum((p * v for p, v in zip(probs, values)), ZERO)
+
+    honest = utility(key)
+    for mis_idx in range(len(scan.prefs)):
+        if mis_idx == honest_idx:
+            continue
+        gained = utility(key[:voter] + (mis_idx,) + key[voter + 1:])
+        if gained > honest:
+            return TruthfulnessWitness(
+                scan.profile(key), voter + 1, scan.prefs[mis_idx], honest, gained
+            )
+    raise RuntimeError(
+        f"integer scan flagged voter {voter + 1} at profile {key} "
+        "but no misreport gains under exact replay"
+    )
 
 
 def check_ordinal(

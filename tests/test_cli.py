@@ -68,6 +68,34 @@ class TestEvalAndRatio:
         assert result.exit_code == 1
         assert "zzz" in result.output
 
+    @pytest.mark.parametrize("spec", ["j1:9", "const:7"])
+    def test_mechanism_out_of_range_fails_cleanly(self, runner, tmp_path, spec):
+        profile_path = tmp_path / "u.json"
+        invoke(runner, "gen", "grid", "--m", "3", "--n", "2", "--k", "4",
+               "--seed", "0", "--out", str(profile_path))
+        result = invoke(runner, "eval", "--mech", spec, "--profile", str(profile_path))
+        assert result.exit_code == 1
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("zero_den.json", '{"m": 2, "n": 1, "prefs": [[[1, 0], [0, 1]]]}'),
+            ("float_pair.json", '{"m": 2, "n": 1, "prefs": [[[0.5, 1], [1, 1]]]}'),
+            ("bad_cell.csv", "abc,1\n0,1\n"),
+            ("rows.json", '{"m": 2, "n": 1, "prefs": [5]}'),
+            ("truncated.json", "{"),
+        ],
+        ids=["zero_denominator", "float_pair", "non_rational_csv_cell", "row_not_a_list",
+             "not_json"],
+    )
+    def test_malformed_profile_fails_cleanly(self, runner, tmp_path, name, text):
+        profile_path = tmp_path / name
+        profile_path.write_text(text)
+        result = invoke(runner, "eval", "--mech", "rv", "--profile", str(profile_path))
+        assert result.exit_code == 1
+        assert "Traceback" not in result.output
+
 
 class TestVerify:
     def test_truthful_holds_exit_zero(self, runner):
@@ -116,8 +144,11 @@ class TestExperiments:
         data.write_text("\n".join(rows) + "\n")
         result = invoke(runner, "fit", "--data", str(data))
         assert result.exit_code == 0
-        slope = float(json.loads(result.output)["slope"])
-        assert abs(slope + 2 / 3) < 1e-9
+        report = json.loads(result.output)
+        assert report["config"]["aggregate"] == "none"
+        assert abs(float(report["slope"]) + 2 / 3) < 1e-9
+        result = invoke(runner, "fit", "--data", str(data), "--aggregate", "max")
+        assert json.loads(result.output)["config"]["aggregate"] == "max"
 
     def test_fit_constant_slope_zero(self, runner, tmp_path):
         data = tmp_path / "points.csv"

@@ -53,6 +53,16 @@ class TestIntegerCbrt:
         t = integer_cbrt(x)
         assert t**3 <= x < (t + 1) ** 3
 
+    def test_beyond_float_range(self):
+        t = integer_cbrt(10**400)
+        assert t**3 <= 10**400 < (t + 1) ** 3
+
+    @pytest.mark.parametrize("t", [10**120 + 7, 2**700 - 1], ids=["10**120+7", "2**700-1"])
+    def test_around_large_cubes(self, t):
+        assert integer_cbrt(t**3 - 1) == t - 1
+        assert integer_cbrt(t**3) == t
+        assert integer_cbrt(t**3 + 1) == t
+
 
 class TestRangeVoting:
     def test_clear_winner(self):
