@@ -24,7 +24,9 @@ from .core import (
     CandidateDistribution,
     Preference,
     Profile,
-    descending_order,
+    dot,
+    pairwise_beats,
+    place_counts,
     ratio as ratio_of,
     welfare_vector,
 )
@@ -35,7 +37,7 @@ from .errors import (
     UndefinedRatioError,
 )
 from .generators import gen_Dk, gen_negative, DkParams, two_block_preference
-from .mechanisms import integer_cbrt, j2q_quota_range, j_star
+from .mechanisms import integer_cbrt, j2q_quota_range, j_star, pair_units, top_q_counts
 
 HALF = Fraction(1, 2)
 
@@ -75,8 +77,7 @@ def rounded(pref: Preference) -> tuple[int, ...]:
 def choice_sets(pref: Preference, width: int) -> tuple[frozenset, frozenset]:
     """(favorite set, candidates ranked 2..width): the only voter data the
     stacked-lottery scheme reads."""
-    order = descending_order(pref)
-    return frozenset(order[:1]), frozenset(order[1:width])
+    return frozenset(pref.order[:1]), frozenset(pref.order[1:width])
 
 
 @dataclass(frozen=True)
@@ -133,9 +134,8 @@ def classify(pref: Preference, k: int) -> ClassifiedPref:
         raise GridError("grid preference must attain both 0 and 1")
     if not pref.is_tie_free():
         raise PreconditionError("classification needs a tie-free preference")
-    order = descending_order(pref)
     ranks = [0] * pref.m
-    for position, cand in enumerate(order, start=1):
+    for position, cand in enumerate(pref.order, start=1):
         ranks[cand - 1] = position
     width = integer_cbrt(pref.m)
     fav, near = choice_sets(pref, width)
@@ -163,29 +163,25 @@ def _jstar_dist(profile: Profile) -> CandidateDistribution:
     return j_star(profile.m).evaluate(profile)
 
 
-def g_value(profile: Profile) -> Fraction:
-    dist = _jstar_dist(profile)
+def _g(dist: CandidateDistribution, profile: Profile) -> Fraction:
+    """Benchmark functional of the profile under the given distribution."""
     totals = welfare_vector(profile)
-    denom = totals[0]
-    if denom <= ZERO:
+    if totals[0] <= ZERO:
         raise UndefinedRatioError("candidate 1 has zero welfare")
-    numer = sum((p * w for p, w in zip(dist.probs, totals)), ZERO)
-    return numer / denom
+    return dot(dist.probs, totals) / totals[0]
+
+
+def g_value(profile: Profile) -> Fraction:
+    return _g(_jstar_dist(profile), profile)
 
 
 def gbar_value(profile: Profile) -> Fraction:
     dist = _jstar_dist(profile)
-    counts = [0] * profile.m
-    denom = 0
-    for pref in profile.prefs:
-        ub = rounded(pref)
-        denom += ub[0]
-        for idx, bit in enumerate(ub):
-            counts[idx] += bit
+    counts = [sum(column) for column in zip(*(rounded(p) for p in profile.prefs))]
+    denom = counts[0]
     if denom <= 0:
         raise UndefinedRatioError("no voter rounds candidate 1 up to 1")
-    numer = sum((p * c for p, c in zip(dist.probs, counts)), ZERO)
-    return numer / denom
+    return dot(dist.probs, counts) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +231,7 @@ def reduce_to_Ck_trace(profile: Profile, k: int) -> ReductionTrace:
     dist = _jstar_dist(profile)
     one_step = Fraction(1, k)
 
-    numer = sum((p * w for p, w in zip(dist.probs, totals)), ZERO)
+    numer = dot(dist.probs, totals)
     denom = totals[0]
     g_initial = numer / denom
     g_current = g_initial
@@ -276,17 +272,9 @@ def reduce_to_Ck_trace(profile: Profile, k: int) -> ReductionTrace:
             for voter_steps in steps_by_voter
         )
     )
-    assert _jstar_dist(result) == dist
-    assert g_of_dist(result, dist) == g_current
+    if _jstar_dist(result) != dist or _g(dist, result) != g_current:
+        raise RuntimeError("sliding changed the stacked-lottery distribution or lost track of g")
     return ReductionTrace(result, tuple(steps), g_initial, g_current)
-
-
-def g_of_dist(profile: Profile, dist: CandidateDistribution) -> Fraction:
-    """Benchmark functional with an externally supplied distribution."""
-    totals = welfare_vector(profile)
-    if totals[0] <= ZERO:
-        raise UndefinedRatioError("candidate 1 has zero welfare")
-    return sum((p * w for p, w in zip(dist.probs, totals)), ZERO) / totals[0]
 
 
 def reduce_to_Ck(profile: Profile, k: int) -> Profile:
@@ -336,7 +324,7 @@ def project_to_Dk_trace(profile: Profile, k: int) -> ProjectionTrace:
             out.append(pref)
             moves.append(ProjectionMove(voter, True, info.dk_class, pref, pref))
             continue
-        desc = list(descending_order(pref))
+        desc = list(pref.order)
         rank1 = info.ranks[0]
         if rank1 == 1:
             order, top, target = desc, 1, "a"
@@ -350,7 +338,10 @@ def project_to_Dk_trace(profile: Profile, k: int) -> ProjectionTrace:
         else:
             order, top, target = desc, 1, "b"
         replacement = two_block_preference(order, top, k)
-        assert classify(replacement, k).dk_class == target
+        if classify(replacement, k).dk_class != target:
+            raise RuntimeError(
+                f"projection of voter {voter} missed its target class {target!r}"
+            )
         out.append(replacement)
         moves.append(ProjectionMove(voter, False, target, pref, replacement))
     if not any(rounded(p)[0] for p in out):
@@ -423,68 +414,24 @@ class NegativeRow:
     ratio: Fraction
 
 
-def _positions(profile: Profile) -> list[list[int]]:
-    """positions[i][j-1] = place of candidate j in voter i's strict order
-    (value descending, index ascending), 1-based."""
-    out = []
-    for pref in profile.prefs:
-        pos = [0] * profile.m
-        for place, cand in enumerate(descending_order(pref), start=1):
-            pos[cand - 1] = place
-        out.append(pos)
-    return out
-
-
 def all_q_ratios(profile: Profile) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
     """Exact welfare ratios of every top-q lottery (q = 1..m) and every
     in-range pairwise-quota scheme on one profile.
 
-    Integer vote counting plus a single exact assembly per q; agrees with the
-    generic evaluators entry for entry.
+    Both families count from one place table and one pairwise table, through
+    the same functions the ``j1q`` and ``j2q`` evaluators use.
     """
     m, n = profile.m, profile.n
     totals = welfare_vector(profile)
     best = max(totals)
     if best <= ZERO:
         raise UndefinedRatioError("maximal welfare is zero")
-    pos = _positions(profile)
-
-    at_place = [[0] * (m + 1) for _ in range(m)]  # candidate -> place histogram
-    for row in pos:
-        for cand_idx, place in enumerate(row):
-            at_place[cand_idx][place] += 1
-    j1: dict[int, Fraction] = {}
-    for q in range(1, m + 1):
-        numer = ZERO
-        for cand_idx in range(m):
-            in_top = sum(at_place[cand_idx][1 : q + 1])
-            if in_top:
-                numer += in_top * totals[cand_idx]
-        j1[q] = numer / (n * q * best)
-
-    beats = [[0] * m for _ in range(m)]
-    for row in pos:
-        for j0, j1_idx in itertools.combinations(range(m), 2):
-            if row[j0] < row[j1_idx]:
-                beats[j0][j1_idx] += 1
-            else:
-                beats[j1_idx][j0] += 1
-    npairs = m * (m - 1) // 2
-    j2: dict[int, Fraction] = {}
-    for q in j2q_quota_range(n):
-        units = [0] * m
-        for j0, j1_idx in itertools.combinations(range(m), 2):
-            v0 = beats[j0][j1_idx]
-            v1 = n - v0
-            if v0 >= q and v1 < q:
-                units[j0] += 2
-            elif v1 >= q and v0 < q:
-                units[j1_idx] += 2
-            else:
-                units[j0] += 1
-                units[j1_idx] += 1
-        numer = sum((u * w for u, w in zip(units, totals) if u), ZERO)
-        j2[q] = numer / (2 * npairs * best)
+    places, beats = place_counts(profile), pairwise_beats(profile)
+    j1 = {q: dot(top_q_counts(places, q), totals) / (n * q * best) for q in range(1, m + 1)}
+    j2 = {
+        q: dot(pair_units(beats, n, q), totals) / (m * (m - 1) * best)
+        for q in j2q_quota_range(n)
+    }
     return j1, j2
 
 
@@ -495,8 +442,8 @@ def upper_bound_experiment(ms: Sequence[int], repeat: int = 1) -> list[NegativeR
     for m in ms:
         profile = gen_negative(m, repeat)
         j1, j2 = all_q_ratios(profile)
-        rows.extend(NegativeRow(m, "j1", q, j1[q]) for q in sorted(j1))
-        rows.extend(NegativeRow(m, "j2", q, j2[q]) for q in sorted(j2))
+        rows.extend(NegativeRow(m, "j1", q, r) for q, r in j1.items())
+        rows.extend(NegativeRow(m, "j2", q, r) for q, r in j2.items())
     return rows
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -23,7 +24,7 @@ from pathlib import Path
 import click
 
 from . import bounds, core, generators, mechanisms, properties
-from .errors import CardvoteError, DataError
+from .errors import CardvoteError, DataError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,13 @@ def _frac(f: Fraction) -> str:
 
 def _dec(f) -> str:
     return format(float(f), ".12g")
+
+
+def _rational(text: str, option: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as e:
+        raise DataError(f"{option} must be an exact rational, got {text!r}") from e
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -207,7 +215,7 @@ def gen_dk_cmd(m, k, a, b, c, n, seed, fmt, out):
 @_wrap
 def gen_cyclic_cmd(m, star, eps, fmt, out):
     """Cyclic-order profile with a single large utility at the starred voter."""
-    _emit(_profile_body(generators.gen_cyclic(m, star, Fraction(eps)), fmt), out)
+    _emit(_profile_body(generators.gen_cyclic(m, star, _rational(eps, "--eps")), fmt), out)
 
 
 @gen.command("grid")
@@ -364,7 +372,7 @@ def experiment_cyclic(ms_text: str, eps: str | None, out: str | None):
     """Ratio of the stacked-lottery scheme on every starred cyclic profile."""
     rows = []
     for m in _int_list(ms_text):
-        eps_m = Fraction(eps) if eps else Fraction(1, m ** 3)
+        eps_m = _rational(eps, "--eps") if eps else Fraction(1, m ** 3)
         mech = mechanisms.j_star(m)
         profiles = [generators.gen_cyclic(m, star, eps_m) for star in range(1, m + 1)]
         equivalent = all(
@@ -413,8 +421,8 @@ def experiment_minratio(spec, m, n, k, tie_free, profile_path, budget, out):
     if profile_path:
         family = [_load_profile(profile_path)]
     elif None not in (m, n, k):
-        import itertools
-
+        if n < 1:
+            raise PreconditionError(f"need at least one voter, got n={n}")
         prefs = list(properties.enumerate_Rk_prefs(m, k, tie_free))
         family = (
             core.Profile(combo) for combo in itertools.product(prefs, repeat=n)
@@ -531,7 +539,7 @@ def fit_cmd(data_path: str, aggregate: str, out: str | None):
     for row in csv.DictReader(io.StringIO("".join(lines))):
         try:
             raw.append((int(row["m"]), Fraction(row["ratio"])))
-        except (KeyError, ValueError) as e:
+        except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
             raise DataError(f"bad fit row {row!r}") from e
     if aggregate == "none":
         points = raw

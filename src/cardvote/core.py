@@ -8,8 +8,14 @@ boundary: pass ints, Fractions, or strings such as "3/4" or "0.25".
 
 Candidates and voters are 1-indexed in the public API.
 
-All types are immutable after construction and all operations are pure, so
-concurrent evaluation needs no synchronization.
+Each voter's strict order (value descending, ties to the lower index) is
+computed once and cached as :attr:`Preference.order`; every ordinal reader
+uses it, and :func:`place_counts` and :func:`pairwise_beats` build the two
+integer ballot tables from it.
+
+All types are logically immutable after construction (the cached order only
+restates the values) and all operations are pure, so concurrent evaluation
+needs no synchronization.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import csv
 import io
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DataError, NormalizationError, PreconditionError, UndefinedRatioError
@@ -75,6 +82,15 @@ class Preference:
         if not 1 <= j <= self.m:
             raise IndexError(f"candidate {j} out of range 1..{self.m}")
         return self.values[j - 1]
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        """All candidates, value descending; the stable reverse sort keeps value
+        ties in ascending index order."""
+        values = self.values
+        return tuple(
+            j + 1 for j in sorted(range(len(values)), key=values.__getitem__, reverse=True)
+        )
 
     def is_normalized(self) -> bool:
         return min(self.values) == ZERO and max(self.values) == ONE
@@ -207,11 +223,9 @@ def rv_winner(profile: Profile) -> int:
     return totals.index(best) + 1
 
 
-def expected_welfare(profile: Profile, dist: CandidateDistribution) -> Fraction:
-    if dist.m != profile.m:
-        raise PreconditionError("distribution and profile disagree on m")
-    totals = welfare_vector(profile)
-    return sum((p * w for p, w in zip(dist.probs, totals)), ZERO)
+def dot(weights: Sequence, values: Sequence) -> Fraction:
+    """Exact sum of weight * value, skipping zero weights."""
+    return sum((w * v for w, v in zip(weights, values) if w), ZERO)
 
 
 @dataclass(frozen=True)
@@ -234,7 +248,7 @@ def welfare_report(profile: Profile, dist: CandidateDistribution) -> WelfareRepo
         raise UndefinedRatioError(
             "welfare ratio undefined: maximal welfare is zero"
         )
-    expected = sum((p * w for p, w in zip(dist.probs, totals)), ZERO)
+    expected = dot(dist.probs, totals)
     return WelfareReport(totals, winner, expected, expected / best)
 
 
@@ -253,22 +267,44 @@ def rank(pref: Preference, j: int) -> int:
         raise IndexError(f"candidate {j} out of range 1..{pref.m}")
     if not pref.is_tie_free():
         raise PreconditionError("rank is only defined for tie-free preferences")
-    v = pref.values[j - 1]
-    return sum(1 for w in pref.values if w >= v)
+    return pref.order.index(j) + 1
 
 
 def top_q_set(pref: Preference, q: int) -> tuple[int, ...]:
-    """The q best candidates under the strict order "value descending, ties to
-    the lower candidate index", returned in that order."""
+    """The q best candidates under :attr:`Preference.order`, in that order."""
     if not 1 <= q <= pref.m:
         raise IndexError(f"q={q} out of range 1..{pref.m}")
-    order = sorted(range(1, pref.m + 1), key=lambda j: (-pref.values[j - 1], j))
-    return tuple(order[:q])
+    return pref.order[:q]
 
 
 def descending_order(pref: Preference) -> tuple[int, ...]:
-    """All candidates under the same strict order top_q_set uses."""
-    return top_q_set(pref, pref.m)
+    """All candidates under :attr:`Preference.order`."""
+    return pref.order
+
+
+def place_counts(profile: Profile) -> list[list[int]]:
+    """places[c][p]: number of voters whose order puts candidate c+1 at
+    place p+1."""
+    m = profile.m
+    places = [[0] * m for _ in range(m)]
+    for pref in profile.prefs:
+        for place, cand in enumerate(pref.order):
+            places[cand - 1][place] += 1
+    return places
+
+
+def pairwise_beats(profile: Profile) -> list[list[int]]:
+    """beats[a][b]: number of voters whose order puts candidate a+1 above
+    b+1, so a value tie counts for the lower index."""
+    m = profile.m
+    beats = [[0] * m for _ in range(m)]
+    for pref in profile.prefs:
+        order = [cand - 1 for cand in pref.order]
+        for place, cand in enumerate(order):
+            row = beats[cand]
+            for other in order[place + 1:]:
+                row[other] += 1
+    return beats
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +327,9 @@ def profile_from_json_dict(data: dict) -> Profile:
         m, n, prefs = data["m"], data["n"], data["prefs"]
     except (KeyError, TypeError) as e:
         raise PreconditionError(f"profile JSON missing field: {e}") from e
+    for field, value in (("m", m), ("n", n)):
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise DataError(f"profile JSON {field!r} must be an integer, got {value!r}")
     if not isinstance(prefs, list) or not all(isinstance(row, list) for row in prefs):
         raise DataError("profile JSON 'prefs' must be a list of voter rows")
     if len(prefs) != n:

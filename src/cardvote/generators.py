@@ -52,7 +52,8 @@ def negative_params(m: int, repeat: int = 1) -> NegativeConstructionParams:
         raise PreconditionError(f"repeat must be >= 1, got {repeat}")
     k = integer_cbrt(m)
     g = integer_cbrt(m * m)
-    assert k * g <= m
+    if k * g > m:
+        raise RuntimeError(f"block layout overflows: {k} * {g} > m = {m}")
     return NegativeConstructionParams(m, repeat, k, g, m - 1 + g)
 
 
@@ -227,6 +228,10 @@ def rand_grid_profile(
     m: int, n: int, k: int, seed: int, tie_free: bool = True
 ) -> Profile:
     """Basic uniform sampler of normalized grid profiles for property tests."""
+    if m < 2:
+        raise PreconditionError(f"need at least 2 candidates, got m={m}")
+    if k < 1:
+        raise PreconditionError(f"grid resolution k must be >= 1, got {k}")
     if tie_free and k < m - 1:
         raise PreconditionError(f"k={k} cannot host {m} distinct grid values")
     rng = random.Random(seed)
@@ -265,8 +270,7 @@ def discretize(profile: Profile, k: int) -> Profile:
 
 def _discretize_pref(pref: Preference, k: int) -> Preference:
     m = pref.m
-    desc = sorted(range(m), key=lambda c: (-pref.values[c], c))
-    asc = list(reversed(desc))  # position p holds the p-th weakest candidate
+    asc = [j - 1 for j in reversed(pref.order)]  # position p: p-th weakest
     targets = [pref.values[c] for c in asc]
     pins: dict[int, int] = {}
 
@@ -333,7 +337,8 @@ def _discretize_pref(pref: Preference, k: int) -> Preference:
             if total == best_total:
                 pins[p] = v
                 break
-        assert p in pins, "minimizer search failed"
+        if p not in pins:
+            raise RuntimeError(f"minimizer search failed for candidate {cand + 1}")
 
     values = [Fraction(0)] * m
     for p, v in pins.items():

@@ -4,6 +4,10 @@ Every mechanism maps a Profile to a CandidateDistribution with Fraction
 probabilities; evaluation is deterministic and side-effect free, so
 mechanisms can be shared freely across threads.  Randomness only enters
 through :func:`sample`, behind an explicit seed.
+
+The top-q and pairwise-quota schemes count from the integer ballot tables of
+``core`` through :func:`top_q_counts` and :func:`pair_units`, as does
+``bounds.all_q_ratios``.
 """
 
 from __future__ import annotations
@@ -23,8 +27,9 @@ from .core import (
     Preference,
     Profile,
     exact,
+    pairwise_beats,
+    place_counts,
     rv_winner,
-    top_q_set,
 )
 from .errors import (
     BudgetError,
@@ -56,15 +61,12 @@ class Mechanism:
     """A named voting scheme.
 
     ``evaluate`` maps a profile to an exact distribution over candidates.
-    The claimed_* flags are metadata used for test selection only; nothing
-    in the evaluator depends on them.  ``q`` is set for the two built-in
-    parameterized families so reports can flag out-of-range quotas.
+    ``q`` is set for the two built-in parameterized families so reports can
+    flag out-of-range quotas.
     """
 
     name: str
     evaluate: Callable[[Profile], CandidateDistribution]
-    claimed_truthful: bool = False
-    claimed_ordinal: bool = False
     q: int | None = field(default=None, compare=False)
 
 
@@ -74,7 +76,7 @@ def range_voting() -> Mechanism:
     def evaluate(profile: Profile) -> CandidateDistribution:
         return CandidateDistribution.point(rv_winner(profile), profile.m)
 
-    return Mechanism("rv", evaluate, claimed_truthful=False, claimed_ordinal=False)
+    return Mechanism("rv", evaluate)
 
 
 def constant_winner(j: int) -> Mechanism:
@@ -85,7 +87,31 @@ def constant_winner(j: int) -> Mechanism:
             raise OutOfRangeError(f"candidate {j} out of range 1..{profile.m}")
         return CandidateDistribution.point(j, profile.m)
 
-    return Mechanism(f"const:{j}", evaluate, claimed_truthful=True, claimed_ordinal=True)
+    return Mechanism(f"const:{j}", evaluate)
+
+
+def top_q_counts(places: Sequence[Sequence[int]], q: int) -> list[int]:
+    """Per candidate, the number of voters ranking it among their q
+    favorites, from a ``core.place_counts`` table."""
+    return [sum(row[:q]) for row in places]
+
+
+def pair_units(beats: Sequence[Sequence[int]], n: int, q: int) -> list[int]:
+    """Per candidate, half-pair units won under quota q from a
+    ``core.pairwise_beats`` table: 2 for a pair whose unique quota-reacher it
+    is, 1 for each pair decided by a coin flip."""
+    units = [0] * len(beats)
+    for a, b in itertools.combinations(range(len(beats)), 2):
+        votes_a = beats[a][b]
+        meets_a, meets_b = votes_a >= q, n - votes_a >= q
+        if meets_a and not meets_b:
+            units[a] += 2
+        elif meets_b and not meets_a:
+            units[b] += 2
+        else:
+            units[a] += 1
+            units[b] += 1
+    return units
 
 
 def j1q(q: int) -> Mechanism:
@@ -98,15 +124,11 @@ def j1q(q: int) -> Mechanism:
     def evaluate(profile: Profile) -> CandidateDistribution:
         if q > profile.m:
             raise OutOfRangeError(f"q={q} exceeds candidate count {profile.m}")
-        n, m = profile.n, profile.m
-        share = Fraction(1, n * q)
-        probs = [ZERO] * m
-        for p in profile.prefs:
-            for j in top_q_set(p, q):
-                probs[j - 1] += share
-        return CandidateDistribution(tuple(probs))
+        tickets = profile.n * q
+        counts = top_q_counts(place_counts(profile), q)
+        return CandidateDistribution(tuple(Fraction(c, tickets) for c in counts))
 
-    return Mechanism(f"j1:{q}", evaluate, claimed_truthful=True, claimed_ordinal=True, q=q)
+    return Mechanism(f"j1:{q}", evaluate, q=q)
 
 
 def j2q_quota_range(n: int) -> range:
@@ -128,28 +150,14 @@ def j2q(q: int) -> Mechanism:
         raise PreconditionError(f"q must be >= 1, got {q}")
 
     def evaluate(profile: Profile) -> CandidateDistribution:
-        m, n = profile.m, profile.n
+        m = profile.m
         if m < 2:
             raise OutOfRangeError("pairwise voting needs at least 2 candidates")
-        npairs = m * (m - 1) // 2
-        half = Fraction(1, 2 * npairs)
-        probs = [ZERO] * m
-        for j0, j1 in itertools.combinations(range(1, m + 1), 2):
-            votes0 = sum(
-                1 for p in profile.prefs if p.values[j0 - 1] >= p.values[j1 - 1]
-            )
-            votes1 = n - votes0
-            meets0, meets1 = votes0 >= q, votes1 >= q
-            if meets0 and not meets1:
-                probs[j0 - 1] += 2 * half
-            elif meets1 and not meets0:
-                probs[j1 - 1] += 2 * half
-            else:
-                probs[j0 - 1] += half
-                probs[j1 - 1] += half
-        return CandidateDistribution(tuple(probs))
+        halves = m * (m - 1)
+        units = pair_units(pairwise_beats(profile), profile.n, q)
+        return CandidateDistribution(tuple(Fraction(u, halves) for u in units))
 
-    return Mechanism(f"j2:{q}", evaluate, claimed_truthful=True, claimed_ordinal=True, q=q)
+    return Mechanism(f"j2:{q}", evaluate, q=q)
 
 
 def mix(parts: Sequence[tuple]) -> Mechanism:
@@ -174,13 +182,7 @@ def mix(parts: Sequence[tuple]) -> Mechanism:
                 probs[idx] += w * p
         return CandidateDistribution(tuple(probs))
 
-    name = "mix:" + "+".join(f"{w}*{mech.name}" for w, mech in weighted)
-    return Mechanism(
-        name,
-        evaluate,
-        claimed_truthful=all(mech.claimed_truthful for _, mech in weighted),
-        claimed_ordinal=all(mech.claimed_ordinal for _, mech in weighted),
-    )
+    return Mechanism("mix:" + "+".join(f"{w}*{mech.name}" for w, mech in weighted), evaluate)
 
 
 def j_star(m: int) -> Mechanism:
@@ -190,7 +192,7 @@ def j_star(m: int) -> Mechanism:
         raise PreconditionError("need at least 2 candidates")
     t = max(1, integer_cbrt(m))
     mech = mix([(Fraction(1, 2), j1q(1)), (Fraction(1, 2), j1q(t))])
-    return Mechanism("jstar", mech.evaluate, claimed_truthful=True, claimed_ordinal=True)
+    return Mechanism("jstar", mech.evaluate)
 
 
 def _compose(pref: Preference, tau: tuple[int, ...]) -> Preference:
@@ -233,12 +235,7 @@ def symmetrize(mech: Mechanism, m: int, n: int, budget: int = 10_000_000) -> Mec
                         probs[tau[w] - 1] += weight * inner[w]
         return CandidateDistribution(tuple(probs))
 
-    return Mechanism(
-        f"sym:{mech.name}",
-        evaluate,
-        claimed_truthful=mech.claimed_truthful,
-        claimed_ordinal=mech.claimed_ordinal,
-    )
+    return Mechanism(f"sym:{mech.name}", evaluate)
 
 
 def sample(mech: Mechanism, profile: Profile, seed: int) -> int:
@@ -301,11 +298,11 @@ def _split_mix_parts(body: str) -> list[str]:
     return parts
 
 
-def _deferred(name: str, build: Callable[[Profile], Mechanism], **flags) -> Mechanism:
+def _deferred(name: str, build: Callable[[Profile], Mechanism]) -> Mechanism:
     def evaluate(profile: Profile) -> CandidateDistribution:
         return build(profile).evaluate(profile)
 
-    return Mechanism(name, evaluate, **flags)
+    return Mechanism(name, evaluate)
 
 
 def _is_parenthesized(spec: str) -> bool:
@@ -331,12 +328,7 @@ def parse_mechanism(spec: str) -> Mechanism:
         if spec == "rv":
             return range_voting()
         if spec == "jstar":
-            return _deferred(
-                "jstar",
-                lambda profile: j_star(profile.m),
-                claimed_truthful=True,
-                claimed_ordinal=True,
-            )
+            return _deferred("jstar", lambda profile: j_star(profile.m))
         head, arg = spec.split(":")
         value = int(arg)
         if head == "j1":
@@ -361,9 +353,6 @@ def parse_mechanism(spec: str) -> Mechanism:
     if spec.startswith("sym:"):
         inner = parse_mechanism(spec[len("sym:"):])
         return _deferred(
-            f"sym:{inner.name}",
-            lambda profile: symmetrize(inner, profile.m, profile.n),
-            claimed_truthful=inner.claimed_truthful,
-            claimed_ordinal=inner.claimed_ordinal,
+            f"sym:{inner.name}", lambda profile: symmetrize(inner, profile.m, profile.n)
         )
     raise MechanismSpecError(f"unrecognized mechanism token {spec!r}")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .core import CandidateDistribution, Preference, Profile, ZERO
+from .core import CandidateDistribution, Preference, Profile, dot
 from .errors import BudgetError, PreconditionError
 
 DEFAULT_BUDGET = 10_000_000
@@ -184,6 +184,8 @@ class _GridScan:
     keyed by profiles encoded as preference-index tuples."""
 
     def __init__(self, mech, m: int, n: int, k: int, tie_free: bool):
+        if n < 1:
+            raise PreconditionError(f"need at least one voter, got n={n}")
         self.mech = mech
         self.prefs = list(enumerate_Rk_prefs(m, k, tie_free))
         self.m, self.n, self.k, self.tie_free = m, n, k, tie_free
@@ -295,8 +297,7 @@ def _first_truthfulness_witness(
     values = scan.prefs[honest_idx].values
 
     def utility(profile_key: tuple[int, ...]) -> Fraction:
-        probs = scan.dist(profile_key).probs
-        return sum((p * v for p, v in zip(probs, values)), ZERO)
+        return dot(scan.dist(profile_key).probs, values)
 
     honest = utility(key)
     for mis_idx in range(len(scan.prefs)):

@@ -1,0 +1,209 @@
+"""Differential tests of the integer ballot tables against simple exact
+references.
+
+The references below are the straightforward evaluators: each voter's
+strict order by a ``(-value, index)`` sort, the top-q lottery as a loop over
+every voter's q favorites, the pairwise-quota scheme as a per-pair `Fraction`
+vote count (``>=``, so a tie votes for the lower index), and ``all_q_ratios``
+from a per-voter position table.  ``Preference.order``, the ``j1q``/``j2q``
+evaluators and ``bounds.all_q_ratios`` must agree with them exactly, for
+every q, on profiles with value ties.
+"""
+
+import itertools
+from fractions import Fraction
+
+from hypothesis import given, settings, strategies as st
+
+from cardvote.bounds import all_q_ratios
+from cardvote.core import (
+    ZERO,
+    CandidateDistribution,
+    Preference,
+    Profile,
+    pairwise_beats,
+    place_counts,
+    welfare_vector,
+)
+from cardvote.errors import UndefinedRatioError
+from cardvote.generators import rand_grid_profile
+from cardvote.mechanisms import j1q, j2q, j2q_quota_range
+
+
+def reference_order(pref: Preference) -> tuple[int, ...]:
+    return tuple(sorted(range(1, pref.m + 1), key=lambda j: (-pref.values[j - 1], j)))
+
+
+def reference_j1q(profile: Profile, q: int) -> CandidateDistribution:
+    share = Fraction(1, profile.n * q)
+    probs = [ZERO] * profile.m
+    for p in profile.prefs:
+        for j in reference_order(p)[:q]:
+            probs[j - 1] += share
+    return CandidateDistribution(tuple(probs))
+
+
+def reference_j2q(profile: Profile, q: int) -> CandidateDistribution:
+    m, n = profile.m, profile.n
+    half = Fraction(1, m * (m - 1))
+    probs = [ZERO] * m
+    for j0, j1 in itertools.combinations(range(1, m + 1), 2):
+        votes0 = sum(1 for p in profile.prefs if p.values[j0 - 1] >= p.values[j1 - 1])
+        votes1 = n - votes0
+        meets0, meets1 = votes0 >= q, votes1 >= q
+        if meets0 and not meets1:
+            probs[j0 - 1] += 2 * half
+        elif meets1 and not meets0:
+            probs[j1 - 1] += 2 * half
+        else:
+            probs[j0 - 1] += half
+            probs[j1 - 1] += half
+    return CandidateDistribution(tuple(probs))
+
+
+def reference_all_q_ratios(profile: Profile):
+    m, n = profile.m, profile.n
+    totals = welfare_vector(profile)
+    best = max(totals)
+    if best <= ZERO:
+        raise UndefinedRatioError("maximal welfare is zero")
+    pos = []
+    for pref in profile.prefs:
+        row = [0] * m
+        for place, cand in enumerate(reference_order(pref), start=1):
+            row[cand - 1] = place
+        pos.append(row)
+
+    at_place = [[0] * (m + 1) for _ in range(m)]
+    for row in pos:
+        for cand_idx, place in enumerate(row):
+            at_place[cand_idx][place] += 1
+    j1 = {}
+    for q in range(1, m + 1):
+        numer = ZERO
+        for cand_idx in range(m):
+            numer += sum(at_place[cand_idx][1 : q + 1]) * totals[cand_idx]
+        j1[q] = numer / (n * q * best)
+
+    beats = [[0] * m for _ in range(m)]
+    for row in pos:
+        for a, b in itertools.combinations(range(m), 2):
+            if row[a] < row[b]:
+                beats[a][b] += 1
+            else:
+                beats[b][a] += 1
+    npairs = m * (m - 1) // 2
+    j2 = {}
+    for q in j2q_quota_range(n):
+        units = [0] * m
+        for a, b in itertools.combinations(range(m), 2):
+            v0, v1 = beats[a][b], n - beats[a][b]
+            if v0 >= q and v1 < q:
+                units[a] += 2
+            elif v1 >= q and v0 < q:
+                units[b] += 2
+            else:
+                units[a] += 1
+                units[b] += 1
+        j2[q] = sum((u * w for u, w in zip(units, totals)), ZERO) / (2 * npairs * best)
+    return j1, j2
+
+
+# Relaxed preferences on a coarse grid, so value ties are common.
+def relaxed_prefs(m):
+    return st.lists(
+        st.integers(0, 3), min_size=m, max_size=m
+    ).map(lambda steps: Preference.relaxed(Fraction(s, 3) for s in steps))
+
+
+@st.composite
+def tied_profiles(draw, max_m=6, max_n=6):
+    m = draw(st.integers(2, max_m))
+    n = draw(st.integers(1, max_n))
+    return Profile(tuple(draw(relaxed_prefs(m)) for _ in range(n)))
+
+
+@st.composite
+def grid_profiles(draw):
+    m = draw(st.integers(2, 7))
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(1, 5))
+    return rand_grid_profile(m, n, k, draw(st.integers(0, 10 ** 6)), tie_free=False)
+
+
+edge_profiles = st.one_of(tied_profiles(max_m=2), tied_profiles(max_n=1))
+any_profile = st.one_of(tied_profiles(), grid_profiles(), edge_profiles)
+
+
+def check_evaluators(profile: Profile) -> None:
+    for q in range(1, profile.m + 1):
+        assert j1q(q).evaluate(profile) == reference_j1q(profile, q)
+    for q in range(1, profile.n + 2):
+        assert j2q(q).evaluate(profile) == reference_j2q(profile, q)
+
+
+class TestOrder:
+    @given(st.integers(2, 7).flatmap(relaxed_prefs))
+    def test_matches_negated_key_sort(self, pref):
+        assert pref.order == reference_order(pref)
+
+    @given(any_profile)
+    def test_tables_match_order(self, profile):
+        m, n = profile.m, profile.n
+        places, beats = place_counts(profile), pairwise_beats(profile)
+        for c in range(m):
+            assert places[c] == [
+                sum(1 for p in profile.prefs if reference_order(p)[place] == c + 1)
+                for place in range(m)
+            ]
+        for a, b in itertools.permutations(range(m), 2):
+            assert beats[a][b] + beats[b][a] == n
+            expected = sum(
+                1 for p in profile.prefs
+                if reference_order(p).index(a + 1) < reference_order(p).index(b + 1)
+            )
+            assert beats[a][b] == expected
+        assert all(beats[c][c] == 0 for c in range(m))
+
+
+class TestEvaluators:
+    @settings(max_examples=150)
+    @given(any_profile)
+    def test_j1q_and_j2q_match_reference_for_every_q(self, profile):
+        check_evaluators(profile)
+
+    def test_all_ties_single_voter(self):
+        profile = Profile.of([Preference.relaxed([Fraction(1, 2)] * 4)])
+        check_evaluators(profile)
+        assert j1q(1).evaluate(profile).probs[0] == 1
+
+    def test_two_candidates_tie_votes_for_lower_index(self):
+        profile = Profile.of([Preference.relaxed([1, 1]), Preference.relaxed([0, 1])])
+        check_evaluators(profile)
+
+
+class TestAllQRatios:
+    @settings(max_examples=150)
+    @given(any_profile)
+    def test_matches_reference(self, profile):
+        try:
+            expected = reference_all_q_ratios(profile)
+        except UndefinedRatioError:
+            return
+        assert all_q_ratios(profile) == expected
+
+    @settings(max_examples=50)
+    @given(any_profile)
+    def test_agrees_with_evaluators(self, profile):
+        try:
+            j1, j2 = all_q_ratios(profile)
+        except UndefinedRatioError:
+            return
+        totals = welfare_vector(profile)
+        best = max(totals)
+        for q, r in j1.items():
+            dist = reference_j1q(profile, q)
+            assert r == sum((p * w for p, w in zip(dist.probs, totals)), ZERO) / best
+        for q, r in j2.items():
+            dist = reference_j2q(profile, q)
+            assert r == sum((p * w for p, w in zip(dist.probs, totals)), ZERO) / best

@@ -97,6 +97,60 @@ class TestEvalAndRatio:
         assert "Traceback" not in result.output
 
 
+class TestBadInput:
+    """Bad flags and data files exit 1 with a one-line error, no traceback."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            "gen cyclic --m 5 --star 1 --eps abc",
+            "gen cyclic --m 5 --star 1 --eps 1/0",
+            "experiment cyclic --m 5 --eps abc",
+            "experiment cyclic --m 5 --eps 1/0",
+            "verify truthful --mech j1:1 --m 2 --n -1 --k 2",
+            "verify ordinal --mech j1:1 --m 2 --n -1 --k 2",
+            "verify neutral --mech j1:1 --m 2 --n -1 --k 2",
+            "verify anonymous --mech j1:1 --m 2 --n -1 --k 2",
+            "experiment minratio --mech rv --m 2 --n -1 --k 2",
+            "gen grid --m 1 --n 2 --k 3",
+            "gen grid --m 1 --n 2 --k 3 --ties",
+            "gen grid --m 3 --n 2 --k -1 --ties",
+        ],
+    )
+    def test_bad_flag(self, runner, args):
+        result = invoke(runner, *args.split())
+        assert result.exit_code == 1
+        assert "Traceback" not in result.output
+        assert result.output.startswith("Error: ")
+
+    @pytest.mark.parametrize(
+        "text",
+        ["m,ratio\n8,1/2\n27,1/0\n64,1/4\n", "m,ratio\n8,1/2\n27\n64,1/4\n"],
+        ids=["zero_denominator", "missing_ratio"],
+    )
+    def test_bad_fit_row(self, runner, tmp_path, text):
+        data = tmp_path / "points.csv"
+        data.write_text(text)
+        result = invoke(runner, "fit", "--data", str(data))
+        assert result.exit_code == 1
+        assert "bad fit row" in result.output
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"m": "2", "n": 1, "prefs": [[[1, 1], [0, 1]]]}',
+            '{"m": 2, "n": 1.0, "prefs": [[[1, 1], [0, 1]]]}',
+        ],
+        ids=["string_m", "float_n"],
+    )
+    def test_non_integer_shape(self, runner, tmp_path, text):
+        profile_path = tmp_path / "u.json"
+        profile_path.write_text(text)
+        result = invoke(runner, "eval", "--mech", "rv", "--profile", str(profile_path))
+        assert result.exit_code == 1
+        assert "must be an integer" in result.output
+
+
 class TestVerify:
     def test_truthful_holds_exit_zero(self, runner):
         result = invoke(runner, "verify", "truthful", "--mech", "j1:1",

@@ -9,7 +9,10 @@ from cardvote.core import (
     CandidateDistribution,
     Preference,
     Profile,
+    dot,
     normalize,
+    pairwise_beats,
+    place_counts,
     profile_from_csv_text,
     profile_from_json_dict,
     profile_to_csv_text,
@@ -22,6 +25,7 @@ from cardvote.core import (
     welfare_report,
 )
 from cardvote.errors import (
+    DataError,
     NormalizationError,
     PreconditionError,
     UndefinedRatioError,
@@ -260,3 +264,41 @@ class TestSerialization:
     def test_bad_shape_rejected(self):
         with pytest.raises(PreconditionError):
             profile_from_json_dict({"m": 2, "n": 2, "prefs": [[[1, 1], [0, 1]]]})
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"m": "2", "n": 1, "prefs": [[[1, 1], [0, 1]]]},
+            {"m": 2, "n": 1.0, "prefs": [[[1, 1], [0, 1]]]},
+            {"m": True, "n": 1, "prefs": [[[1, 1]]]},
+            {"m": 2, "n": None, "prefs": [[[1, 1], [0, 1]]]},
+        ],
+        ids=["string_m", "float_n", "bool_m", "null_n"],
+    )
+    def test_non_integer_m_or_n_rejected(self, data):
+        with pytest.raises(DataError, match="must be an integer"):
+            profile_from_json_dict(data)
+
+
+class TestOrderAndBallots:
+    def test_order_breaks_ties_to_lower_index(self):
+        u = Preference.relaxed([F(1, 2), 1, F(1, 2), 0, 1])
+        assert u.order == (2, 5, 1, 3, 4)
+
+    def test_order_is_cached_and_not_part_of_equality(self):
+        u, v = pref(0, 1, "1/2"), pref(0, 1, "1/2")
+        assert u.order is u.order
+        assert u == v and hash(u) == hash(v)
+        assert u.order == v.order == (2, 3, 1)
+
+    def test_place_counts(self):
+        u = profile((1, "1/2", 0), (0, 1, "1/2"), (1, 0, "1/2"))
+        assert place_counts(u) == [[2, 0, 1], [1, 1, 1], [0, 2, 1]]
+
+    def test_pairwise_beats_counts_ties_for_lower_index(self):
+        u = Profile.of([Preference.relaxed([1, 1, 0]), Preference.relaxed([0, 1, 1])])
+        assert pairwise_beats(u) == [[0, 1, 1], [1, 0, 2], [1, 0, 0]]
+
+    def test_dot_skips_zero_weights(self):
+        assert dot([0, F(1, 2), 0], [object(), F(2, 3), object()]) == F(1, 3)
+        assert dot([0, 0], [1, 2]) == 0
