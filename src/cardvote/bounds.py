@@ -15,6 +15,8 @@ re-checked step by step.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -37,7 +39,7 @@ from .errors import (
     UndefinedRatioError,
 )
 from .generators import gen_Dk, gen_negative, DkParams, two_block_preference
-from .mechanisms import integer_cbrt, j2q_quota_range, j_star, pair_units, top_q_counts
+from .mechanisms import integer_cbrt, j2q_quota_range, j_star
 
 HALF = Fraction(1, 2)
 
@@ -418,21 +420,43 @@ def all_q_ratios(profile: Profile) -> tuple[dict[int, Fraction], dict[int, Fract
     """Exact welfare ratios of every top-q lottery (q = 1..m) and every
     in-range pairwise-quota scheme on one profile.
 
-    Both families count from one place table and one pairwise table, through
-    the same functions the ``j1q`` and ``j2q`` evaluators use.
+    Both families are one integer sweep over the ``core`` ballot tables, with
+    the welfares scaled to integers W over their common denominator.  The
+    top-q numerator grows by sum_c places[c][q-1] * W[c] from q-1 to q.  For an
+    in-range quota at most one candidate of a pair reaches it, so a beats b
+    exactly while q <= beats[a][b]; starting from every pair decided by a coin
+    flip, such a pair adds W[a] - W[b] to the half-pair numerator at every
+    quota up to beats[a][b], which one difference array over q accumulates.
+    Each ratio is built as one ``Fraction`` at the end.
     """
     m, n = profile.m, profile.n
     totals = welfare_vector(profile)
-    best = max(totals)
-    if best <= ZERO:
+    den = math.lcm(*(t.denominator for t in totals))
+    weights = [t.numerator * (den // t.denominator) for t in totals]
+    top = max(weights)
+    if top <= 0:
         raise UndefinedRatioError("maximal welfare is zero")
     places, beats = place_counts(profile), pairwise_beats(profile)
-    j1 = {q: dot(top_q_counts(places, q), totals) / (n * q * best) for q in range(1, m + 1)}
-    j2 = {
-        q: dot(pair_units(beats, n, q), totals) / (m * (m - 1) * best)
-        for q in j2q_quota_range(n)
-    }
-    return j1, j2
+
+    j1 = {}
+    acc = 0
+    for q, column in enumerate(zip(*places), start=1):
+        acc += sum(map(operator.mul, column, weights))
+        j1[q] = Fraction(acc, n * q * top)
+
+    quotas = j2q_quota_range(n)
+    gain = [0] * (n + 2)
+    for row, w_a in zip(beats, weights):
+        for votes, w_b in zip(row, weights):
+            if votes >= quotas.start:
+                gain[votes] += w_a - w_b
+    numer = (m - 1) * sum(weights)
+    halves = m * (m - 1) * top
+    swept = []
+    for q in reversed(quotas):
+        numer += gain[q]
+        swept.append((q, Fraction(numer, halves)))
+    return j1, dict(reversed(swept))
 
 
 def upper_bound_experiment(ms: Sequence[int], repeat: int = 1) -> list[NegativeRow]:

@@ -52,7 +52,7 @@ def _dec(f) -> str:
 
 def _rational(text: str, option: str) -> Fraction:
     try:
-        return Fraction(text)
+        return core.parse_rational(text)
     except (ValueError, ZeroDivisionError) as e:
         raise DataError(f"{option} must be an exact rational, got {text!r}") from e
 
@@ -86,7 +86,9 @@ def _load_profile(path: str) -> core.Profile:
         if path.endswith(".csv"):
             return core.profile_from_csv_text(text)
         data = json.loads(text)
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+    except (ValueError, RecursionError) as e:
+        # ValueError covers undecodable bytes, malformed JSON and integers
+        # past int()'s digit limit; RecursionError, nesting past the decoder's.
         raise DataError(f"cannot parse profile {path}: {e}") from e
     return core.profile_from_json_dict(data)
 
@@ -375,10 +377,11 @@ def experiment_cyclic(ms_text: str, eps: str | None, out: str | None):
         eps_m = _rational(eps, "--eps") if eps else Fraction(1, m ** 3)
         mech = mechanisms.j_star(m)
         profiles = [generators.gen_cyclic(m, star, eps_m) for star in range(1, m + 1)]
+        # Equivalence is transitive, so comparing with the first profile
+        # decides every pair.
         equivalent = all(
-            properties.ordinal_equivalent(pa.prefs[i], pb.prefs[i])
-            for pa in profiles
-            for pb in profiles
+            properties.ordinal_equivalent(profile.prefs[i], profiles[0].prefs[i])
+            for profile in profiles
             for i in range(m)
         )
         bound = Fraction(1, m) + m * m * eps_m
@@ -509,11 +512,16 @@ def fit_slope(points: list[tuple[int, Fraction]]) -> tuple[float, float]:
     ms = [m for m, _ in points]
     if any(b <= a for a, b in zip(ms, ms[1:])):
         raise DataError("m values must be strictly increasing")
-    for _, r in points:
+    for m, r in points:
+        if m < 1:
+            raise DataError(f"nonpositive m {m}")
         if r <= 0:
             raise DataError(f"nonpositive ratio {r}")
     xs = [math.log(m) for m, _ in points]
-    ys = [math.log(float(r)) for _, r in points]
+    try:
+        ys = [math.log(float(r)) for _, r in points]
+    except (OverflowError, ValueError) as e:  # float() overflows, or underflows to 0
+        raise DataError(f"ratio outside the range of a float: {e}") from e
     xbar = sum(xs) / len(xs)
     ybar = sum(ys) / len(ys)
     var = sum((x - xbar) ** 2 for x in xs)
@@ -538,7 +546,7 @@ def fit_cmd(data_path: str, aggregate: str, out: str | None):
         lines = [line for line in fh if not line.startswith("#")]
     for row in csv.DictReader(io.StringIO("".join(lines))):
         try:
-            raw.append((int(row["m"]), Fraction(row["ratio"])))
+            raw.append((int(row["m"]), core.parse_rational(row["ratio"])))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
             raise DataError(f"bad fit row {row!r}") from e
     if aggregate == "none":

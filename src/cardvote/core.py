@@ -11,17 +11,20 @@ Candidates and voters are 1-indexed in the public API.
 Each voter's strict order (value descending, ties to the lower index) is
 computed once and cached as :attr:`Preference.order`; every ordinal reader
 uses it, and :func:`place_counts` and :func:`pairwise_beats` build the two
-integer ballot tables from it.
+integer ballot tables from it.  The place table is cached per profile as
+:attr:`Profile.places`.
 
-All types are logically immutable after construction (the cached order only
-restates the values) and all operations are pure, so concurrent evaluation
-needs no synchronization.
+All types are logically immutable after construction (the cached order and
+place table only restate the values) and all operations are pure, so
+concurrent evaluation needs no synchronization.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -36,11 +39,35 @@ ONE = Fraction(1)
 def exact(value) -> Fraction:
     """Coerce to Fraction, rejecting floats (they are rarely the rational the
     caller had in mind)."""
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise TypeError(
             f"refusing float {value!r}; pass a Fraction, int, or decimal string"
         )
     return Fraction(value)
+
+
+def parse_rational(text: str) -> Fraction:
+    """Exact rational from text such as "3/4", "0.25" or "1.5e-3".
+
+    Raises what ``Fraction`` raises for bad text, and ValueError when the
+    digits plus the exponent exceed int()'s text-conversion limit: such a
+    value could not be printed back in a report, and a large exponent alone
+    takes minutes and gigabytes to expand.
+    """
+    if not isinstance(text, str):
+        raise TypeError(f"expected text, got {text!r}")
+    mantissa, _, exponent = text.lower().partition("e")
+    size = sum(ch.isdigit() for ch in mantissa)
+    try:
+        size += abs(int(exponent)) if exponent else 0
+    except ValueError:
+        pass  # not a valid exponent: Fraction rejects the text below
+    limit = sys.get_int_max_str_digits()
+    if limit and size > limit:
+        raise ValueError(f"rational with {size} digits exceeds the limit of {limit}")
+    return Fraction(text)
 
 
 @dataclass(frozen=True)
@@ -69,7 +96,8 @@ class Preference:
         if len(vals) < 2:
             raise PreconditionError("need at least 2 candidates")
         for v in vals:
-            if v < ZERO or v > ONE:
+            # Exact: a Fraction's denominator is positive.
+            if not 0 <= v.numerator <= v.denominator:
                 raise PreconditionError(f"utility {v} outside [0, 1]")
         return cls(vals)
 
@@ -86,14 +114,22 @@ class Preference:
     @cached_property
     def order(self) -> tuple[int, ...]:
         """All candidates, value descending; the stable reverse sort keeps value
-        ties in ascending index order."""
-        values = self.values
+        ties in ascending index order.  The sort keys are the values scaled to
+        integers over their common denominator."""
+        den = math.lcm(*(v.denominator for v in self.values))
+        keys = [v.numerator * (den // v.denominator) for v in self.values]
         return tuple(
-            j + 1 for j in sorted(range(len(values)), key=values.__getitem__, reverse=True)
+            j + 1 for j in sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
         )
 
     def is_normalized(self) -> bool:
-        return min(self.values) == ZERO and max(self.values) == ONE
+        # A value's sign is its numerator's, and value - 1 has the sign of
+        # numerator - denominator, so this is min == 0 and max == 1 exactly.
+        values = self.values
+        return (
+            min(v.numerator for v in values) == 0
+            and max(v.numerator - v.denominator for v in values) == 0
+        )
 
     def is_tie_free(self) -> bool:
         return len(set(self.values)) == self.m
@@ -144,6 +180,16 @@ class Profile:
 
     def is_normalized(self) -> bool:
         return all(p.is_normalized() for p in self.prefs)
+
+    @cached_property
+    def places(self) -> list[list[int]]:
+        """The place table of :func:`place_counts`, built once per profile."""
+        m = self.m
+        places = [[0] * m for _ in range(m)]
+        for pref in self.prefs:
+            for place, cand in enumerate(pref.order):
+                places[cand - 1][place] += 1
+        return places
 
 
 @dataclass(frozen=True)
@@ -208,11 +254,14 @@ def welfare(profile: Profile, j: int) -> Fraction:
 
 
 def welfare_vector(profile: Profile) -> tuple[Fraction, ...]:
-    totals = [ZERO] * profile.m
-    for p in profile.prefs:
-        for idx, v in enumerate(p.values):
-            totals[idx] += v
-    return tuple(totals)
+    """Total utility of every candidate, summed as integer numerators over the
+    common denominator of all utilities in the profile."""
+    den = math.lcm(*{v.denominator for p in profile.prefs for v in p.values})
+    columns = zip(*(p.values for p in profile.prefs))
+    return tuple(
+        Fraction(sum(v.numerator * (den // v.denominator) for v in column), den)
+        for column in columns
+    )
 
 
 def rv_winner(profile: Profile) -> int:
@@ -242,8 +291,8 @@ class WelfareReport:
 
 def welfare_report(profile: Profile, dist: CandidateDistribution) -> WelfareReport:
     totals = welfare_vector(profile)
-    winner = rv_winner(profile)
-    best = totals[winner - 1]
+    best = max(totals)
+    winner = totals.index(best) + 1
     if best <= ZERO:
         raise UndefinedRatioError(
             "welfare ratio undefined: maximal welfare is zero"
@@ -284,26 +333,37 @@ def descending_order(pref: Preference) -> tuple[int, ...]:
 
 def place_counts(profile: Profile) -> list[list[int]]:
     """places[c][p]: number of voters whose order puts candidate c+1 at
-    place p+1."""
-    m = profile.m
-    places = [[0] * m for _ in range(m)]
-    for pref in profile.prefs:
-        for place, cand in enumerate(pref.order):
-            places[cand - 1][place] += 1
-    return places
+    place p+1.  The table is cached as :attr:`Profile.places`, so every
+    evaluator reading one profile shares it; callers must not mutate it."""
+    return profile.places
 
 
 def pairwise_beats(profile: Profile) -> list[list[int]]:
     """beats[a][b]: number of voters whose order puts candidate a+1 above
-    b+1, so a value tie counts for the lower index."""
+    b+1, so a value tie counts for the lower index.
+
+    Each candidate's row is counted as one packed int: field b (little-endian,
+    ``width`` bytes, wide enough for n) holds beats[a][b].  Walking a voter's
+    order from last to first, the mask of candidates already passed is exactly
+    the set the current candidate beats, so each voter costs m big-int
+    additions; every row is unpacked once at the end.
+    """
     m = profile.m
-    beats = [[0] * m for _ in range(m)]
+    width = max(1, (profile.n.bit_length() + 7) // 8)
+    bits = [0] + [1 << (8 * width * c) for c in range(m)]
+    rows = [0] * (m + 1)
     for pref in profile.prefs:
-        order = [cand - 1 for cand in pref.order]
-        for place, cand in enumerate(order):
-            row = beats[cand]
-            for other in order[place + 1:]:
-                row[other] += 1
+        below = 0
+        for cand in reversed(pref.order):
+            rows[cand] += below
+            below |= bits[cand]
+    size = m * width
+    beats = []
+    for packed in rows[1:]:
+        data = packed.to_bytes(size, "little")
+        beats.append(
+            [int.from_bytes(data[i:i + width], "little") for i in range(0, size, width)]
+        )
     return beats
 
 
@@ -358,11 +418,14 @@ def profile_to_csv_text(profile: Profile) -> str:
 
 
 def profile_from_csv_text(text: str) -> Profile:
-    rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    try:
+        rows = [row for row in csv.reader(io.StringIO(text)) if row]
+    except csv.Error as e:  # e.g. a bare carriage return inside a field
+        raise DataError(f"profile CSV is malformed: {e}") from e
     if not rows:
         raise PreconditionError("empty profile CSV")
     try:
-        values = [[Fraction(cell) for cell in row] for row in rows]
+        values = [[parse_rational(cell) for cell in row] for row in rows]
     except (ValueError, ZeroDivisionError) as e:
         raise DataError(f"profile CSV cell is not an exact rational: {e}") from e
     return Profile.of(Preference.relaxed(row) for row in values)

@@ -87,28 +87,31 @@ def gen_negative(m: int, repeat: int = 1) -> Profile:
         min(params.favorite_block_size * params.block_count, m - 1),
         params.block_count,
     )
+    zero, one = Fraction(0), Fraction(1)
+    ladder = [Fraction(step, den) for step in range(m)]
+    near_top = [Fraction(den - s, den) for s in range(params.favorite_block_size)]
     prefs: list[Preference] = []
     for i in range(1, m):
-        values: list[Fraction] = [Fraction(0)] * m
-        values[i - 1] = Fraction(1)
+        values: list[Fraction] = [zero] * m
+        values[i - 1] = one
         step = m - 2
         for j in range(1, m + 1):
             if j in (i, m):
                 continue
-            values[j - 1] = Fraction(step, den)
+            values[j - 1] = ladder[step]
             step -= 1
         prefs.append(Preference.normalized(values))
     pivot = Fraction(m * m - 1, m * m)  # exactly 1 - 1/m^2
     for block in blocks:
-        values = [Fraction(0)] * m
+        values = [zero] * m
         for s, j in enumerate(block):
-            values[j - 1] = Fraction(den - s, den)
+            values[j - 1] = near_top[s]
         values[m - 1] = pivot
         step = 0
         for j in range(1, m):
             if j in block:
                 continue
-            values[j - 1] = Fraction(step, den)
+            values[j - 1] = ladder[step]
             step += 1
         prefs.append(Preference.normalized(values))
     return Profile(tuple(prefs * repeat))

@@ -6,8 +6,9 @@ mechanisms can be shared freely across threads.  Randomness only enters
 through :func:`sample`, behind an explicit seed.
 
 The top-q and pairwise-quota schemes count from the integer ballot tables of
-``core`` through :func:`top_q_counts` and :func:`pair_units`, as does
-``bounds.all_q_ratios``.
+``core`` through :func:`top_q_counts` and :func:`pair_units`; both halves of
+the stacked lottery read the profile's one place table, and
+``bounds.all_q_ratios`` sweeps the same tables over every quota at once.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .core import (
     Profile,
     exact,
     pairwise_beats,
+    parse_rational,
     place_counts,
     rv_winner,
 )
@@ -191,6 +193,8 @@ def j_star(m: int) -> Mechanism:
     if m < 2:
         raise PreconditionError("need at least 2 candidates")
     t = max(1, integer_cbrt(m))
+    if t == 1:  # m < 8: both halves are the random-favorite lottery
+        return Mechanism("jstar", j1q(1).evaluate)
     mech = mix([(Fraction(1, 2), j1q(1)), (Fraction(1, 2), j1q(t))])
     return Mechanism("jstar", mech.evaluate)
 
@@ -319,18 +323,32 @@ def _is_parenthesized(spec: str) -> bool:
     return False
 
 
+MAX_NESTING = 100
+
+
 def parse_mechanism(spec: str) -> Mechanism:
     """Parse the CLI mini-language; errors name the offending token."""
+    return _parse(spec, 0)
+
+
+def _parse(spec: str, depth: int) -> Mechanism:
+    # Each parenthesis, mixture component and "sym:" is one level; the cap
+    # turns a spec nested past the interpreter's recursion limit into an error.
+    if depth > MAX_NESTING:
+        raise MechanismSpecError(f"mechanism spec nests deeper than {MAX_NESTING} levels")
     spec = spec.strip()
     if _is_parenthesized(spec):
-        return parse_mechanism(spec[1:-1])
+        return _parse(spec[1:-1], depth + 1)
     if _SIMPLE.match(spec):
         if spec == "rv":
             return range_voting()
         if spec == "jstar":
             return _deferred("jstar", lambda profile: j_star(profile.m))
         head, arg = spec.split(":")
-        value = int(arg)
+        try:
+            value = int(arg)
+        except ValueError as e:  # more digits than int() converts
+            raise MechanismSpecError(f"number in {head}:<{len(arg)} digits> is too long") from e
         if head == "j1":
             return j1q(value)
         if head == "j2":
@@ -345,14 +363,20 @@ def parse_mechanism(spec: str) -> Mechanism:
                 )
             w_text, sub = token.split("*", 1)
             try:
-                w = Fraction(w_text)
+                w = parse_rational(w_text)
             except (ValueError, ZeroDivisionError) as e:
                 raise MechanismSpecError(f"bad mixture weight {w_text!r}") from e
-            parts.append((w, parse_mechanism(sub)))
+            parts.append((w, _parse(sub, depth + 1)))
         return mix(parts)
     if spec.startswith("sym:"):
-        inner = parse_mechanism(spec[len("sym:"):])
-        return _deferred(
-            f"sym:{inner.name}", lambda profile: symmetrize(inner, profile.m, profile.n)
-        )
+        inner = _parse(spec[len("sym:"):], depth + 1)
+        built: dict[tuple[int, int], Mechanism] = {}
+
+        def build(profile: Profile) -> Mechanism:
+            shape = (profile.m, profile.n)
+            if shape not in built:
+                built[shape] = symmetrize(inner, *shape)
+            return built[shape]
+
+        return _deferred(f"sym:{inner.name}", build)
     raise MechanismSpecError(f"unrecognized mechanism token {spec!r}")

@@ -8,6 +8,12 @@ vote count (``>=``, so a tie votes for the lower index), and ``all_q_ratios``
 from a per-voter position table.  ``Preference.order``, the ``j1q``/``j2q``
 evaluators and ``bounds.all_q_ratios`` must agree with them exactly, for
 every q, on profiles with value ties.
+
+The packed ``pairwise_beats``, the integer-numerator ``welfare_vector``, the
+``j_star`` and the quota sweep in ``all_q_ratios`` are checked
+against the plain loops they replaced: a per-pair increment over every
+voter's order, a `Fraction` sum, the even mixture of two reference top-q
+lotteries and the per-voter position table above.
 """
 
 import itertools
@@ -26,8 +32,8 @@ from cardvote.core import (
     welfare_vector,
 )
 from cardvote.errors import UndefinedRatioError
-from cardvote.generators import rand_grid_profile
-from cardvote.mechanisms import j1q, j2q, j2q_quota_range
+from cardvote.generators import gen_negative, rand_grid_profile
+from cardvote.mechanisms import integer_cbrt, j1q, j2q, j2q_quota_range, j_star
 
 
 def reference_order(pref: Preference) -> tuple[int, ...]:
@@ -59,6 +65,34 @@ def reference_j2q(profile: Profile, q: int) -> CandidateDistribution:
             probs[j0 - 1] += half
             probs[j1 - 1] += half
     return CandidateDistribution(tuple(probs))
+
+
+def reference_pairwise_beats(profile: Profile) -> list[list[int]]:
+    m = profile.m
+    beats = [[0] * m for _ in range(m)]
+    for pref in profile.prefs:
+        order = [cand - 1 for cand in reference_order(pref)]
+        for place, cand in enumerate(order):
+            row = beats[cand]
+            for other in order[place + 1:]:
+                row[other] += 1
+    return beats
+
+
+def reference_welfare_vector(profile: Profile) -> tuple[Fraction, ...]:
+    totals = [ZERO] * profile.m
+    for p in profile.prefs:
+        for idx, v in enumerate(p.values):
+            totals[idx] += v
+    return tuple(totals)
+
+
+def reference_j_star(profile: Profile) -> CandidateDistribution:
+    t = max(1, integer_cbrt(profile.m))
+    favorite, wide = reference_j1q(profile, 1), reference_j1q(profile, t)
+    return CandidateDistribution(
+        tuple((f + w) / 2 for f, w in zip(favorite.probs, wide.probs))
+    )
 
 
 def reference_all_q_ratios(profile: Profile):
@@ -207,3 +241,110 @@ class TestAllQRatios:
         for q, r in j2.items():
             dist = reference_j2q(profile, q)
             assert r == sum((p * w for p, w in zip(dist.probs, totals)), ZERO) / best
+
+
+# Mixed denominators, so the common-denominator scaling in ``order`` and
+# ``welfare_vector`` meets values whose denominators differ.
+def mixed_prefs(m):
+    return st.lists(
+        st.fractions(0, 1, max_denominator=12), min_size=m, max_size=m
+    ).map(Preference.relaxed)
+
+
+@st.composite
+def mixed_profiles(draw, max_m=7, max_n=6):
+    m = draw(st.integers(2, max_m))
+    n = draw(st.integers(1, max_n))
+    return Profile(tuple(draw(mixed_prefs(m)) for _ in range(n)))
+
+
+@st.composite
+def tie_free_profiles(draw):
+    m = draw(st.integers(2, 7))
+    n = draw(st.integers(1, 7))
+    k = draw(st.integers(m - 1, 12))
+    return rand_grid_profile(m, n, k, draw(st.integers(0, 10 ** 6)))
+
+
+# Voter counts on both sides of the packed field width: one byte holds
+# counts up to 255, two bytes from n = 256.
+@st.composite
+def wide_profiles(draw):
+    m = draw(st.integers(2, 5))
+    n = draw(st.sampled_from([255, 256, 257]))
+    k = draw(st.integers(1, 4))
+    return rand_grid_profile(m, n, k, draw(st.integers(0, 10 ** 6)), tie_free=False)
+
+
+packed_profile = st.one_of(any_profile, mixed_profiles(), tie_free_profiles())
+
+
+class TestPackedTables:
+    @settings(max_examples=150)
+    @given(packed_profile)
+    def test_pairwise_beats_matches_loop(self, profile):
+        assert pairwise_beats(profile) == reference_pairwise_beats(profile)
+
+    @settings(max_examples=20, deadline=None)
+    @given(wide_profiles())
+    def test_pairwise_beats_across_field_widths(self, profile):
+        assert pairwise_beats(profile) == reference_pairwise_beats(profile)
+
+    def test_unanimous_counts_fill_the_field(self):
+        # Every count is 0 or n, so a field that carries into its neighbour
+        # (n = 256 in one byte) would corrupt the next candidate's entry.
+        for n in (255, 256, 257):
+            profile = Profile.of([Preference.relaxed([1, Fraction(1, 2), 0])] * n)
+            assert pairwise_beats(profile) == [[0, n, n], [0, 0, n], [0, 0, 0]]
+
+    @settings(max_examples=150)
+    @given(st.one_of(packed_profile, wide_profiles()))
+    def test_welfare_vector_matches_fraction_sum(self, profile):
+        totals = welfare_vector(profile)
+        assert totals == reference_welfare_vector(profile)
+        assert all(type(t) is Fraction for t in totals)
+
+
+class TestOrderKeys:
+    @given(st.integers(2, 7).flatmap(mixed_prefs))
+    def test_mixed_denominators_match_negated_key_sort(self, pref):
+        assert pref.order == reference_order(pref)
+
+
+class TestJStar:
+    @settings(max_examples=100)
+    @given(st.one_of(packed_profile, mixed_profiles(max_m=12)))
+    def test_matches_even_mixture_of_two_lotteries(self, profile):
+        assert j_star(profile.m).evaluate(profile) == reference_j_star(profile)
+
+    def test_larger_m_uses_a_wider_second_lottery(self):
+        for m in (8, 27, 30):
+            profile = gen_negative(m)
+            assert j_star(m).evaluate(profile) == reference_j_star(profile)
+
+
+class TestAllQSweep:
+    def test_matches_reference_on_negative_profiles(self):
+        for m in range(8, 65):
+            profile = gen_negative(m)
+            assert all_q_ratios(profile) == reference_all_q_ratios(profile), m
+
+    @settings(max_examples=15, deadline=None)
+    @given(wide_profiles())
+    def test_matches_reference_with_many_voters(self, profile):
+        try:
+            expected = reference_all_q_ratios(profile)
+        except UndefinedRatioError:
+            return
+        j1, j2 = all_q_ratios(profile)
+        assert (j1, j2) == expected
+        assert list(j2) == list(j2q_quota_range(profile.n))
+
+    @settings(max_examples=100)
+    @given(mixed_profiles())
+    def test_matches_reference_with_mixed_denominators(self, profile):
+        try:
+            expected = reference_all_q_ratios(profile)
+        except UndefinedRatioError:
+            return
+        assert all_q_ratios(profile) == expected

@@ -95,6 +95,27 @@ class TestPreference:
         with pytest.raises(PreconditionError):
             Preference.relaxed([F(1)])
 
+    @pytest.mark.parametrize("bad", [F(-1, 3), F(4, 3), -1, 2, "-1/3", "4/3"])
+    def test_bounds_checked_on_numerator_and_denominator(self, bad):
+        with pytest.raises(PreconditionError, match="outside"):
+            Preference.relaxed([F(1, 2), bad])
+
+    def test_endpoints_accepted(self):
+        u = Preference.relaxed([0, 1, F(0), F(1), "0", "1", F(2, 2)])
+        assert u.values == (0, 1, 0, 1, 0, 1, 1)
+        assert u.is_normalized()
+
+    def test_fractions_pass_through_unchanged(self):
+        half = F(1, 2)
+        assert Preference.relaxed([half, 1]).values[0] is half
+
+    @given(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=9),
+                    min_size=2, max_size=6))
+    def test_is_normalized_means_min_zero_max_one(self, values):
+        # Built directly, so values outside [0, 1] reach the check too.
+        u = Preference(tuple(values))
+        assert u.is_normalized() == (min(values) == 0 and max(values) == 1)
+
     def test_tie_free(self):
         assert pref(1, "1/2", 0).is_tie_free()
         assert not pref(1, 1, 0).is_tie_free()
@@ -298,6 +319,13 @@ class TestOrderAndBallots:
     def test_pairwise_beats_counts_ties_for_lower_index(self):
         u = Profile.of([Preference.relaxed([1, 1, 0]), Preference.relaxed([0, 1, 1])])
         assert pairwise_beats(u) == [[0, 1, 1], [1, 0, 2], [1, 0, 0]]
+
+    def test_place_table_is_built_once_per_profile(self):
+        u = profile((1, "1/2", 0), (0, 1, "1/2"))
+        v = profile((1, "1/2", 0), (0, 1, "1/2"))
+        assert place_counts(u) is place_counts(u) is u.places
+        assert place_counts(v) == place_counts(u) and place_counts(v) is not u.places
+        assert u == v
 
     def test_dot_skips_zero_weights(self):
         assert dot([0, F(1, 2), 0], [object(), F(2, 3), object()]) == F(1, 3)

@@ -7,7 +7,8 @@ named by ``--out``) must match the recorded digest.  The first block is the
 README quickstart (with ``experiment negative`` shortened to m=27,64,125 and
 the reduced profile extracted from ``r.json`` for ``project``); the second
 evaluates the pairwise and top-q schemes on a grid profile with value ties
-and runs two more property checks.
+and runs two more property checks.  The full ``experiment negative`` sweep
+the benchmark runs (m up to 343) has its own digest.
 
 A mismatch means a report changed by at least one byte: regenerate the
 digests only for a change that is meant to alter report contents.
@@ -78,3 +79,11 @@ def test_reports_are_byte_identical(tmp_path, monkeypatch):
             mismatches.append(command)
     assert mismatches == []
 
+
+def test_full_negative_sweep_is_byte_identical():
+    command = "experiment negative --m 27,64,125,216,343"
+    result = CliRunner().invoke(main, command.split(), catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.output.encode()).hexdigest() == (
+        "f897cb8cf798579555c76bc3f38dd08f4b0f5f0f8a6320d3d52336281f049b9e"
+    )

@@ -322,3 +322,21 @@ class TestParser:
     def test_errors_name_the_token(self, bad):
         with pytest.raises((MechanismSpecError, WeightError)):
             parse_mechanism(bad)
+
+    def test_sym_builds_relabelings_once_per_shape(self, monkeypatch):
+        import cardvote.mechanisms as mechanisms
+
+        shapes = []
+
+        def counting(mech, m, n, *args):
+            shapes.append((m, n))
+            return symmetrize(mech, m, n, *args)
+
+        monkeypatch.setattr(mechanisms, "symmetrize", counting)
+        mech = parse_mechanism("sym:j2:2")
+        pairs = profile((1, "1/2", 0), (0, 1, "1/2"))
+        other_pairs = profile((0, "1/2", 1), ("1/2", 1, 0))
+        triple = profile((1, "1/2", 0), (0, 1, "1/2"), (1, 0, "1/2"))
+        for u in (pairs, other_pairs, pairs, triple, triple):
+            assert mech.evaluate(u) == symmetrize(j2q(2), u.m, u.n).evaluate(u)
+        assert shapes == [(3, 2), (3, 3)]
