@@ -15,7 +15,6 @@ re-checked step by step.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,9 +26,11 @@ from .core import (
     Preference,
     Profile,
     dot,
+    grid_steps,
     pairwise_beats,
     place_counts,
     ratio as ratio_of,
+    scaled,
     welfare_vector,
 )
 from .errors import (
@@ -42,16 +43,6 @@ from .generators import gen_Dk, gen_negative, DkParams, two_block_preference
 from .mechanisms import integer_cbrt, j2q_quota_range, j_star
 
 HALF = Fraction(1, 2)
-
-
-def _grid_steps(pref: Preference, k: int) -> list[int]:
-    steps = []
-    for v in pref.values:
-        scaled = v * k
-        if scaled.denominator != 1:
-            raise GridError(f"value {v} is not a multiple of 1/{k}")
-        steps.append(int(scaled))
-    return steps
 
 
 def _image_runs(step_set: set[int]) -> list[tuple[int, int]]:
@@ -67,7 +58,7 @@ def _image_runs(step_set: set[int]) -> list[tuple[int, int]]:
 
 def switch_count(pref: Preference, k: int) -> int:
     """Number of in/out switches of the image indicator along the grid."""
-    present = set(_grid_steps(pref, k))
+    present = set(grid_steps(pref, k))
     return sum(1 for j in range(k) if (j in present) != (j + 1 in present))
 
 
@@ -131,7 +122,7 @@ def classify(pref: Preference, k: int) -> ClassifiedPref:
     """Compute all derived structure for a tie-free grid preference."""
     if k < pref.m:
         raise GridError(f"need k >= m, got k={k}, m={pref.m}")
-    steps = _grid_steps(pref, k)
+    steps = grid_steps(pref, k)
     if 0 not in steps or k not in steps:
         raise GridError("grid preference must attain both 0 and 1")
     if not pref.is_tie_free():
@@ -218,56 +209,50 @@ def reduce_to_Ck_trace(profile: Profile, k: int) -> ReductionTrace:
     """Slide one maximal interior image run of one voter by one grid step at a
     time, always in a direction that does not increase the benchmark
     functional (ties move left), until every voter's image is two runs.
+    Voters are finished one at a time, in index order.
 
     Each voter's strict order is untouched by every slide, so the
-    stacked-lottery distribution is invariant across the whole reduction;
-    the functional is tracked incrementally (a slide moves every affected
-    candidate's welfare by exactly 1/k).
+    stacked-lottery distribution (integers w over den) is invariant across
+    the whole reduction.  With column[c] the grid steps summed over voters,
+    the functional is sum_c w[c] * column[c] / (den * column[0]), and a slide
+    moves every affected column by one step, so it is tracked in integers.
     """
-    steps_by_voter = [_grid_steps(p, k) for p in profile.prefs]
+    steps_by_voter = [grid_steps(p, k) for p in profile.prefs]
     for pref in profile.prefs:
         classify(pref, k)  # validates grid membership, 0/1, tie-freeness
-    totals = welfare_vector(profile)
-    if totals[0] <= ZERO:
+    column = [sum(steps) for steps in zip(*steps_by_voter)]
+    if column[0] <= 0:
         raise UndefinedRatioError("candidate 1 has zero welfare")
     dist = _jstar_dist(profile)
-    one_step = Fraction(1, k)
-
-    numer = dot(dist.probs, totals)
-    denom = totals[0]
-    g_initial = numer / denom
-    g_current = g_initial
+    den, weights = scaled(dist.probs)
+    numer = sum(map(operator.mul, weights, column))
+    denom = column[0]
+    g_initial = g_current = Fraction(numer, den * denom)
 
     steps: list[SlideStep] = []
     cap = 4 * profile.n * profile.m * k + 16
-    while True:
-        target = None
-        for idx, voter_steps in enumerate(steps_by_voter):
-            runs = _image_runs(set(voter_steps))
-            if len(runs) > 2:
-                target = (idx, runs[1])  # first interior run
-                break
-        if target is None:
-            break
-        if len(steps) > cap:
-            raise RuntimeError("interior-block sliding failed to terminate")
-        idx, (lo, hi) = target
-        voter_steps = steps_by_voter[idx]
-        affected = [c for c, s in enumerate(voter_steps) if lo <= s <= hi]
-        d_numer = one_step * sum((dist.probs[c] for c in affected), ZERO)
-        d_denom = one_step if 0 in affected else ZERO
-        g_left = (numer - d_numer) / (denom - d_denom)
-        g_right = (numer + d_numer) / (denom + d_denom)
-        if g_left <= g_right:
-            delta, g_next, direction = -1, g_left, "left"
-        else:
-            delta, g_next, direction = +1, g_right, "right"
-        for c in affected:
-            voter_steps[c] += delta
-        numer += delta * d_numer
-        denom += delta * d_denom
-        steps.append(SlideStep(idx + 1, (lo, hi), direction, g_current, g_next))
-        g_current = g_next
+    for voter, voter_steps in enumerate(steps_by_voter, start=1):
+        # A slide moves no other voter's image, so this voter stays the first
+        # one with an interior run until it has none.
+        while len(runs := _image_runs(set(voter_steps))) > 2:
+            if len(steps) > cap:
+                raise RuntimeError("interior-block sliding failed to terminate")
+            lo, hi = runs[1]  # first interior run
+            affected = [c for c, s in enumerate(voter_steps) if lo <= s <= hi]
+            d_numer = sum(weights[c] for c in affected)
+            d_denom = 1 if 0 in affected else 0
+            g_left = Fraction(numer - d_numer, den * (denom - d_denom))
+            g_right = Fraction(numer + d_numer, den * (denom + d_denom))
+            if g_left <= g_right:
+                delta, g_next, direction = -1, g_left, "left"
+            else:
+                delta, g_next, direction = +1, g_right, "right"
+            for c in affected:
+                voter_steps[c] += delta
+            numer += delta * d_numer
+            denom += delta * d_denom
+            steps.append(SlideStep(voter, (lo, hi), direction, g_current, g_next))
+            g_current = g_next
     result = Profile(
         tuple(
             Preference(tuple(Fraction(s, k) for s in voter_steps))
@@ -430,9 +415,7 @@ def all_q_ratios(profile: Profile) -> tuple[dict[int, Fraction], dict[int, Fract
     Each ratio is built as one ``Fraction`` at the end.
     """
     m, n = profile.m, profile.n
-    totals = welfare_vector(profile)
-    den = math.lcm(*(t.denominator for t in totals))
-    weights = [t.numerator * (den // t.denominator) for t in totals]
+    _, weights = scaled(welfare_vector(profile))
     top = max(weights)
     if top <= 0:
         raise UndefinedRatioError("maximal welfare is zero")

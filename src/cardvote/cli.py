@@ -86,6 +86,8 @@ def _load_profile(path: str) -> core.Profile:
         if path.endswith(".csv"):
             return core.profile_from_csv_text(text)
         data = json.loads(text)
+    except OSError as e:  # e.g. a directory, which click.Path(exists=True) accepts
+        raise DataError(f"cannot read profile {path}: {e}") from e
     except (ValueError, RecursionError) as e:
         # ValueError covers undecodable bytes, malformed JSON and integers
         # past int()'s digit limit; RecursionError, nesting past the decoder's.
@@ -542,8 +544,11 @@ def fit_slope(points: list[tuple[int, Fraction]]) -> tuple[float, float]:
 def fit_cmd(data_path: str, aggregate: str, out: str | None):
     """Log-log slope of ratio against m."""
     raw: list[tuple[int, Fraction]] = []
-    with open(data_path, newline="") as fh:
-        lines = [line for line in fh if not line.startswith("#")]
+    try:
+        with open(data_path, newline="") as fh:
+            lines = [line for line in fh if not line.startswith("#")]
+    except (OSError, UnicodeDecodeError) as e:
+        raise DataError(f"cannot read fit data {data_path}: {e}") from e
     for row in csv.DictReader(io.StringIO("".join(lines))):
         try:
             raw.append((int(row["m"]), core.parse_rational(row["ratio"])))

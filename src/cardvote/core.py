@@ -12,7 +12,8 @@ Each voter's strict order (value descending, ties to the lower index) is
 computed once and cached as :attr:`Preference.order`; every ordinal reader
 uses it, and :func:`place_counts` and :func:`pairwise_beats` build the two
 integer ballot tables from it.  The place table is cached per profile as
-:attr:`Profile.places`.
+:attr:`Profile.places`.  Every integer path writes its rationals over one
+denominator through :func:`scaled`.
 
 All types are logically immutable after construction (the cached order and
 place table only restate the values) and all operations are pure, so
@@ -30,7 +31,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import DataError, NormalizationError, PreconditionError, UndefinedRatioError
+from .errors import DataError, GridError, NormalizationError, PreconditionError, UndefinedRatioError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -68,6 +69,27 @@ def parse_rational(text: str) -> Fraction:
     if limit and size > limit:
         raise ValueError(f"rational with {size} digits exceeds the limit of {limit}")
     return Fraction(text)
+
+
+def scaled(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
+    """(den, nums) with ``values[i] == Fraction(nums[i], den)`` and den the
+    least common denominator: the one place rationals become integers.  The
+    lcm runs over the set of distinct denominators, few even when values are
+    many."""
+    den = math.lcm(*{v.denominator for v in values})
+    return den, tuple(v.numerator * (den // v.denominator) for v in values)
+
+
+def grid_steps(pref: Preference, k: int) -> list[int]:
+    """Each utility as a count of 1/k grid steps; GridError when one is not a
+    multiple of 1/k."""
+    steps = []
+    for v in pref.values:
+        step = v * k
+        if step.denominator != 1:
+            raise GridError(f"value {v} is not a multiple of 1/{k}")
+        steps.append(step.numerator)
+    return steps
 
 
 @dataclass(frozen=True)
@@ -116,8 +138,7 @@ class Preference:
         """All candidates, value descending; the stable reverse sort keeps value
         ties in ascending index order.  The sort keys are the values scaled to
         integers over their common denominator."""
-        den = math.lcm(*(v.denominator for v in self.values))
-        keys = [v.numerator * (den // v.denominator) for v in self.values]
+        _, keys = scaled(self.values)
         return tuple(
             j + 1 for j in sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
         )
@@ -256,12 +277,8 @@ def welfare(profile: Profile, j: int) -> Fraction:
 def welfare_vector(profile: Profile) -> tuple[Fraction, ...]:
     """Total utility of every candidate, summed as integer numerators over the
     common denominator of all utilities in the profile."""
-    den = math.lcm(*{v.denominator for p in profile.prefs for v in p.values})
-    columns = zip(*(p.values for p in profile.prefs))
-    return tuple(
-        Fraction(sum(v.numerator * (den // v.denominator) for v in column), den)
-        for column in columns
-    )
+    den, nums = scaled([v for p in profile.prefs for v in p.values])
+    return tuple(Fraction(sum(nums[c::profile.m]), den) for c in range(profile.m))
 
 
 def rv_winner(profile: Profile) -> int:

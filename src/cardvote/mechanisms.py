@@ -13,6 +13,7 @@ the stacked lottery read the profile's one place table, and
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -32,6 +33,7 @@ from .core import (
     parse_rational,
     place_counts,
     rv_winner,
+    scaled,
 )
 from .errors import (
     BudgetError,
@@ -252,22 +254,13 @@ def sample_stream(
     mech: Mechanism, profile: Profile, count: int, seed: int
 ) -> list[int]:
     """Draw ``count`` winners from one seeded generator, evaluating the
-    distribution once."""
-    dist = mech.evaluate(profile)
-    cumulative: list[tuple[Fraction, int]] = []
-    acc = ZERO
-    for j in range(1, dist.m + 1):
-        acc += dist.probs[j - 1]
-        cumulative.append((acc, j))
+    distribution once.  Sampling is exact: each draw is a uniform integer
+    below the probabilities' common denominator, so every candidate is drawn
+    with exactly its probability."""
+    den, nums = scaled(mech.evaluate(profile).probs)
+    bounds = list(itertools.accumulate(nums))
     rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        x = rng.random()
-        for acc, j in cumulative:
-            if acc > x:
-                out.append(j)
-                break
-    return out
+    return [bisect.bisect_right(bounds, rng.randrange(den)) + 1 for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------

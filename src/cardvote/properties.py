@@ -17,21 +17,23 @@ the minimum-lexicographic witness recovered by reduction; the implementation
 here is single-threaded.
 
 The truthfulness scan decides in integer arithmetic whether a voter can gain
-at all: grid utilities are scaled by k and each distribution by the lcm of
-its denominators, and the test runs once per (voter, other voters' reports)
-group.  Only a group that admits a gain is replayed with exact `Fraction`
-utilities, misreport by misreport, to build the first witness.
+at all: utilities as grid steps, each distribution as integers over its own
+denominator (``core.scaled``), two utilities compared by cross-multiplying,
+once per (voter, other voters' reports) group.  Only a group that admits a
+gain is replayed with exact `Fraction` utilities, misreport by misreport, to
+build the first witness.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .core import CandidateDistribution, Preference, Profile, dot
+from .core import CandidateDistribution, Preference, Profile, dot, grid_steps, scaled
 from .errors import BudgetError, PreconditionError
 
 DEFAULT_BUDGET = 10_000_000
@@ -74,9 +76,15 @@ def ordinal_equivalent(u: Preference, v: Preference) -> bool:
 
 
 def _order_pattern(pref: Preference) -> tuple[int, ...]:
-    levels = sorted(set(pref.values), reverse=True)
-    index = {value: i for i, value in enumerate(levels)}
-    return tuple(index[v] for v in pref.values)
+    """Each candidate's level in the voter's weak order (0 = best): a new
+    level starts wherever the value changes along :attr:`Preference.order`."""
+    pattern = [0] * pref.m
+    for level, (_, cands) in enumerate(
+        itertools.groupby(pref.order, key=lambda c: pref.values[c - 1])
+    ):
+        for cand in cands:
+            pattern[cand - 1] = level
+    return tuple(pattern)
 
 
 @dataclass(frozen=True)
@@ -245,34 +253,24 @@ def check_truthful(
         raise BudgetError(work, budget, "truthfulness scan")
 
     # Utilities scaled by k: grid value s/k becomes the integer s.
-    steps = [tuple(int(v * k) for v in p.values) for p in scan.prefs]
-    # Distributions as (lcm of denominators, integer numerators).
-    integer_dists: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
-
-    def integer_dist(key: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        found = integer_dists.get(key)
-        if found is None:
-            probs = scan.dist(key).probs
-            lcm = math.lcm(*(p.denominator for p in probs))
-            found = (lcm, tuple(p.numerator * (lcm // p.denominator) for p in probs))
-            integer_dists[key] = found
-        return found
+    steps = [grid_steps(p, k) for p in scan.prefs]
+    # Distributions as (den, nums), once per profile key.
+    integer_dist = functools.cache(lambda key: scaled(scan.dist(key).probs))
 
     def can_gain(voter: int, others: tuple[int, ...]) -> tuple[bool, ...]:
-        # Entry h: some report gives honest type h strictly more than its own.
+        # Entry h: some report gives honest type h strictly more than its own,
+        # (s.v)/den > (s.own)/own_den compared as (s.v)*own_den > (s.own)*den.
         outcomes = [
             integer_dist(others[:voter] + (r,) + others[voter:])
             for r in range(pref_count)
         ]
         distinct = set(outcomes)
-        lcm = math.lcm(*(scale for scale, _ in distinct))
-        common = {d: tuple(c * (lcm // d[0]) for c in d[1]) for d in distinct}
-        vectors = list(common.values())
         flags = []
-        for honest_idx, own in enumerate(outcomes):
+        for honest_idx, (own_den, own) in enumerate(outcomes):
             s = steps[honest_idx]
-            honest = sum(a * b for a, b in zip(s, common[own]))
-            flags.append(any(sum(a * b for a, b in zip(s, v)) > honest for v in vectors))
+            honest = sum(map(operator.mul, s, own))
+            flags.append(any(sum(map(operator.mul, s, v)) * own_den > honest * den
+                             for den, v in distinct))
         return tuple(flags)
 
     groups: dict[tuple[int, tuple[int, ...]], tuple[bool, ...]] = {}

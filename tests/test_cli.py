@@ -150,6 +150,21 @@ class TestBadInput:
         assert result.exit_code == 1
         assert "must be an integer" in result.output
 
+    def test_directory_as_profile(self, runner, tmp_path):
+        result = invoke(runner, "eval", "--mech", "rv", "--profile", str(tmp_path))
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: cannot read profile")
+
+    @pytest.mark.parametrize("kind", ["directory", "non_utf8"])
+    def test_unreadable_fit_data(self, runner, tmp_path, kind):
+        data = tmp_path
+        if kind == "non_utf8":
+            data = tmp_path / "points.csv"
+            data.write_bytes(b"m,ratio\n8,\xff\n")
+        result = invoke(runner, "fit", "--data", str(data))
+        assert result.exit_code == 1
+        assert result.output.startswith("Error: cannot read fit data")
+
 
 class TestVerify:
     def test_truthful_holds_exit_zero(self, runner):

@@ -8,7 +8,8 @@ README quickstart (with ``experiment negative`` shortened to m=27,64,125 and
 the reduced profile extracted from ``r.json`` for ``project``); the second
 evaluates the pairwise and top-q schemes on a grid profile with value ties
 and runs two more property checks.  The full ``experiment negative`` sweep
-the benchmark runs (m up to 343) has its own digest.
+the benchmark runs (m up to 343) has its own digest, and so does the seeded
+stream of acceptance criterion 8.
 
 A mismatch means a report changed by at least one byte: regenerate the
 digests only for a change that is meant to alter report contents.
@@ -20,6 +21,8 @@ import json
 from click.testing import CliRunner
 
 from cardvote.cli import main
+from cardvote.generators import DkParams, gen_Dk
+from cardvote.mechanisms import j_star, sample_stream
 
 GOLDEN = [
     ("gen negative --m 27 --out u.json", "u.json",
@@ -86,4 +89,15 @@ def test_full_negative_sweep_is_byte_identical():
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.output.encode()).hexdigest() == (
         "f897cb8cf798579555c76bc3f38dd08f4b0f5f0f8a6320d3d52336281f049b9e"
+    )
+
+
+def test_seeded_sample_stream_is_pinned():
+    # Pins the exact sampler: one randrange(den) per draw over the
+    # probabilities as integers on their least common denominator.  Any change
+    # to the seeded stream fails here, as a report change fails above.
+    profile = gen_Dk(DkParams(8, 512, 3, 3, 2), 1)
+    draws = sample_stream(j_star(8), profile, 100_000, 2025)
+    assert hashlib.sha256(bytes(draws)).hexdigest() == (
+        "60f6572d701f819be646ff2b1b0ac4b5507f75989d450451032e6dbba341e00e"
     )
