@@ -44,7 +44,6 @@ from .properties import (
 from .generators import (
     DkParams,
     NegativeConstructionParams,
-    discretize,
     gen_Dk,
     gen_cyclic,
     gen_negative,

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -28,7 +29,6 @@ from .core import (
     dot,
     grid_steps,
     pairwise_beats,
-    place_counts,
     ratio as ratio_of,
     scaled,
     welfare_vector,
@@ -56,21 +56,18 @@ def _image_runs(step_set: set[int]) -> list[tuple[int, int]]:
     return runs
 
 
+def _switches(image: set[int], k: int) -> int:
+    return sum(1 for j in range(k) if (j in image) != (j + 1 in image))
+
+
 def switch_count(pref: Preference, k: int) -> int:
     """Number of in/out switches of the image indicator along the grid."""
-    present = set(grid_steps(pref, k))
-    return sum(1 for j in range(k) if (j in present) != (j + 1 in present))
+    return _switches(set(grid_steps(pref, k)), k)
 
 
 def rounded(pref: Preference) -> tuple[int, ...]:
     """0/1 rounding at threshold 1/2 (strictly above 1/2 rounds to 1)."""
     return tuple(1 if v > HALF else 0 for v in pref.values)
-
-
-def choice_sets(pref: Preference, width: int) -> tuple[frozenset, frozenset]:
-    """(favorite set, candidates ranked 2..width): the only voter data the
-    stacked-lottery scheme reads."""
-    return frozenset(pref.order[:1]), frozenset(pref.order[1:width])
 
 
 @dataclass(frozen=True)
@@ -86,14 +83,10 @@ class ClassifiedPref:
     """
 
     pref: Preference
-    k: int
-    image: tuple[int, ...]
     switches: int
     ubar: tuple[int, ...]
     count: int
     ranks: tuple[int, ...]
-    favorite_set: frozenset
-    near_favorite_set: frozenset
 
     @property
     def in_Ck(self) -> bool:
@@ -118,31 +111,32 @@ class ClassifiedPref:
         return self.dk_class is not None
 
 
-def classify(pref: Preference, k: int) -> ClassifiedPref:
-    """Compute all derived structure for a tie-free grid preference."""
+def _checked_image(pref: Preference, steps: list[int], k: int) -> set[int]:
+    """The set of grid steps a tie-free grid preference attains, given its
+    ``grid_steps``; raises unless it attains both 0 and 1."""
     if k < pref.m:
         raise GridError(f"need k >= m, got k={k}, m={pref.m}")
-    steps = grid_steps(pref, k)
-    if 0 not in steps or k not in steps:
+    image = set(steps)
+    if 0 not in image or k not in image:
         raise GridError("grid preference must attain both 0 and 1")
     if not pref.is_tie_free():
         raise PreconditionError("classification needs a tie-free preference")
+    return image
+
+
+def classify(pref: Preference, k: int) -> ClassifiedPref:
+    """Compute all derived structure for a tie-free grid preference."""
+    image = _checked_image(pref, grid_steps(pref, k), k)
     ranks = [0] * pref.m
     for position, cand in enumerate(pref.order, start=1):
         ranks[cand - 1] = position
-    width = integer_cbrt(pref.m)
-    fav, near = choice_sets(pref, width)
     ub = rounded(pref)
     return ClassifiedPref(
         pref=pref,
-        k=k,
-        image=tuple(sorted(set(steps))),
-        switches=switch_count(pref, k),
+        switches=_switches(image, k),
         ubar=ub,
         count=sum(ub),
         ranks=tuple(ranks),
-        favorite_set=fav,
-        near_favorite_set=near,
     )
 
 
@@ -218,8 +212,8 @@ def reduce_to_Ck_trace(profile: Profile, k: int) -> ReductionTrace:
     moves every affected column by one step, so it is tracked in integers.
     """
     steps_by_voter = [grid_steps(p, k) for p in profile.prefs]
-    for pref in profile.prefs:
-        classify(pref, k)  # validates grid membership, 0/1, tie-freeness
+    for pref, voter_steps in zip(profile.prefs, steps_by_voter):
+        _checked_image(pref, voter_steps, k)
     column = [sum(steps) for steps in zip(*steps_by_voter)]
     if column[0] <= 0:
         raise UndefinedRatioError("candidate 1 has zero welfare")
@@ -377,6 +371,8 @@ def min_ratio_search(
 ) -> MinRatioResult:
     """Smallest exact welfare ratio among the visited family members, with
     lexicographic tie-break on the profile's value table."""
+    if not 0 <= budget <= sys.maxsize:
+        raise PreconditionError(f"budget must lie in 0..{sys.maxsize}, got {budget}")
     best = None
     visited = 0
     for profile in itertools.islice(family, budget):
@@ -419,7 +415,7 @@ def all_q_ratios(profile: Profile) -> tuple[dict[int, Fraction], dict[int, Fract
     top = max(weights)
     if top <= 0:
         raise UndefinedRatioError("maximal welfare is zero")
-    places, beats = place_counts(profile), pairwise_beats(profile)
+    places, beats = profile.places, pairwise_beats(profile)
 
     j1 = {}
     acc = 0

@@ -16,7 +16,6 @@ import io
 import itertools
 import json
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -149,7 +148,7 @@ def eval_cmd(spec: str, profile_path: str, out: str | None):
         "expected_welfare": {"exact": _frac(report.expected), "decimal": _dec(report.expected)},
         "ratio": {"exact": _frac(report.ratio), "decimal": _dec(report.ratio)},
     }
-    if mech.q is not None and mech.name.startswith("j2"):
+    if mech.q is not None:
         body["quota_in_range"] = mech.q in mechanisms.j2q_quota_range(profile.n)
     _json_report(RunConfig.of("eval", mech=spec, profile=profile_path), body, out)
 
@@ -376,8 +375,8 @@ def experiment_cyclic(ms_text: str, eps: str | None, out: str | None):
     """Ratio of the stacked-lottery scheme on every starred cyclic profile."""
     rows = []
     for m in _int_list(ms_text):
+        mech = mechanisms.j_star(m)  # rejects m < 2 before 1/m^3 is built
         eps_m = _rational(eps, "--eps") if eps else Fraction(1, m ** 3)
-        mech = mechanisms.j_star(m)
         profiles = [generators.gen_cyclic(m, star, eps_m) for star in range(1, m + 1)]
         # Equivalence is transitive, so comparing with the first profile
         # decides every pair.

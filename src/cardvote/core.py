@@ -10,9 +10,9 @@ Candidates and voters are 1-indexed in the public API.
 
 Each voter's strict order (value descending, ties to the lower index) is
 computed once and cached as :attr:`Preference.order`; every ordinal reader
-uses it, and :func:`place_counts` and :func:`pairwise_beats` build the two
-integer ballot tables from it.  The place table is cached per profile as
-:attr:`Profile.places`.  Every integer path writes its rationals over one
+uses it, and the two integer ballot tables are built from it: the place
+table, cached per profile as :attr:`Profile.places`, and
+:func:`pairwise_beats`.  Every integer path writes its rationals over one
 denominator through :func:`scaled`.
 
 All types are logically immutable after construction (the cached order and
@@ -127,12 +127,6 @@ class Preference:
     def m(self) -> int:
         return len(self.values)
 
-    def value(self, j: int) -> Fraction:
-        """Utility of candidate j (1-indexed)."""
-        if not 1 <= j <= self.m:
-            raise IndexError(f"candidate {j} out of range 1..{self.m}")
-        return self.values[j - 1]
-
     @cached_property
     def order(self) -> tuple[int, ...]:
         """All candidates, value descending; the stable reverse sort keeps value
@@ -182,12 +176,6 @@ class Profile:
     def m(self) -> int:
         return self.prefs[0].m
 
-    def pref(self, i: int) -> Preference:
-        """Preference of voter i (1-indexed)."""
-        if not 1 <= i <= self.n:
-            raise IndexError(f"voter {i} out of range 1..{self.n}")
-        return self.prefs[i - 1]
-
     def replace(self, i: int, pref: Preference) -> "Profile":
         """New profile with voter i's preference swapped out."""
         if not 1 <= i <= self.n:
@@ -204,7 +192,9 @@ class Profile:
 
     @cached_property
     def places(self) -> list[list[int]]:
-        """The place table of :func:`place_counts`, built once per profile."""
+        """places[c][p]: number of voters whose order puts candidate c+1 at
+        place p+1.  Built once per profile, so every evaluator reading one
+        profile shares it; callers must not mutate it."""
         m = self.m
         places = [[0] * m for _ in range(m)]
         for pref in self.prefs:
@@ -229,25 +219,9 @@ class CandidateDistribution:
             raise PreconditionError(f"probabilities sum to {total}, not 1")
 
     @classmethod
-    def of(cls, probs: Iterable) -> "CandidateDistribution":
-        return cls(tuple(exact(p) for p in probs))
-
-    @classmethod
     def point(cls, j: int, m: int) -> "CandidateDistribution":
         """Degenerate distribution on candidate j (1-indexed)."""
         return cls(tuple(ONE if c == j else ZERO for c in range(1, m + 1)))
-
-    @property
-    def m(self) -> int:
-        return len(self.probs)
-
-    def prob(self, j: int) -> Fraction:
-        if not 1 <= j <= self.m:
-            raise IndexError(f"candidate {j} out of range 1..{self.m}")
-        return self.probs[j - 1]
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(j for j in range(1, self.m + 1) if self.probs[j - 1] > ZERO)
 
 
 def normalize(raw: Sequence) -> Preference:
@@ -346,13 +320,6 @@ def top_q_set(pref: Preference, q: int) -> tuple[int, ...]:
 def descending_order(pref: Preference) -> tuple[int, ...]:
     """All candidates under :attr:`Preference.order`."""
     return pref.order
-
-
-def place_counts(profile: Profile) -> list[list[int]]:
-    """places[c][p]: number of voters whose order puts candidate c+1 at
-    place p+1.  The table is cached as :attr:`Profile.places`, so every
-    evaluator reading one profile shares it; callers must not mutate it."""
-    return profile.places
 
 
 def pairwise_beats(profile: Profile) -> list[list[int]]:

@@ -1,7 +1,7 @@
 """Constructors for the structured profile families the analysis machinery
 consumes: the adversarial upper-bound profiles, the class-constrained grid
 profiles, the cyclic profiles showing why per-voter normalization matters,
-strict-order grid discretization, and a plain random grid sampler.
+and a plain random grid sampler.
 
 All constructors are pure; randomness enters only through explicit seeds.
 """
@@ -250,114 +250,3 @@ def rand_grid_profile(
         prefs.append(Preference.normalized(Fraction(s, k) for s in steps))
     return Profile(tuple(prefs))
 
-
-# ---------------------------------------------------------------------------
-# Strict-order grid discretization.
-
-def discretize(profile: Profile, k: int) -> Profile:
-    """Snap every voter onto the 1/k grid, tie-free, realizing the strict
-    order "value descending, index ascending" of the input and minimizing the
-    L1 distance to it.
-
-    Ties between minimizers are broken toward smaller values, considering
-    candidates in index order.  Because the mechanisms here break value ties
-    by candidate index as well, their output on the discretized profile
-    matches the original exactly.
-    """
-    if k < 10 * profile.m:
-        raise PreconditionError(
-            f"k={k} too coarse; need k >= 10*m = {10 * profile.m}"
-        )
-    return Profile(tuple(_discretize_pref(p, k) for p in profile.prefs))
-
-
-def _discretize_pref(pref: Preference, k: int) -> Preference:
-    m = pref.m
-    asc = [j - 1 for j in reversed(pref.order)]  # position p: p-th weakest
-    targets = [pref.values[c] for c in asc]
-    pins: dict[int, int] = {}
-
-    def cost(p: int, v: int) -> Fraction | None:
-        if p in pins and pins[p] != v:
-            return None
-        return abs(Fraction(v, k) - targets[p])
-
-    def forward(upto: int) -> list[Fraction | None]:
-        """Prefix minima over positions 0..upto: entry v is the cheapest way
-        to place those positions strictly below grid value v+1 ... returned
-        as running minima of f_upto."""
-        prev: list[Fraction | None] = None
-        for p in range(upto + 1):
-            cur: list[Fraction | None] = [None] * (k + 1)
-            for v in range(p, k + 1):
-                c = cost(p, v)
-                if c is None:
-                    continue
-                if p == 0:
-                    cur[v] = c
-                elif prev[v - 1] is not None:
-                    cur[v] = c + prev[v - 1]
-            prev = _running_min(cur)
-        return prev
-
-    def backward(downto: int) -> list[Fraction | None]:
-        prev: list[Fraction | None] = None
-        for p in range(m - 1, downto - 1, -1):
-            cur: list[Fraction | None] = [None] * (k + 1)
-            for v in range(0, k + 1):
-                c = cost(p, v)
-                if c is None:
-                    continue
-                if p == m - 1:
-                    cur[v] = c
-                elif v + 1 <= k and prev[v + 1] is not None:
-                    cur[v] = c + prev[v + 1]
-            prev = _running_min(cur, reverse=True)
-        return prev
-
-    full = forward(m - 1)
-    best_total = full[k]
-    if best_total is None:
-        raise PreconditionError(f"k={k} cannot realize a strict order on {m} values")
-
-    for cand in range(m):  # candidate index order = tie-break priority
-        p = asc.index(cand)
-        left = forward(p - 1) if p > 0 else None
-        right = backward(p + 1) if p < m - 1 else None
-        for v in range(k + 1):
-            c = cost(p, v)
-            if c is None:
-                continue
-            total = c
-            if left is not None:
-                if v == 0 or left[v - 1] is None:
-                    continue
-                total += left[v - 1]
-            if right is not None:
-                if v == k or right[v + 1] is None:
-                    continue
-                total += right[v + 1]
-            if total == best_total:
-                pins[p] = v
-                break
-        if p not in pins:
-            raise RuntimeError(f"minimizer search failed for candidate {cand + 1}")
-
-    values = [Fraction(0)] * m
-    for p, v in pins.items():
-        values[asc[p]] = Fraction(v, k)
-    return Preference.relaxed(values)
-
-
-def _running_min(
-    arr: list[Fraction | None], reverse: bool = False
-) -> list[Fraction | None]:
-    out: list[Fraction | None] = [None] * len(arr)
-    best: Fraction | None = None
-    indices = range(len(arr) - 1, -1, -1) if reverse else range(len(arr))
-    for i in indices:
-        v = arr[i]
-        if v is not None and (best is None or v < best):
-            best = v
-        out[i] = best
-    return out

@@ -31,7 +31,6 @@ from .core import (
     exact,
     pairwise_beats,
     parse_rational,
-    place_counts,
     rv_winner,
     scaled,
 )
@@ -65,8 +64,8 @@ class Mechanism:
     """A named voting scheme.
 
     ``evaluate`` maps a profile to an exact distribution over candidates.
-    ``q`` is set for the two built-in parameterized families so reports can
-    flag out-of-range quotas.
+    ``q`` is set only by the pairwise-quota family, so reports can flag
+    out-of-range quotas.
     """
 
     name: str
@@ -96,7 +95,7 @@ def constant_winner(j: int) -> Mechanism:
 
 def top_q_counts(places: Sequence[Sequence[int]], q: int) -> list[int]:
     """Per candidate, the number of voters ranking it among their q
-    favorites, from a ``core.place_counts`` table."""
+    favorites, from a :attr:`core.Profile.places` table."""
     return [sum(row[:q]) for row in places]
 
 
@@ -129,10 +128,10 @@ def j1q(q: int) -> Mechanism:
         if q > profile.m:
             raise OutOfRangeError(f"q={q} exceeds candidate count {profile.m}")
         tickets = profile.n * q
-        counts = top_q_counts(place_counts(profile), q)
+        counts = top_q_counts(profile.places, q)
         return CandidateDistribution(tuple(Fraction(c, tickets) for c in counts))
 
-    return Mechanism(f"j1:{q}", evaluate, q=q)
+    return Mechanism(f"j1:{q}", evaluate)
 
 
 def j2q_quota_range(n: int) -> range:

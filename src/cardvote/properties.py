@@ -1,5 +1,5 @@
-"""Exhaustive, exact verifiers for scheme classifications over finite
-discretized preference spaces.
+"""Exhaustive, exact verifiers for scheme classifications over finite grid
+preference spaces.
 
 Every checker enumerates a finite grid family of normalized preferences and
 either certifies the property over that family or returns a concrete,

@@ -28,7 +28,6 @@ from cardvote.core import (
     Preference,
     Profile,
     pairwise_beats,
-    place_counts,
     welfare_vector,
 )
 from cardvote.errors import UndefinedRatioError
@@ -184,7 +183,7 @@ class TestOrder:
     @given(any_profile)
     def test_tables_match_order(self, profile):
         m, n = profile.m, profile.n
-        places, beats = place_counts(profile), pairwise_beats(profile)
+        places, beats = profile.places, pairwise_beats(profile)
         for c in range(m):
             assert places[c] == [
                 sum(1 for p in profile.prefs if reference_order(p)[place] == c + 1)

@@ -94,7 +94,6 @@ class TestClassify:
     def test_rank_table(self):
         info = classify(pref(0, "1/4", "1/2", 1), 4)
         assert info.ranks == (4, 3, 2, 1)
-        assert info.favorite_set == frozenset({4})
 
     def test_grid_errors(self):
         with pytest.raises(GridError):

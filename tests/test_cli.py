@@ -115,6 +115,10 @@ class TestBadInput:
             "gen grid --m 1 --n 2 --k 3",
             "gen grid --m 1 --n 2 --k 3 --ties",
             "gen grid --m 3 --n 2 --k -1 --ties",
+            "experiment cyclic --m 0",
+            "experiment cyclic --m 3,0",
+            "experiment minratio --mech rv --m 2 --n 1 --k 2 --budget -1",
+            "experiment minratio --mech rv --m 2 --n 1 --k 2 --budget 99999999999999999999",
         ],
     )
     def test_bad_flag(self, runner, args):

@@ -1,4 +1,4 @@
-"""Profile family constructors and grid discretization."""
+"""Profile family constructors."""
 
 import itertools
 from fractions import Fraction
@@ -6,11 +6,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cardvote.core import Preference, Profile, ratio, rv_winner, welfare, welfare_vector
+from cardvote.core import Profile, ratio, rv_winner, welfare, welfare_vector
 from cardvote.errors import PreconditionError
 from cardvote.generators import (
     DkParams,
-    discretize,
     gen_Dk,
     gen_cyclic,
     gen_negative,
@@ -212,95 +211,3 @@ class TestRandGridProfile:
         with pytest.raises(PreconditionError):
             rand_grid_profile(5, 2, 3, seed=0)
 
-
-class TestDiscretize:
-    def test_identity_on_grid_input(self):
-        u = rand_grid_profile(4, 2, 40, seed=5)
-        assert discretize(u, 40) == u
-
-    def test_pinned_tie_break_example(self):
-        u = Profile.of([Preference.normalized([1, F(1, 2), F(1, 2), 0])])
-        got = discretize(u, 100).prefs[0].values
-        assert got == (F(1), F(1, 2), F(49, 100), F(0))
-
-    def test_windowed_oracle_at_k100(self):
-        u = Preference.normalized([F(1), F(1, 2), F(1, 2), F(0)])
-        got = discretize(Profile.of([u]), 100).prefs[0].values
-        assert got == _l1_oracle(u, 100, window=6)
-
-    @pytest.mark.parametrize("values", [
-        ("1", "1/2", "1/2", "0"),
-        ("1", "2/3", "1/3", "0"),
-        ("0", "1", "1", "1/5"),
-        ("1/2", "1/2", "0", "1"),
-        ("1", "1", "0", "0"),
-    ])
-    def test_full_brute_force_oracle_k40(self, values):
-        u = Preference.normalized([F(v) for v in values])
-        got = discretize(Profile.of([u]), 40).prefs[0].values
-        assert got == _l1_oracle(u, 40, window=None)
-
-    def test_realizes_strict_order(self):
-        from cardvote.core import descending_order
-
-        u = Profile.of([Preference.normalized([1, "1/3", "1/3", 0, "2/3"])])
-        d = discretize(u, 50)
-        assert d.prefs[0].is_tie_free()
-        assert descending_order(u.prefs[0]) == descending_order(d.prefs[0])
-
-    def test_idempotent(self):
-        u = Profile.of([Preference.normalized([1, "1/3", "1/3", 0])])
-        once = discretize(u, 60)
-        assert discretize(once, 60) == once
-
-    def test_scheme_agreement(self):
-        for seed in range(6):
-            u = rand_grid_profile(6, 3, 97, seed)
-            k = 10 * 6
-            mech = j_star(6)
-            assert mech.evaluate(discretize(u, k)) == mech.evaluate(u)
-
-    def test_k_too_coarse(self):
-        with pytest.raises(PreconditionError):
-            discretize(rand_grid_profile(4, 2, 12, 0), 12)
-
-
-def _l1_oracle(u: Preference, k: int, window: int | None) -> tuple[Fraction, ...]:
-    """Exhaustive minimizer over strictly-decreasing grid assignments that
-    realize the strict order of u; ties resolved by the lexicographically
-    smallest candidate-indexed value tuple.
-
-    With ``window`` set, each candidate only scans grid steps near its target
-    (sound here because an optimal assignment never strays further than a few
-    steps at these sizes); with None every strictly-decreasing assignment is
-    enumerated via combinations of distinct grid steps.
-    """
-    m = u.m
-    desc = sorted(range(m), key=lambda c: (-u.values[c], c))
-    best = None
-
-    def consider(assignment: tuple[int, ...]):
-        nonlocal best
-        cost = sum(abs(F(assignment[c], k) - u.values[c]) for c in range(m))
-        key = (cost, assignment)
-        if best is None or key < best:
-            best = key
-
-    if window is None:
-        for combo in itertools.combinations(range(k + 1), m):
-            assignment = [0] * m
-            for position, cand in enumerate(desc):
-                assignment[cand] = combo[m - 1 - position]
-            consider(tuple(assignment))
-    else:
-        choices = []
-        for c in range(m):
-            target = int(u.values[c] * k)
-            choices.append(range(max(0, target - window), min(k, target + window) + 1))
-        for assignment in itertools.product(*choices):
-            ordered = [assignment[c] for c in desc]
-            if any(a <= b for a, b in zip(ordered, ordered[1:])):
-                continue
-            consider(assignment)
-    assert best is not None
-    return tuple(F(s, k) for s in best[1])

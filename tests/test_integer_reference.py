@@ -90,7 +90,7 @@ def reference_sample_stream(dist: CandidateDistribution, count: int, seed: int) 
 
 
 def fixed(probs) -> tuple[Mechanism, CandidateDistribution]:
-    dist = CandidateDistribution.of(probs)
+    dist = CandidateDistribution(tuple(Fraction(p) for p in probs))
     return Mechanism("fixed", lambda profile: dist), dist
 
 
