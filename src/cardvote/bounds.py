@@ -218,7 +218,7 @@ def reduce_to_Ck_trace(profile: Profile, k: int) -> ReductionTrace:
     if column[0] <= 0:
         raise UndefinedRatioError("candidate 1 has zero welfare")
     dist = _jstar_dist(profile)
-    den, weights = scaled(dist.probs)
+    den, weights = dist.den, dist.nums
     numer = sum(map(operator.mul, weights, column))
     denom = column[0]
     g_initial = g_current = Fraction(numer, den * denom)

@@ -2,9 +2,12 @@
 
 A voter scores every candidate with a rational utility in [0, 1]; a profile
 collects one preference per voter.  Everything downstream (welfares, winning
-probabilities, welfare ratios) is computed with `fractions.Fraction`, so
-comparisons and tie detection are exact.  Floats are rejected at the
-boundary: pass ints, Fractions, or strings such as "3/4" or "0.25".
+probabilities, welfare ratios) is computed with `fractions.Fraction` or
+integers, so comparisons and tie detection are exact; a
+:class:`CandidateDistribution` keeps its probabilities as non-negative
+integers over one denominator, a form only this module knows.  Floats are
+rejected at the boundary: pass ints, Fractions, or strings such as "3/4" or
+"0.25".
 
 Candidates and voters are 1-indexed in the public API.
 
@@ -205,23 +208,38 @@ class Profile:
 
 @dataclass(frozen=True)
 class CandidateDistribution:
-    """Exact probability vector over candidates: entries >= 0, sum exactly 1."""
+    """Exact probability vector over candidates: candidate j+1 wins with
+    probability ``nums[j] / den``.  The numerators are non-negative integers
+    that sum to ``den``, in lowest terms, so equality and hashing are exactly
+    those of the probabilities; :attr:`probs` is the `Fraction` view."""
 
-    probs: tuple[Fraction, ...]
+    den: int
+    nums: tuple[int, ...]
 
     def __post_init__(self):
-        total = ZERO
-        for p in self.probs:
-            if p < ZERO:
-                raise PreconditionError(f"negative probability {p}")
-            total += p
-        if total != ONE:
-            raise PreconditionError(f"probabilities sum to {total}, not 1")
+        if not self.nums:
+            raise PreconditionError("distribution needs at least one candidate")
+        if min(self.nums) < 0:
+            raise PreconditionError(f"negative probability in {self.nums} over {self.den}")
+        if sum(self.nums) != self.den:
+            raise PreconditionError(f"numerators {self.nums} do not sum to {self.den}")
+        if math.gcd(self.den, *self.nums) != 1:
+            raise PreconditionError(f"{self.nums} over {self.den} is not in lowest terms")
+
+    @classmethod
+    def over(cls, den: int, nums: Sequence[int]) -> "CandidateDistribution":
+        """The distribution nums[j] / den, reduced to lowest terms."""
+        g = math.gcd(den, *nums)
+        return cls(den // g, tuple(num // g for num in nums))
 
     @classmethod
     def point(cls, j: int, m: int) -> "CandidateDistribution":
         """Degenerate distribution on candidate j (1-indexed)."""
-        return cls(tuple(ONE if c == j else ZERO for c in range(1, m + 1)))
+        return cls(1, tuple(int(c == j) for c in range(1, m + 1)))
+
+    @cached_property
+    def probs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(num, self.den) for num in self.nums)
 
 
 def normalize(raw: Sequence) -> Preference:

@@ -9,6 +9,7 @@ All constructors are pure; randomness enters only through explicit seeds.
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -54,6 +55,8 @@ def negative_params(m: int, repeat: int = 1) -> NegativeConstructionParams:
     g = integer_cbrt(m * m)
     if k * g > m:
         raise RuntimeError(f"block layout overflows: {k} * {g} > m = {m}")
+    if (m - 1 + g) * repeat > sys.maxsize:
+        raise PreconditionError(f"repeat={repeat} gives more voters than a tuple can index")
     return NegativeConstructionParams(m, repeat, k, g, m - 1 + g)
 
 

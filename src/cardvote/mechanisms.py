@@ -1,9 +1,10 @@
 """Exact evaluators for the voting schemes and combinators over them.
 
-Every mechanism maps a Profile to a CandidateDistribution with Fraction
-probabilities; evaluation is deterministic and side-effect free, so
-mechanisms can be shared freely across threads.  Randomness only enters
-through :func:`sample`, behind an explicit seed.
+Every mechanism maps a Profile to a CandidateDistribution, exact
+probabilities held as non-negative integers over one denominator;
+evaluation is deterministic and side-effect free, so mechanisms can be
+shared freely across threads.  Randomness only enters through
+:func:`sample`, behind an explicit seed.
 
 The top-q and pairwise-quota schemes count from the integer ballot tables of
 ``core`` through :func:`top_q_counts` and :func:`pair_units`; both halves of
@@ -127,9 +128,7 @@ def j1q(q: int) -> Mechanism:
     def evaluate(profile: Profile) -> CandidateDistribution:
         if q > profile.m:
             raise OutOfRangeError(f"q={q} exceeds candidate count {profile.m}")
-        tickets = profile.n * q
-        counts = top_q_counts(profile.places, q)
-        return CandidateDistribution(tuple(Fraction(c, tickets) for c in counts))
+        return CandidateDistribution.over(profile.n * q, top_q_counts(profile.places, q))
 
     return Mechanism(f"j1:{q}", evaluate)
 
@@ -156,9 +155,8 @@ def j2q(q: int) -> Mechanism:
         m = profile.m
         if m < 2:
             raise OutOfRangeError("pairwise voting needs at least 2 candidates")
-        halves = m * (m - 1)
         units = pair_units(pairwise_beats(profile), profile.n, q)
-        return CandidateDistribution(tuple(Fraction(u, halves) for u in units))
+        return CandidateDistribution.over(m * (m - 1), units)
 
     return Mechanism(f"j2:{q}", evaluate, q=q)
 
@@ -177,13 +175,14 @@ def mix(parts: Sequence[tuple]) -> Mechanism:
             raise WeightError(f"negative weight {w}")
 
     def evaluate(profile: Profile) -> CandidateDistribution:
-        probs = [ZERO] * profile.m
-        for w, mech in weighted:
-            if w == ZERO:
-                continue
-            for idx, p in enumerate(mech.evaluate(profile).probs):
-                probs[idx] += w * p
-        return CandidateDistribution(tuple(probs))
+        # Each part w*d is w.numerator * d.nums over w.denominator * d.den.
+        parts = [(w, mech.evaluate(profile)) for w, mech in weighted if w]
+        den = math.lcm(*(w.denominator * d.den for w, d in parts))
+        nums = [0] * profile.m
+        for w, d in parts:
+            factor = w.numerator * (den // (w.denominator * d.den))
+            nums = [a + factor * b for a, b in zip(nums, d.nums)]
+        return CandidateDistribution.over(den, nums)
 
     return Mechanism("mix:" + "+".join(f"{w}*{mech.name}" for w, mech in weighted), evaluate)
 
@@ -218,7 +217,6 @@ def symmetrize(mech: Mechanism, m: int, n: int, budget: int = 10_000_000) -> Mec
         raise BudgetError(total, budget, "relabeling enumeration")
     voter_perms = list(itertools.permutations(range(n)))
     cand_perms = list(itertools.permutations(range(1, m + 1)))
-    weight = Fraction(1, total)
 
     def evaluate(profile: Profile) -> CandidateDistribution:
         if profile.m != m or profile.n != n:
@@ -226,7 +224,7 @@ def symmetrize(mech: Mechanism, m: int, n: int, budget: int = 10_000_000) -> Mec
                 f"symmetrized mechanism fixed at m={m}, n={n}; "
                 f"got m={profile.m}, n={profile.n}"
             )
-        probs = [ZERO] * m
+        sums = [ZERO] * m
         for sigma in voter_perms:
             for tau in cand_perms:
                 relabeled = Profile(
@@ -237,8 +235,8 @@ def symmetrize(mech: Mechanism, m: int, n: int, budget: int = 10_000_000) -> Mec
                 # the original labeling.
                 for w in range(m):
                     if inner[w] != ZERO:
-                        probs[tau[w] - 1] += weight * inner[w]
-        return CandidateDistribution(tuple(probs))
+                        sums[tau[w] - 1] += inner[w]
+        return CandidateDistribution(*scaled([s / total for s in sums]))
 
     return Mechanism(f"sym:{mech.name}", evaluate)
 
@@ -256,10 +254,10 @@ def sample_stream(
     distribution once.  Sampling is exact: each draw is a uniform integer
     below the probabilities' common denominator, so every candidate is drawn
     with exactly its probability."""
-    den, nums = scaled(mech.evaluate(profile).probs)
-    bounds = list(itertools.accumulate(nums))
+    dist = mech.evaluate(profile)
+    bounds = list(itertools.accumulate(dist.nums))
     rng = random.Random(seed)
-    return [bisect.bisect_right(bounds, rng.randrange(den)) + 1 for _ in range(count)]
+    return [bisect.bisect_right(bounds, rng.randrange(dist.den)) + 1 for _ in range(count)]
 
 
 # ---------------------------------------------------------------------------

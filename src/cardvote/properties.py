@@ -17,23 +17,25 @@ the minimum-lexicographic witness recovered by reduction; the implementation
 here is single-threaded.
 
 The truthfulness scan decides in integer arithmetic whether a voter can gain
-at all: utilities as grid steps, each distribution as integers over its own
-denominator (``core.scaled``), two utilities compared by cross-multiplying,
-once per (voter, other voters' reports) group.  Only a group that admits a
+at all: utilities as grid steps, each distribution as its own integer
+numerators over its denominator (``CandidateDistribution.den``/``.nums``),
+two utilities compared by cross-multiplying, once per (voter, other voters'
+reports) group.  The ordinal, neutral and anonymous scans compare
+distributions as those integer tuples.  Only a group that admits a
 gain is replayed with exact `Fraction` utilities, misreport by misreport, to
 build the first witness.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .core import CandidateDistribution, Preference, Profile, dot, grid_steps, scaled
+from .core import CandidateDistribution, Preference, Profile, dot, grid_steps
 from .errors import BudgetError, PreconditionError
 
 DEFAULT_BUDGET = 10_000_000
@@ -47,14 +49,7 @@ def enumerate_Rk_prefs(m: int, k: int, tie_free: bool = False) -> Iterator[Prefe
     be pairwise distinct (the R_k family).  The ties-allowed count is
     (k+1)^m - 2*k^m + (k-1)^m by inclusion-exclusion.
     """
-    if k < 1:
-        raise PreconditionError(f"grid resolution k must be >= 1, got {k}")
-    if m < 2:
-        raise PreconditionError(f"need at least 2 candidates, got m={m}")
-    if tie_free and k < m - 1:
-        raise PreconditionError(
-            f"k={k} cannot host {m} distinct grid values in [0, 1]"
-        )
+    grid_pref_count(m, k, tie_free)  # validates the arguments
     for steps in itertools.product(range(k + 1), repeat=m):
         if 0 not in steps or k not in steps:
             continue
@@ -66,6 +61,23 @@ def enumerate_Rk_prefs(m: int, k: int, tie_free: bool = False) -> Iterator[Prefe
 def grid_count_with_ties(m: int, k: int) -> int:
     """Closed form for the ties-allowed family size."""
     return (k + 1) ** m - 2 * k ** m + (k - 1) ** m
+
+
+def grid_pref_count(m: int, k: int, tie_free: bool = False) -> int:
+    """Size of the :func:`enumerate_Rk_prefs` family, without enumerating it.
+    Tie-free, two candidates take 0 and 1 and the other m-2 take distinct
+    interior values out of k-1."""
+    if k < 1:
+        raise PreconditionError(f"grid resolution k must be >= 1, got {k}")
+    if m < 2:
+        raise PreconditionError(f"need at least 2 candidates, got m={m}")
+    if tie_free and k < m - 1:
+        raise PreconditionError(
+            f"k={k} cannot host {m} distinct grid values in [0, 1]"
+        )
+    if tie_free:
+        return m * (m - 1) * math.perm(k - 1, m - 2)
+    return grid_count_with_ties(m, k)
 
 
 def ordinal_equivalent(u: Preference, v: Preference) -> bool:
@@ -189,23 +201,32 @@ def _profile_json(profile: Profile) -> list[list[str]]:
 
 class _GridScan:
     """Shared enumeration state: the preference list and a distribution cache
-    keyed by profiles encoded as preference-index tuples."""
+    keyed by profiles encoded as preference-index tuples.  The grid's size
+    comes from its closed form, so a check compares its work with the budget
+    before its first read of ``prefs`` enumerates the grid."""
 
     def __init__(self, mech, m: int, n: int, k: int, tie_free: bool):
         if n < 1:
             raise PreconditionError(f"need at least one voter, got n={n}")
         self.mech = mech
-        self.prefs = list(enumerate_Rk_prefs(m, k, tie_free))
+        self.pref_count = grid_pref_count(m, k, tie_free)
         self.m, self.n, self.k, self.tie_free = m, n, k, tie_free
         self._dist: dict[tuple[int, ...], CandidateDistribution] = {}
+        self._prefs: list[Preference] | None = None
+
+    @property
+    def prefs(self) -> list[Preference]:
+        if self._prefs is None:
+            self._prefs = list(enumerate_Rk_prefs(self.m, self.k, self.tie_free))
+        return self._prefs
 
     @property
     def profile_count(self) -> int:
-        return len(self.prefs) ** self.n
+        return self.pref_count ** self.n
 
     def space(self) -> SearchSpace:
         return SearchSpace(
-            self.m, self.n, self.k, self.tie_free, len(self.prefs), self.profile_count
+            self.m, self.n, self.k, self.tie_free, self.pref_count, self.profile_count
         )
 
     def profile(self, key: tuple[int, ...]) -> Profile:
@@ -219,7 +240,7 @@ class _GridScan:
         return found
 
     def keys(self) -> Iterator[tuple[int, ...]]:
-        return itertools.product(range(len(self.prefs)), repeat=self.n)
+        return itertools.product(range(self.pref_count), repeat=self.n)
 
 
 def check_truthful(
@@ -247,29 +268,26 @@ def check_truthful(
     yields the same witness as testing every misreport directly.
     """
     scan = _GridScan(mech, m, n, k, tie_free)
-    pref_count = len(scan.prefs)
+    pref_count = scan.pref_count
     work = scan.profile_count * n * pref_count
     if work > budget:
         raise BudgetError(work, budget, "truthfulness scan")
 
     # Utilities scaled by k: grid value s/k becomes the integer s.
     steps = [grid_steps(p, k) for p in scan.prefs]
-    # Distributions as (den, nums), once per profile key.
-    integer_dist = functools.cache(lambda key: scaled(scan.dist(key).probs))
 
     def can_gain(voter: int, others: tuple[int, ...]) -> tuple[bool, ...]:
         # Entry h: some report gives honest type h strictly more than its own,
-        # (s.v)/den > (s.own)/own_den compared as (s.v)*own_den > (s.own)*den.
+        # (s.v)/den > (s.own)/own.den compared as (s.v)*own.den > (s.own)*den.
         outcomes = [
-            integer_dist(others[:voter] + (r,) + others[voter:])
-            for r in range(pref_count)
+            scan.dist(others[:voter] + (r,) + others[voter:]) for r in range(pref_count)
         ]
-        distinct = set(outcomes)
+        distinct = {(d.den, d.nums) for d in outcomes}
         flags = []
-        for honest_idx, (own_den, own) in enumerate(outcomes):
+        for honest_idx, own in enumerate(outcomes):
             s = steps[honest_idx]
-            honest = sum(map(operator.mul, s, own))
-            flags.append(any(sum(map(operator.mul, s, v)) * own_den > honest * den
+            honest = sum(map(operator.mul, s, own.nums))
+            flags.append(any(sum(map(operator.mul, s, v)) * own.den > honest * den
                              for den, v in distinct))
         return tuple(flags)
 
@@ -354,10 +372,10 @@ def check_neutral(
     way: for every permutation tau, the distribution on the relabeled profile
     at candidate j must equal the original distribution at tau(j)."""
     scan = _GridScan(mech, m, n, k, tie_free)
-    perms = list(itertools.permutations(range(1, m + 1)))
-    work = scan.profile_count * len(perms)
+    work = scan.profile_count * math.factorial(m)
     if work > budget:
         raise BudgetError(work, budget, "neutrality scan")
+    perms = list(itertools.permutations(range(1, m + 1)))
     pref_index = {p.values: i for i, p in enumerate(scan.prefs)}
     for key in scan.keys():
         base = scan.dist(key)
@@ -368,7 +386,7 @@ def check_neutral(
             )
             actual = scan.dist(relabeled_key)
             expected = CandidateDistribution(
-                tuple(base.probs[tau[j] - 1] for j in range(m))
+                base.den, tuple(base.nums[tau[j] - 1] for j in range(m))
             )
             if actual != expected:
                 witness = SymmetryWitness(scan.profile(key), tau, expected, actual)
@@ -388,10 +406,10 @@ def check_anonymous(
 ) -> WitnessReport:
     """Permuting voters must leave the output distribution unchanged."""
     scan = _GridScan(mech, m, n, k, tie_free)
-    perms = list(itertools.permutations(range(n)))
-    work = scan.profile_count * len(perms)
+    work = scan.profile_count * math.factorial(n)
     if work > budget:
         raise BudgetError(work, budget, "anonymity scan")
+    perms = list(itertools.permutations(range(n)))
     for key in scan.keys():
         base = scan.dist(key)
         for sigma in perms[1:]:

@@ -28,6 +28,7 @@ from cardvote.core import (
     Preference,
     Profile,
     pairwise_beats,
+    scaled,
     welfare_vector,
 )
 from cardvote.errors import UndefinedRatioError
@@ -45,7 +46,7 @@ def reference_j1q(profile: Profile, q: int) -> CandidateDistribution:
     for p in profile.prefs:
         for j in reference_order(p)[:q]:
             probs[j - 1] += share
-    return CandidateDistribution(tuple(probs))
+    return CandidateDistribution(*scaled(probs))
 
 
 def reference_j2q(profile: Profile, q: int) -> CandidateDistribution:
@@ -63,7 +64,7 @@ def reference_j2q(profile: Profile, q: int) -> CandidateDistribution:
         else:
             probs[j0 - 1] += half
             probs[j1 - 1] += half
-    return CandidateDistribution(tuple(probs))
+    return CandidateDistribution(*scaled(probs))
 
 
 def reference_pairwise_beats(profile: Profile) -> list[list[int]]:
@@ -90,7 +91,7 @@ def reference_j_star(profile: Profile) -> CandidateDistribution:
     t = max(1, integer_cbrt(profile.m))
     favorite, wide = reference_j1q(profile, 1), reference_j1q(profile, t)
     return CandidateDistribution(
-        tuple((f + w) / 2 for f, w in zip(favorite.probs, wide.probs))
+        *scaled([(f + w) / 2 for f, w in zip(favorite.probs, wide.probs)])
     )
 
 

@@ -119,6 +119,8 @@ class TestBadInput:
             "experiment cyclic --m 3,0",
             "experiment minratio --mech rv --m 2 --n 1 --k 2 --budget -1",
             "experiment minratio --mech rv --m 2 --n 1 --k 2 --budget 99999999999999999999",
+            "experiment negative --m 8 --repeat 99999999999999999999",
+            "gen negative --m 8 --repeat 99999999999999999999",
         ],
     )
     def test_bad_flag(self, runner, args):

@@ -19,6 +19,7 @@ from cardvote.core import (
     rank,
     ratio,
     rv_winner,
+    scaled,
     top_q_set,
     welfare,
     welfare_report,
@@ -177,7 +178,7 @@ class TestRatio:
     def test_undefined_on_zero_welfare(self):
         zeroish = Profile.of([Preference.relaxed([F(0), F(0)])])
         with pytest.raises(UndefinedRatioError):
-            welfare_report(zeroish, CandidateDistribution((F(1), F(0))))
+            welfare_report(zeroish, CandidateDistribution(1, (1, 0)))
 
     def test_never_exceeds_one(self):
         u = profile((1, "1/4", 0), ("1/2", 1, 0))
@@ -236,11 +237,11 @@ class TestTopQSet:
 class TestDistribution:
     def test_rejects_negative(self):
         with pytest.raises(PreconditionError):
-            CandidateDistribution((F(3, 2), F(-1, 2)))
+            CandidateDistribution(*scaled((F(3, 2), F(-1, 2))))
 
     def test_rejects_bad_sum(self):
         with pytest.raises(PreconditionError):
-            CandidateDistribution((F(1, 2), F(1, 3)))
+            CandidateDistribution(*scaled((F(1, 2), F(1, 3))))
 
     def test_point(self):
         d = CandidateDistribution.point(2, 3)

@@ -64,6 +64,14 @@ GOLDEN = [
      "fb9d31c47f248cf8998323d4b79753343e7acd4fd2777940a5ead74de05e1dfd"),
     ("verify ordinal --mech j2:2 --m 3 --n 2 --k 2", None,
      "5bfdbce4b9b4e465ac8ca4286bde0f9d13a4d1d75c628e70caef15dc6a2742e7"),
+    # Distribution equality scans: a neutral violation with its expected and
+    # actual lotteries, an ordinal violation of a mix, an anonymous pass.
+    ("verify neutral --mech jstar --m 3 --n 2 --k 2", None,
+     "f3b8c593d9758987d1b186a3cc676ef90add66903d8a0607102491d2964c6c04"),
+    ("verify ordinal --mech mix:1/2*rv+1/2*j1:1 --m 3 --n 2 --k 4", None,
+     "986e2507da47428cc9c136682849d6d489fe4eed350374916bf59d8050b9be81"),
+    ("verify anonymous --mech mix:1/3*j1:1+2/3*j2:2 --m 3 --n 2 --k 2", None,
+     "cba74d114a3e91f45fbc871c50c8a4387f0db06d2ed7de1c19045cbcdb25391b"),
 ]
 
 

@@ -11,6 +11,11 @@ denominator (``core.scaled``) against the exact references they replaced.
   tracks the functional in `Fraction`s.  Whole traces must be equal.
 - ``properties._order_pattern`` walks the cached order; the reference sorts
   the distinct values.
+- ``CandidateDistribution`` holds non-negative integer numerators over one
+  denominator in lowest terms.  Its validator must accept exactly the
+  vectors the previous `Fraction` validator accepted, and its equality must
+  be `Fraction` equality.  ``mix`` sums integer parts over their least
+  common denominator; the reference is the previous `Fraction` sum.
 """
 
 import functools
@@ -30,6 +35,7 @@ from cardvote.bounds import (
     reduce_to_Ck_trace,
 )
 from cardvote.core import (
+    ONE,
     ZERO,
     CandidateDistribution,
     Preference,
@@ -39,9 +45,18 @@ from cardvote.core import (
     scaled,
     welfare_vector,
 )
-from cardvote.errors import GridError, UndefinedRatioError
+from cardvote.errors import GridError, PreconditionError, UndefinedRatioError
 from cardvote.generators import rand_grid_profile
-from cardvote.mechanisms import Mechanism, j_star, sample_stream
+from cardvote.mechanisms import (
+    Mechanism,
+    constant_winner,
+    j1q,
+    j2q,
+    j_star,
+    mix,
+    range_voting,
+    sample_stream,
+)
 from cardvote.properties import _order_pattern
 
 
@@ -90,7 +105,7 @@ def reference_sample_stream(dist: CandidateDistribution, count: int, seed: int) 
 
 
 def fixed(probs) -> tuple[Mechanism, CandidateDistribution]:
-    dist = CandidateDistribution(tuple(Fraction(p) for p in probs))
+    dist = CandidateDistribution(*scaled([Fraction(p) for p in probs]))
     return Mechanism("fixed", lambda profile: dist), dist
 
 
@@ -244,3 +259,112 @@ class TestOrderPattern:
     def test_levels(self):
         pref = Preference.relaxed(["1/2", 1, "1/2", 0, 1])
         assert _order_pattern(pref) == (1, 0, 1, 2, 0)
+
+
+# ---------------------------------------------------------------------------
+# CandidateDistribution and mix
+
+def reference_validate(probs) -> None:
+    total = ZERO
+    for p in probs:
+        if p < ZERO:
+            raise PreconditionError(f"negative probability {p}")
+        total += p
+    if total != ONE:
+        raise PreconditionError(f"probabilities sum to {total}, not 1")
+
+
+def reference_mix(parts, profile: Profile) -> tuple[Fraction, ...]:
+    probs = [ZERO] * profile.m
+    for w, mech in parts:
+        if w == ZERO:
+            continue
+        for idx, p in enumerate(mech.evaluate(profile).probs):
+            probs[idx] += w * p
+    reference_validate(probs)
+    return tuple(probs)
+
+
+def accepted(validate) -> bool:
+    try:
+        validate()
+    except PreconditionError:
+        return False
+    return True
+
+
+@st.composite
+def rational_vectors(draw) -> list[Fraction]:
+    values = draw(st.lists(st.fractions(-2, 2, max_denominator=12), max_size=6))
+    shape = draw(st.sampled_from(["raw", "completed", "normalized"]))
+    if shape == "completed":  # sums to 1, entries of either sign
+        values.append(1 - sum(values, ZERO))
+    elif shape == "normalized" and any(values):  # non-negative, sums to 1
+        total = sum(map(abs, values), ZERO)
+        values = [abs(v) / total for v in values]
+    return values
+
+
+@st.composite
+def mixtures(draw):
+    m, n = draw(st.integers(2, 5)), draw(st.integers(1, 4))
+    profile = rand_grid_profile(m, n, 2 * m, draw(st.integers(0, 2**32)))
+    mechs = draw(st.lists(st.one_of(
+        st.just(range_voting()),
+        st.integers(1, m).map(constant_winner),
+        st.integers(1, m).map(j1q),
+        st.integers(1, n + 1).map(j2q),
+    ), min_size=1, max_size=4))
+    weights = draw(st.lists(st.integers(0, 4), min_size=len(mechs),
+                            max_size=len(mechs)).filter(any))
+    total = sum(weights)
+    return [(Fraction(w, total), mech) for w, mech in zip(weights, mechs)], profile
+
+
+class TestDistribution:
+    @given(rational_vectors())
+    @settings(max_examples=400)
+    def test_validator_matches_fraction_validator(self, values):
+        expected = accepted(lambda: reference_validate(values))
+        assert accepted(lambda: CandidateDistribution(*scaled(values))) == expected
+        if expected:
+            assert CandidateDistribution(*scaled(values)).probs == tuple(values)
+
+    @given(st.lists(st.integers(0, 3), min_size=2, max_size=3).filter(any),
+           st.lists(st.integers(0, 3), min_size=2, max_size=3).filter(any),
+           st.integers(1, 6))
+    @settings(max_examples=300)
+    def test_equality_is_fraction_equality(self, a, b, scale):
+        fa = [Fraction(x, sum(a)) for x in a]
+        fb = [Fraction(x, sum(b)) for x in b]
+        da, db = CandidateDistribution(*scaled(fa)), CandidateDistribution(*scaled(fb))
+        assert (da == db) == (fa == fb)
+        if da == db:
+            assert hash(da) == hash(db)
+        unreduced = CandidateDistribution.over(sum(a) * scale, [x * scale for x in a])
+        assert unreduced == da and hash(unreduced) == hash(da)
+
+    def test_over_reduces_and_constructor_needs_lowest_terms(self):
+        assert CandidateDistribution.over(4, (2, 2)) == CandidateDistribution(2, (1, 1))
+        assert CandidateDistribution.over(6, (0, 6, 0)) == CandidateDistribution.point(2, 3)
+        with pytest.raises(PreconditionError, match="lowest terms"):
+            CandidateDistribution(2, (2, 0))
+        with pytest.raises(PreconditionError, match="at least one candidate"):
+            CandidateDistribution(1, ())
+
+
+class TestMix:
+    @given(mixtures())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_sum(self, mixture):
+        parts, profile = mixture
+        got = mix(parts).evaluate(profile)
+        expected = reference_mix(parts, profile)
+        assert got.probs == expected
+        assert got == CandidateDistribution(*scaled(expected))
+
+    def test_zero_weight_part_is_skipped(self):
+        # const:3 is out of range at m=2, so evaluating it would raise.
+        profile = rand_grid_profile(2, 3, 4, 0)
+        parts = [(ZERO, constant_winner(3)), (ONE, j1q(1))]
+        assert mix(parts).evaluate(profile) == j1q(1).evaluate(profile)

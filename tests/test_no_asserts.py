@@ -1,5 +1,8 @@
-"""Internal invariants must still be checked under ``python -O``, which
-strips ``assert`` statements: the package raises explicit errors instead."""
+"""Source checks over the package, with the stdlib ``ast``.
+
+Internal invariants must still be checked under ``python -O``, which strips
+``assert`` statements: the package raises explicit errors instead.  Imports
+must be used, and only ``core`` knows a distribution's integer form."""
 
 import ast
 from pathlib import Path
@@ -61,4 +64,23 @@ def test_no_unused_imports():
                     name = alias.asname or alias.name.split(".")[0]
                     if name not in used:
                         found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
+
+
+def test_distributions_are_not_rescaled():
+    """A distribution's integer form is ``(den, nums)``, kept by ``core``;
+    no module may rebuild it from the `Fraction` view with
+    ``scaled(....probs)``."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name == "scaled" and any(
+                isinstance(sub, ast.Attribute) and sub.attr == "probs"
+                for arg in node.args
+                for sub in ast.walk(arg)
+            ):
+                found.append(f"{path.name}:{node.lineno}")
     assert found == []

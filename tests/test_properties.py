@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from cardvote.core import Preference, Profile, CandidateDistribution
+from cardvote.core import Preference, Profile, CandidateDistribution, scaled
 from cardvote.errors import BudgetError, PreconditionError
 from cardvote.mechanisms import (
     constant_winner,
@@ -23,6 +23,7 @@ from cardvote.properties import (
     check_truthful,
     enumerate_Rk_prefs,
     grid_count_with_ties,
+    grid_pref_count,
     ordinal_equivalent,
 )
 
@@ -58,6 +59,26 @@ class TestEnumeration:
     @pytest.mark.parametrize("m,k", [(2, 2), (3, 2), (3, 4), (4, 2)])
     def test_formula_matches_enumeration(self, m, k):
         assert len(list(enumerate_Rk_prefs(m, k))) == grid_count_with_ties(m, k)
+
+    def test_pref_count_closed_form_matches_enumeration(self):
+        for m in range(2, 6):
+            for k in range(1, 7):
+                for tie_free in (False, True)[: 1 + (k >= m - 1)]:
+                    family = list(enumerate_Rk_prefs(m, k, tie_free))
+                    assert grid_pref_count(m, k, tie_free) == len(family), (m, k, tie_free)
+
+    @pytest.mark.parametrize(
+        "check", [check_truthful, check_ordinal, check_neutral, check_anonymous]
+    )
+    def test_budget_is_checked_before_enumerating(self, monkeypatch, check):
+        # 4^14 - 2*3^14 + 2^14 preferences: enumerating them would take
+        # minutes, and every check's work exceeds the default budget.
+        def refuse(*args):
+            raise AssertionError("grid enumerated before the budget check")
+
+        monkeypatch.setattr("cardvote.properties.enumerate_Rk_prefs", refuse)
+        with pytest.raises(BudgetError):
+            check(range_voting(), 14, 1, 3)
 
     def test_every_member_is_normalized_grid(self):
         for p in enumerate_Rk_prefs(3, 4):
@@ -171,7 +192,7 @@ class TestSymmetries:
         )
         assert mech.evaluate(relabeled) == w.actual
         base = mech.evaluate(w.profile)
-        expected = CandidateDistribution(tuple(base.probs[tau[j] - 1] for j in range(3)))
+        expected = CandidateDistribution(*scaled([base.probs[tau[j] - 1] for j in range(3)]))
         assert expected == w.expected
         assert w.actual != w.expected
 
