@@ -66,12 +66,17 @@ class Mechanism:
 
     ``evaluate`` maps a profile to an exact distribution over candidates.
     ``q`` is set only by the pairwise-quota family, so reports can flag
-    out-of-range quotas.
+    out-of-range quotas.  ``anonymous`` is set only by the constructors of
+    schemes that read a profile through voter-order-invariant tables, so
+    every permutation of the voters gets the same distribution; the
+    truthfulness scan then walks one profile per permutation orbit.  A
+    hand-built mechanism defaults to ``False`` and is scanned in full.
     """
 
     name: str
     evaluate: Callable[[Profile], CandidateDistribution]
     q: int | None = field(default=None, compare=False)
+    anonymous: bool = field(default=False, compare=False)
 
 
 def range_voting() -> Mechanism:
@@ -80,7 +85,7 @@ def range_voting() -> Mechanism:
     def evaluate(profile: Profile) -> CandidateDistribution:
         return CandidateDistribution.point(rv_winner(profile), profile.m)
 
-    return Mechanism("rv", evaluate)
+    return Mechanism("rv", evaluate, anonymous=True)
 
 
 def constant_winner(j: int) -> Mechanism:
@@ -91,7 +96,7 @@ def constant_winner(j: int) -> Mechanism:
             raise OutOfRangeError(f"candidate {j} out of range 1..{profile.m}")
         return CandidateDistribution.point(j, profile.m)
 
-    return Mechanism(f"const:{j}", evaluate)
+    return Mechanism(f"const:{j}", evaluate, anonymous=True)
 
 
 def top_q_counts(places: Sequence[Sequence[int]], q: int) -> list[int]:
@@ -130,7 +135,7 @@ def j1q(q: int) -> Mechanism:
             raise OutOfRangeError(f"q={q} exceeds candidate count {profile.m}")
         return CandidateDistribution.over(profile.n * q, top_q_counts(profile.places, q))
 
-    return Mechanism(f"j1:{q}", evaluate)
+    return Mechanism(f"j1:{q}", evaluate, anonymous=True)
 
 
 def j2q_quota_range(n: int) -> range:
@@ -158,7 +163,7 @@ def j2q(q: int) -> Mechanism:
         units = pair_units(pairwise_beats(profile), profile.n, q)
         return CandidateDistribution.over(m * (m - 1), units)
 
-    return Mechanism(f"j2:{q}", evaluate, q=q)
+    return Mechanism(f"j2:{q}", evaluate, q=q, anonymous=True)
 
 
 def mix(parts: Sequence[tuple]) -> Mechanism:
@@ -184,7 +189,8 @@ def mix(parts: Sequence[tuple]) -> Mechanism:
             nums = [a + factor * b for a, b in zip(nums, d.nums)]
         return CandidateDistribution.over(den, nums)
 
-    return Mechanism("mix:" + "+".join(f"{w}*{mech.name}" for w, mech in weighted), evaluate)
+    return Mechanism("mix:" + "+".join(f"{w}*{mech.name}" for w, mech in weighted), evaluate,
+                     anonymous=all(mech.anonymous for _, mech in weighted))
 
 
 def j_star(m: int) -> Mechanism:
@@ -194,9 +200,9 @@ def j_star(m: int) -> Mechanism:
         raise PreconditionError("need at least 2 candidates")
     t = max(1, integer_cbrt(m))
     if t == 1:  # m < 8: both halves are the random-favorite lottery
-        return Mechanism("jstar", j1q(1).evaluate)
+        return Mechanism("jstar", j1q(1).evaluate, anonymous=True)
     mech = mix([(Fraction(1, 2), j1q(1)), (Fraction(1, 2), j1q(t))])
-    return Mechanism("jstar", mech.evaluate)
+    return Mechanism("jstar", mech.evaluate, anonymous=True)
 
 
 def _compose(pref: Preference, tau: tuple[int, ...]) -> Preference:
@@ -210,13 +216,16 @@ def symmetrize(mech: Mechanism, m: int, n: int, budget: int = 10_000_000) -> Mec
 
     The output treats voters interchangeably and candidate names as
     meaningless by construction.  All n!*m! relabelings are enumerated
-    exactly (no sampling), so the construction is guarded by a budget.
+    exactly (no sampling), so the construction is guarded by a budget.  An
+    anonymous mechanism gives every voter relabeling the same distribution,
+    so its average is taken over the m! candidate relabelings alone.
     """
     total = math.factorial(n) * math.factorial(m)
     if total > budget:
         raise BudgetError(total, budget, "relabeling enumeration")
-    voter_perms = list(itertools.permutations(range(n)))
+    voter_perms = [tuple(range(n))] if mech.anonymous else list(itertools.permutations(range(n)))
     cand_perms = list(itertools.permutations(range(1, m + 1)))
+    count = len(voter_perms) * len(cand_perms)
 
     def evaluate(profile: Profile) -> CandidateDistribution:
         if profile.m != m or profile.n != n:
@@ -236,9 +245,9 @@ def symmetrize(mech: Mechanism, m: int, n: int, budget: int = 10_000_000) -> Mec
                 for w in range(m):
                     if inner[w] != ZERO:
                         sums[tau[w] - 1] += inner[w]
-        return CandidateDistribution(*scaled([s / total for s in sums]))
+        return CandidateDistribution(*scaled([s / count for s in sums]))
 
-    return Mechanism(f"sym:{mech.name}", evaluate)
+    return Mechanism(f"sym:{mech.name}", evaluate, anonymous=True)
 
 
 def sample(mech: Mechanism, profile: Profile, seed: int) -> int:
@@ -292,11 +301,19 @@ def _split_mix_parts(body: str) -> list[str]:
     return parts
 
 
-def _deferred(name: str, build: Callable[[Profile], Mechanism]) -> Mechanism:
-    def evaluate(profile: Profile) -> CandidateDistribution:
-        return build(profile).evaluate(profile)
+def _deferred(name: str, build: Callable[[int, int], Mechanism]) -> Mechanism:
+    # The mechanism for each profile shape (m, n) is built once.  Both
+    # deferred schemes, jstar and sym:, are anonymous at every shape.
+    built: dict[tuple[int, int], Mechanism] = {}
 
-    return Mechanism(name, evaluate)
+    def evaluate(profile: Profile) -> CandidateDistribution:
+        shape = (profile.m, profile.n)
+        mech = built.get(shape)
+        if mech is None:
+            mech = built[shape] = build(*shape)
+        return mech.evaluate(profile)
+
+    return Mechanism(name, evaluate, anonymous=True)
 
 
 def _is_parenthesized(spec: str) -> bool:
@@ -333,7 +350,7 @@ def _parse(spec: str, depth: int) -> Mechanism:
         if spec == "rv":
             return range_voting()
         if spec == "jstar":
-            return _deferred("jstar", lambda profile: j_star(profile.m))
+            return _deferred("jstar", lambda m, n: j_star(m))
         head, arg = spec.split(":")
         try:
             value = int(arg)
@@ -360,13 +377,5 @@ def _parse(spec: str, depth: int) -> Mechanism:
         return mix(parts)
     if spec.startswith("sym:"):
         inner = _parse(spec[len("sym:"):], depth + 1)
-        built: dict[tuple[int, int], Mechanism] = {}
-
-        def build(profile: Profile) -> Mechanism:
-            shape = (profile.m, profile.n)
-            if shape not in built:
-                built[shape] = symmetrize(inner, *shape)
-            return built[shape]
-
-        return _deferred(f"sym:{inner.name}", build)
+        return _deferred(f"sym:{inner.name}", lambda m, n: symmetrize(inner, m, n))
     raise MechanismSpecError(f"unrecognized mechanism token {spec!r}")

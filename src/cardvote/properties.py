@@ -24,6 +24,15 @@ reports) group.  The ordinal, neutral and anonymous scans compare
 distributions as those integer tuples.  Only a group that admits a
 gain is replayed with exact `Fraction` utilities, misreport by misreport, to
 build the first witness.
+
+For a mechanism flagged ``anonymous`` the truthfulness scan walks only the
+sorted keys, one per voter-permutation orbit, and reads each distribution at
+a sorted key; the witness replay still evaluates the real misreport
+profiles.  The first witness cannot move: the violating (profile, voter)
+pairs of an anonymous mechanism are closed under voter permutations, and a
+sorted key is lexicographically <= each of its permutations, so the first
+violating key of the full scan is sorted.  The search space still counts
+every profile, since the verdict covers them all.
 """
 
 from __future__ import annotations
@@ -266,10 +275,17 @@ def check_truthful(
     walked in enumeration order; the first flagged (profile, voter) is
     replayed over its misreports in order with `Fraction` utilities, which
     yields the same witness as testing every misreport directly.
+
+    A mechanism flagged ``anonymous`` is scanned one sorted key per
+    voter-permutation orbit, with one group per multiset of the others'
+    reports (see the module docstring); its budget counts C(P+n-1, n)*n*P
+    work instead of P^n*n*P for P grid preferences.
     """
     scan = _GridScan(mech, m, n, k, tie_free)
     pref_count = scan.pref_count
-    work = scan.profile_count * n * pref_count
+    anonymous = mech.anonymous
+    key_count = math.comb(pref_count + n - 1, n) if anonymous else scan.profile_count
+    work = key_count * n * pref_count
     if work > budget:
         raise BudgetError(work, budget, "truthfulness scan")
 
@@ -279,9 +295,8 @@ def check_truthful(
     def can_gain(voter: int, others: tuple[int, ...]) -> tuple[bool, ...]:
         # Entry h: some report gives honest type h strictly more than its own,
         # (s.v)/den > (s.own)/own.den compared as (s.v)*own.den > (s.own)*den.
-        outcomes = [
-            scan.dist(others[:voter] + (r,) + others[voter:]) for r in range(pref_count)
-        ]
+        reported = (others[:voter] + (r,) + others[voter:] for r in range(pref_count))
+        outcomes = [scan.dist(tuple(sorted(key)) if anonymous else key) for key in reported]
         distinct = {(d.den, d.nums) for d in outcomes}
         flags = []
         for honest_idx, own in enumerate(outcomes):
@@ -291,10 +306,14 @@ def check_truthful(
                              for den, v in distinct))
         return tuple(flags)
 
+    # Both walks copy range(pref_count) into a tuple, so they start only
+    # after the budget check.
+    keys = (itertools.combinations_with_replacement(range(pref_count), n)
+            if anonymous else scan.keys())
     groups: dict[tuple[int, tuple[int, ...]], tuple[bool, ...]] = {}
-    for key in scan.keys():
+    for key in keys:
         for voter in range(n):
-            group = (voter, key[:voter] + key[voter + 1:])
+            group = (0 if anonymous else voter, key[:voter] + key[voter + 1:])
             flags = groups.get(group)
             if flags is None:
                 flags = groups[group] = can_gain(*group)

@@ -41,7 +41,7 @@ def _report(number: int, name: str) -> None:
 
 
 def test_criterion_1_truthfulness_suite():
-    grids = [(2, 2, 2), (2, 3, 2), (3, 2, 3), (3, 3, 3), (4, 2, 3)]
+    grids = [(2, 2, 2), (2, 3, 2), (3, 2, 3), (3, 3, 3), (4, 2, 3), (3, 4, 3), (3, 5, 3)]
     for m, n, k in grids:
         mechs = [
             j1q(1),
@@ -58,7 +58,7 @@ def test_criterion_1_truthfulness_suite():
                 f"{mech.name} manipulable at (m={m}, n={n}, k={k}): "
                 f"{report.to_json_dict()['witness']}"
             )
-    _report(1, "truthfulness holds for all listed schemes on all five grids")
+    _report(1, "truthfulness holds for all listed schemes on all seven grids")
 
 
 def test_criterion_2_range_voting_manipulable():

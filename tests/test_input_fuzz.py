@@ -7,8 +7,12 @@ accepted or raise a ``CardvoteError``; through the CLI, that is exit code 0 or
 where a mechanism that cannot apply must fail the same way.  The rational
 text that CSV cells, mixture weights, ``--eps`` and ``fit`` rows share goes
 through ``core.parse_rational``, which refuses values too long to print.
+A parsed spec flagged ``anonymous`` must also give every voter order of a
+random grid profile the same distribution, since the truthfulness scan
+trusts the flag.
 """
 
+import itertools
 import json
 import tempfile
 from fractions import Fraction
@@ -27,6 +31,7 @@ from cardvote.core import (
     profile_from_json_dict,
 )
 from cardvote.errors import CardvoteError, DataError, MechanismSpecError
+from cardvote.generators import rand_grid_profile
 from cardvote.mechanisms import MAX_NESTING, parse_mechanism
 
 # Specs built from the grammar's own pieces, so most are valid or one token
@@ -93,6 +98,21 @@ class TestMechanismSpecs:
     def test_number_past_int_digit_limit_is_a_spec_error(self):
         with pytest.raises(MechanismSpecError, match="too long"):
             parse_mechanism("j1:" + "1" * 5000)
+
+    @settings(max_examples=300, deadline=None)
+    @given(grammar_specs, st.integers(2, 3), st.integers(2, 3), st.integers(1, 3),
+           st.integers(0, 2**32))
+    def test_anonymous_flag_is_sound(self, spec, m, n, k, seed):
+        profile = rand_grid_profile(m, n, k, seed, tie_free=False)
+        try:
+            mech = parse_mechanism(spec)
+            dist = mech.evaluate(profile)
+        except CardvoteError:
+            return
+        if mech.anonymous:
+            for sigma in itertools.permutations(range(n)):
+                permuted = Profile(tuple(profile.prefs[i] for i in sigma))
+                assert mech.evaluate(permuted) == dist
 
 
 json_scalars = st.one_of(

@@ -16,8 +16,12 @@ denominator (``core.scaled``) against the exact references they replaced.
   vectors the previous `Fraction` validator accepted, and its equality must
   be `Fraction` equality.  ``mix`` sums integer parts over their least
   common denominator; the reference is the previous `Fraction` sum.
+- ``symmetrize`` skips the voter relabelings of an inner mechanism flagged
+  ``anonymous``; the reference is the previous body, which averages over all
+  n!*m! relabelings whatever the flag.
 """
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -56,6 +60,7 @@ from cardvote.mechanisms import (
     mix,
     range_voting,
     sample_stream,
+    symmetrize,
 )
 from cardvote.properties import _order_pattern
 
@@ -368,3 +373,73 @@ class TestMix:
         profile = rand_grid_profile(2, 3, 4, 0)
         parts = [(ZERO, constant_winner(3)), (ONE, j1q(1))]
         assert mix(parts).evaluate(profile) == j1q(1).evaluate(profile)
+
+
+# ---------------------------------------------------------------------------
+# symmetrize
+
+def reference_symmetrize(mech: Mechanism, profile: Profile) -> CandidateDistribution:
+    m, n = profile.m, profile.n
+    voter_perms = list(itertools.permutations(range(n)))
+    cand_perms = list(itertools.permutations(range(1, m + 1)))
+    total = len(voter_perms) * len(cand_perms)
+    sums = [ZERO] * m
+    for sigma in voter_perms:
+        for tau in cand_perms:
+            relabeled = Profile(tuple(
+                Preference(tuple(profile.prefs[sigma[i]].values[tau[j] - 1] for j in range(m)))
+                for i in range(n)
+            ))
+            inner = mech.evaluate(relabeled).probs
+            for w in range(m):
+                if inner[w] != ZERO:
+                    sums[tau[w] - 1] += inner[w]
+    return CandidateDistribution(*scaled([s / total for s in sums]))
+
+
+def voter_one_favorite() -> Mechanism:
+    """Voter 1's favorite wins: a dictatorship, so not anonymous."""
+
+    def evaluate(profile: Profile) -> CandidateDistribution:
+        return CandidateDistribution.point(profile.prefs[0].order[0], profile.m)
+
+    return Mechanism("dictator", evaluate)
+
+
+@st.composite
+def symmetrize_cases(draw):
+    m, n = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    k, seed = draw(st.integers(1, 4)), draw(st.integers(0, 2**32))
+    profile = rand_grid_profile(m, n, k, seed, tie_free=False)
+    inner = draw(st.one_of(
+        st.just(range_voting()),
+        st.just(voter_one_favorite()),
+        st.integers(1, m).map(j1q),
+        st.integers(1, n + 1).map(j2q),
+        st.just(j_star(m)),
+    ))
+    return inner, profile
+
+
+class TestSymmetrize:
+    @given(symmetrize_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_all_relabelings(self, case):
+        inner, profile = case
+        expected = reference_symmetrize(inner, profile)
+        for mech in (inner, dataclasses.replace(inner, anonymous=False)):
+            assert symmetrize(mech, profile.m, profile.n).evaluate(profile) == expected
+
+    def test_flag_skips_voter_relabelings(self):
+        # A wrongly flagged dictatorship shows the skip: its candidate
+        # relabelings alone always elect voter 1's favorite, while the
+        # average over every voter splits evenly.
+        profile = Profile.of([Preference.normalized([1, 0]), Preference.normalized([0, 1])])
+        dictator = voter_one_favorite()
+        flagged = dataclasses.replace(dictator, anonymous=True)
+        assert symmetrize(dictator, 2, 2).evaluate(profile) == reference_symmetrize(
+            dictator, profile
+        )
+        assert symmetrize(flagged, 2, 2).evaluate(profile) != reference_symmetrize(
+            dictator, profile
+        )

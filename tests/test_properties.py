@@ -9,14 +9,17 @@ import pytest
 from cardvote.core import Preference, Profile, CandidateDistribution, scaled
 from cardvote.errors import BudgetError, PreconditionError
 from cardvote.mechanisms import (
+    Mechanism,
     constant_winner,
     j1q,
     j2q,
     j_star,
+    parse_mechanism,
     range_voting,
     symmetrize,
 )
 from cardvote.properties import (
+    DEFAULT_BUDGET,
     check_anonymous,
     check_neutral,
     check_ordinal,
@@ -152,6 +155,17 @@ class TestTruthfulness:
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
             check_truthful(j1q(1), 3, 3, 3, budget=100)
+
+    def test_budget_counts_sorted_keys_when_anonymous(self):
+        # 18 preferences at (m, k) = (3, 3): the orbit walk does
+        # C(22, 5)*5*18 = 2,370,060 work, the full scan 18^5*5*18.
+        mech = parse_mechanism("jstar")
+        report = check_truthful(mech, 3, 5, 3, budget=DEFAULT_BUDGET)
+        assert report.holds and report.search_space.profile_count == 18 ** 5
+        with pytest.raises(BudgetError, match="2370060"):
+            check_truthful(mech, 3, 5, 3, budget=2_370_059)
+        with pytest.raises(BudgetError, match="170061120"):
+            check_truthful(Mechanism("jstar", mech.evaluate), 3, 5, 3)
 
 
 class TestOrdinality:

@@ -4,14 +4,17 @@ simple exact reference.
 The reference below tests every (profile, voter, misreport) with `Fraction`
 expected utilities in the documented enumeration order and returns the first
 strict gain.  ``check_truthful`` must produce the same report, witness
-included, on every case.
+included, on every case, both on the orbit walk that a mechanism flagged
+``anonymous`` takes and on the full scan with the flag forced off.
 """
 
+import dataclasses
+import functools
 from fractions import Fraction
 
 import pytest
 
-from cardvote.core import ZERO, CandidateDistribution, Profile
+from cardvote.core import ZERO, CandidateDistribution, Profile, welfare_vector
 from cardvote.errors import BudgetError
 from cardvote.mechanisms import Mechanism, parse_mechanism
 from cardvote.properties import (
@@ -19,6 +22,7 @@ from cardvote.properties import (
     TruthfulnessWitness,
     WitnessReport,
     _GridScan,
+    check_anonymous,
     check_truthful,
 )
 
@@ -83,11 +87,26 @@ SPECS = [
     "sym:j2:1",
 ]
 
+
+def rv_voter_one_twice() -> Mechanism:
+    """Range voting that counts voter 1's utilities twice: not anonymous, so
+    it keeps the default full scan, and manipulable like rv from m = 3."""
+
+    def evaluate(profile: Profile) -> CandidateDistribution:
+        first = profile.prefs[0].values
+        totals = [w + v for w, v in zip(welfare_vector(profile), first)]
+        return CandidateDistribution.point(totals.index(max(totals)) + 1, profile.m)
+
+    return Mechanism("rv-voter-1-twice", evaluate)
+
+
+TEST_DEFINED = {"rv-voter-1-twice": rv_voter_one_twice}
+
 GRIDS = [(2, 2, 2), (3, 2, 2), (3, 2, 3), (2, 3, 3), (3, 3, 2), (3, 2, 4), (4, 2, 2)]
 
 CASES = [
     (spec, m, n, k, tie_free)
-    for spec in SPECS
+    for spec in SPECS + list(TEST_DEFINED)
     for m, n, k in GRIDS
     for tie_free in (False, True)
     if not tie_free or k >= m - 1
@@ -100,11 +119,21 @@ def _expected_verdict(spec: str, m: int) -> str:
     return "violated" if "rv" in spec and m > 2 else "holds"
 
 
-def _shared_evaluations(spec: str) -> Mechanism:
-    # Both scans read one memo of distributions, so the comparison pays for
-    # each mechanism evaluation once.
-    mech = parse_mechanism(spec)
-    memo: dict[Profile, CandidateDistribution] = {}
+def _build(spec: str) -> Mechanism:
+    return TEST_DEFINED[spec]() if spec in TEST_DEFINED else parse_mechanism(spec)
+
+
+@functools.cache
+def _memo(spec: str) -> dict[Profile, CandidateDistribution]:
+    return {}
+
+
+def _shared_evaluations(spec: str, flag: str) -> Mechanism:
+    # The reference and both flag cases read one memo of distributions per
+    # spec, so the comparison pays for each mechanism evaluation once.  The
+    # wrapper keeps the built flag unless the case forces the full scan.
+    mech = _build(spec)
+    memo = _memo(spec)
 
     def evaluate(profile: Profile) -> CandidateDistribution:
         found = memo.get(profile)
@@ -112,18 +141,52 @@ def _shared_evaluations(spec: str) -> Mechanism:
             found = memo[profile] = mech.evaluate(profile)
         return found
 
-    return Mechanism(mech.name, evaluate)
+    anonymous = mech.anonymous and flag == "as_built"
+    return dataclasses.replace(mech, evaluate=evaluate, anonymous=anonymous)
+
+
+@functools.cache
+def _reference_report(spec: str, m: int, n: int, k: int, tie_free: bool) -> dict:
+    # The reference never reads the flag, so both flag cases share one run.
+    mech = _shared_evaluations(spec, "forced_off")
+    return reference_check_truthful(mech, m, n, k, tie_free).to_json_dict()
+
+
+def _assert_matches_reference(spec, m, n, k, tie_free, flag):
+    expected = _reference_report(spec, m, n, k, tie_free)
+    assert expected["verdict"] == _expected_verdict(spec, m)
+    mech = _shared_evaluations(spec, flag)
+    assert check_truthful(mech, m, n, k, tie_free).to_json_dict() == expected
 
 
 @pytest.mark.parametrize("spec,m,n,k,tie_free", CASES)
 def test_matches_reference(spec, m, n, k, tie_free):
-    mech = _shared_evaluations(spec)
-    expected = reference_check_truthful(mech, m, n, k, tie_free).to_json_dict()
-    assert expected["verdict"] == _expected_verdict(spec, m)
-    assert check_truthful(mech, m, n, k, tie_free).to_json_dict() == expected
+    _assert_matches_reference(spec, m, n, k, tie_free, "as_built")
+
+
+@pytest.mark.parametrize("spec,m,n,k,tie_free", CASES)
+def test_full_scan_matches_reference(spec, m, n, k, tie_free):
+    _assert_matches_reference(spec, m, n, k, tie_free, "forced_off")
 
 
 def test_cases_exercise_witness_replay():
     # The first-witness replay only runs on violated cases.
     violated = [case for case in CASES if _expected_verdict(case[0], case[1]) == "violated"]
     assert len(violated) >= 30
+
+
+def test_flag_is_set_by_constructors_only():
+    assert all(parse_mechanism(spec).anonymous for spec in SPECS)
+    # A hand-built mechanism keeps the default full scan.
+    assert Mechanism("x", rv_voter_one_twice().evaluate).anonymous is False
+
+
+@pytest.mark.parametrize("spec", SPECS)
+@pytest.mark.parametrize("m,n,k", [(3, 2, 2), (2, 3, 2)])
+def test_flagged_specs_are_anonymous(spec, m, n, k):
+    assert check_anonymous(parse_mechanism(spec), m, n, k).holds
+
+
+def test_unflagged_scheme_is_not_anonymous():
+    # The test-defined scheme really needs the full scan.
+    assert not check_anonymous(rv_voter_one_twice(), 3, 2, 2).holds
