@@ -14,6 +14,7 @@ re-checked step by step.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 import sys
@@ -42,8 +43,6 @@ from .errors import (
 from .generators import gen_Dk, gen_negative, DkParams, two_block_preference
 from .mechanisms import integer_cbrt, j2q_quota_range, j_star
 
-HALF = Fraction(1, 2)
-
 
 def _image_runs(step_set: set[int]) -> list[tuple[int, int]]:
     """Maximal runs of consecutive grid steps present in the image."""
@@ -66,8 +65,10 @@ def switch_count(pref: Preference, k: int) -> int:
 
 
 def rounded(pref: Preference) -> tuple[int, ...]:
-    """0/1 rounding at threshold 1/2 (strictly above 1/2 rounds to 1)."""
-    return tuple(1 if v > HALF else 0 for v in pref.values)
+    """0/1 rounding at threshold 1/2 (strictly above 1/2 rounds to 1), read
+    from the integer form: num/den > 1/2 exactly when 2*num > den."""
+    den, nums = pref.ints
+    return tuple(1 if 2 * num > den else 0 for num in nums)
 
 
 @dataclass(frozen=True)
@@ -119,7 +120,7 @@ def _checked_image(pref: Preference, steps: list[int], k: int) -> set[int]:
     image = set(steps)
     if 0 not in image or k not in image:
         raise GridError("grid preference must attain both 0 and 1")
-    if not pref.is_tie_free():
+    if len(image) != pref.m:  # distinct steps are distinct values
         raise PreconditionError("classification needs a tie-free preference")
     return image
 
@@ -146,8 +147,16 @@ def classify(pref: Preference, k: int) -> ClassifiedPref:
 # raw functional coincides with the welfare ratio of the stacked-lottery
 # scheme.
 
+# One stacked-lottery mechanism per candidate count, built on first use.  The
+# module-global j_star is looked up on each miss, so a wrapper installed over
+# it (the benchmark tracer's) still builds the cached mechanism.
+@functools.lru_cache(maxsize=64)
+def _jstar(m: int):
+    return j_star(m)
+
+
 def _jstar_dist(profile: Profile) -> CandidateDistribution:
-    return j_star(profile.m).evaluate(profile)
+    return _jstar(profile.m).evaluate(profile)
 
 
 def _g(dist: CandidateDistribution, profile: Profile) -> Fraction:
@@ -209,7 +218,11 @@ def reduce_to_Ck_trace(profile: Profile, k: int) -> ReductionTrace:
     stacked-lottery distribution (integers w over den) is invariant across
     the whole reduction.  With column[c] the grid steps summed over voters,
     the functional is sum_c w[c] * column[c] / (den * column[0]), and a slide
-    moves every affected column by one step, so it is tracked in integers.
+    moves every affected column by one step, so it is tracked in integers:
+    with d the affected weight and dd 1 when candidate 1 moves, sliding left
+    gives (numer-d)/(den*(denom-dd)) and right (numer+d)/(den*(denom+dd)), so
+    left is taken when (numer-d)*(denom+dd) <= (numer+d)*(denom-dd).  An
+    interior run starts at step 2 or above, so denom-dd stays positive.
     """
     steps_by_voter = [grid_steps(p, k) for p in profile.prefs]
     for pref, voter_steps in zip(profile.prefs, steps_by_voter):
@@ -235,23 +248,21 @@ def reduce_to_Ck_trace(profile: Profile, k: int) -> ReductionTrace:
             affected = [c for c, s in enumerate(voter_steps) if lo <= s <= hi]
             d_numer = sum(weights[c] for c in affected)
             d_denom = 1 if 0 in affected else 0
-            g_left = Fraction(numer - d_numer, den * (denom - d_denom))
-            g_right = Fraction(numer + d_numer, den * (denom + d_denom))
-            if g_left <= g_right:
-                delta, g_next, direction = -1, g_left, "left"
+            if denom - d_denom <= 0:
+                raise RuntimeError("sliding emptied candidate 1's welfare")
+            if (numer - d_numer) * (denom + d_denom) <= (numer + d_numer) * (denom - d_denom):
+                delta, direction = -1, "left"
             else:
-                delta, g_next, direction = +1, g_right, "right"
+                delta, direction = +1, "right"
             for c in affected:
                 voter_steps[c] += delta
             numer += delta * d_numer
             denom += delta * d_denom
+            g_next = Fraction(numer, den * denom)
             steps.append(SlideStep(voter, (lo, hi), direction, g_current, g_next))
             g_current = g_next
     result = Profile(
-        tuple(
-            Preference(tuple(Fraction(s, k) for s in voter_steps))
-            for voter_steps in steps_by_voter
-        )
+        tuple(Preference.from_steps(voter_steps, k) for voter_steps in steps_by_voter)
     )
     if _jstar_dist(result) != dist or _g(dist, result) != g_current:
         raise RuntimeError("sliding changed the stacked-lottery distribution or lost track of g")
@@ -473,8 +484,12 @@ def lower_bound_experiment(
     """Sweep class counts (a, c) over multiples of ``step`` and compare the
     exact rounded benchmark value of seeded structured profiles against the
     closed-form bound."""
-    if step < 1:
-        raise PreconditionError(f"step must be >= 1, got {step}")
+    if n < 1:
+        raise PreconditionError(f"need at least one voter, got n={n}")
+    if not 1 <= step <= n:  # a larger step leaves only a = c = 0, which is skipped
+        raise PreconditionError(f"step must lie in 1..n={n}, got {step}")
+    if not seeds:
+        raise PreconditionError("need at least one seed")
     rows = []
     for a in range(0, n + 1, step):
         for c in range(0, n + 1 - a, step):

@@ -293,9 +293,12 @@ def experiment():
 
 def _int_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok]
+        values = [int(tok) for tok in text.split(",") if tok]
     except ValueError as e:
         raise click.ClickException(f"bad integer list {text!r}") from e
+    if not values:
+        raise PreconditionError(f"integer list {text!r} is empty")
+    return values
 
 
 @experiment.command("negative")

@@ -11,6 +11,13 @@ rejected at the boundary: pass ints, Fractions, or strings such as "3/4" or
 
 Candidates and voters are 1-indexed in the public API.
 
+A preference's integer form is :attr:`Preference.ints`, ``(den, nums)``
+with ``values[i] == nums[i] / den`` over the least common denominator.  A
+grid voter built by :meth:`Preference.from_steps` is validated in integers
+and keeps that form from construction; any other preference derives it from
+its values when asked.  The order, the tie check, :func:`grid_steps` and
+the bounds module's rounding read it.
+
 Each voter's strict order (value descending, ties to the lower index) is
 computed once and cached as :attr:`Preference.order`; every ordinal reader
 uses it, and the two integer ballot tables are built from it: the place
@@ -26,10 +33,12 @@ concurrent evaluation needs no synchronization.
 from __future__ import annotations
 
 import csv
+import functools
 import io
+import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -38,6 +47,11 @@ from .errors import DataError, GridError, NormalizationError, PreconditionError,
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# step/k as a Fraction.  Grid voters share few distinct values, so
+# Preference.from_steps reuses recent ones instead of normalizing each again;
+# the cache is bounded, so a huge k holds only the steps actually used.
+_grid_value = functools.lru_cache(maxsize=1024)(Fraction)
 
 
 def exact(value) -> Fraction:
@@ -85,14 +99,14 @@ def scaled(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
 
 def grid_steps(pref: Preference, k: int) -> list[int]:
     """Each utility as a count of 1/k grid steps; GridError when one is not a
-    multiple of 1/k."""
-    steps = []
-    for v in pref.values:
-        step = v * k
-        if step.denominator != 1:
-            raise GridError(f"value {v} is not a multiple of 1/{k}")
-        steps.append(step.numerator)
-    return steps
+    multiple of 1/k.  Every utility is one exactly when the least common
+    denominator divides k."""
+    den, nums = pref.ints
+    if k % den:
+        bad = next(i for i, num in enumerate(nums) if num * k % den)
+        raise GridError(f"value {pref.values[bad]} is not a multiple of 1/{k}")
+    factor = k // den
+    return [num * factor for num in nums]
 
 
 @dataclass(frozen=True)
@@ -100,11 +114,19 @@ class Preference:
     """One voter's utility vector over m candidates.
 
     Use :meth:`normalized` for the standard setting (minimum utility exactly
-    0, maximum exactly 1) and :meth:`relaxed` when only the [0, 1] bounds are
-    required.  Both constructors validate; instances compare by value.
+    0, maximum exactly 1), :meth:`relaxed` when only the [0, 1] bounds are
+    required, and :meth:`from_steps` for a normalized voter on the 1/k grid.
+    All three constructors validate; instances compare by value, whichever
+    built them.
+
+    :attr:`ints` is the integer form ``(den, nums)``.  Only a step-built
+    preference stores it (in ``_ints``); for any other it is derived from
+    the values on each read, so a voter built from `Fraction`s holds no
+    second copy of them.
     """
 
     values: tuple[Fraction, ...]
+    _ints: tuple[int, tuple[int, ...]] | None = field(default=None, compare=False, repr=False)
 
     @classmethod
     def normalized(cls, values: Iterable) -> "Preference":
@@ -126,16 +148,46 @@ class Preference:
                 raise PreconditionError(f"utility {v} outside [0, 1]")
         return cls(vals)
 
+    @classmethod
+    def from_steps(cls, steps: Iterable[int], k: int) -> "Preference":
+        """The normalized grid preference with utility steps[i]/k for
+        candidate i+1, validated in integers: every step an int in 0..k,
+        minimum 0, maximum k.  Each value comes from the bounded cache of
+        recent grid values, never from a table of all k+1 of them."""
+        if type(k) is not int or k < 1:
+            raise PreconditionError(f"grid resolution k must be an int >= 1, got {k!r}")
+        steps = tuple(steps)
+        if len(steps) < 2:
+            raise PreconditionError("need at least 2 candidates")
+        if set(map(type, steps)) != {int}:  # no bools, floats or int subclasses
+            raise PreconditionError(f"grid steps must be ints, got {steps}")
+        lo, hi = min(steps), max(steps)
+        if lo < 0 or hi > k:
+            raise PreconditionError(f"grid steps {steps} outside 0..{k}")
+        if lo != 0 or hi != k:
+            raise NormalizationError(
+                f"normalized grid preference needs min step 0 and max step {k}, got {steps}"
+            )
+        g = math.gcd(*steps)  # divides k, the maximum
+        nums = steps if g == 1 else tuple(s // g for s in steps)
+        return cls(tuple(map(_grid_value, steps, itertools.repeat(k))), (k // g, nums))
+
     @property
     def m(self) -> int:
         return len(self.values)
 
+    @property
+    def ints(self) -> tuple[int, tuple[int, ...]]:
+        """(den, nums) with ``values[i] == Fraction(nums[i], den)`` and den the
+        least common denominator."""
+        return self._ints or scaled(self.values)
+
     @cached_property
     def order(self) -> tuple[int, ...]:
         """All candidates, value descending; the stable reverse sort keeps value
-        ties in ascending index order.  The sort keys are the values scaled to
-        integers over their common denominator."""
-        _, keys = scaled(self.values)
+        ties in ascending index order.  The sort keys are the numerators of
+        :attr:`ints`."""
+        _, keys = self.ints
         return tuple(
             j + 1 for j in sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
         )
@@ -150,7 +202,7 @@ class Preference:
         )
 
     def is_tie_free(self) -> bool:
-        return len(set(self.values)) == self.m
+        return len(set(self.ints[1])) == self.m
 
 
 @dataclass(frozen=True)

@@ -160,13 +160,10 @@ def two_block_preference(order: Sequence[int], top_size: int, k: int) -> Prefere
     """Tie-free grid preference whose image is a top run of grid values ending
     at 1 (the first ``top_size`` of ``order``) plus a bottom run starting at 0."""
     m = len(order)
-    values = [Fraction(0)] * m
+    steps = [0] * m
     for pos, cand in enumerate(order):
-        if pos < top_size:
-            values[cand - 1] = Fraction(k - pos, k)
-        else:
-            values[cand - 1] = Fraction(m - 1 - pos, k)
-    return Preference.normalized(values)
+        steps[cand - 1] = k - pos if pos < top_size else m - 1 - pos
+    return Preference.from_steps(steps, k)
 
 
 def gen_Dk(params: DkParams, seed: int) -> Profile:
@@ -250,6 +247,6 @@ def rand_grid_profile(
             steps = [rng.randint(0, k) for _ in range(m)]
             lo, hi = rng.sample(range(m), 2)
             steps[lo], steps[hi] = 0, k
-        prefs.append(Preference.normalized(Fraction(s, k) for s in steps))
+        prefs.append(Preference.from_steps(steps, k))
     return Profile(tuple(prefs))
 

@@ -64,7 +64,7 @@ def enumerate_Rk_prefs(m: int, k: int, tie_free: bool = False) -> Iterator[Prefe
             continue
         if tie_free and len(set(steps)) != m:
             continue
-        yield Preference(tuple(Fraction(s, k) for s in steps))
+        yield Preference.from_steps(steps, k)
 
 
 def grid_count_with_ties(m: int, k: int) -> int:

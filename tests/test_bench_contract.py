@@ -20,6 +20,13 @@ cardvote.bounds.all_q_ratios(profile)
 layers = {span[1] for span in t.spans}
 assert {"mechanisms.jstar", "mechanisms.j1q", "core.welfare",
         "bounds.all_q_ratios"} <= layers, layers
+# The bounds module builds its stacked lottery through the module-global
+# factory, so the wrapped one records the evaluation as a jstar span.
+def jstar_spans():
+    return sum(1 for span in t.spans if span[1] == "mechanisms.jstar")
+before = jstar_spans()
+cardvote.bounds.gbar_value(cardvote.generators.rand_grid_profile(8, 3, 64, 0))
+assert jstar_spans() > before, "gbar_value's stacked lottery was not traced"
 print("ok")
 """
 

@@ -6,10 +6,13 @@ from fractions import Fraction
 import pytest
 
 from cardvote.bounds import (
+    _jstar,
+    _jstar_dist,
     all_q_ratios,
     classify,
     g_value,
     gbar_value,
+    lower_bound_experiment,
     lower_bound_formula,
     min_ratio_search,
     project_to_Dk,
@@ -153,6 +156,16 @@ class TestBenchmarkFunctionals:
         gap = abs(g_value(u) - gbar_value(u))
         assert gap <= 2 * F(m - 1, k) * 4  # loose structural sanity bound
 
+    def test_stacked_lottery_built_once_per_m(self):
+        # The cached mechanism gives the distributions a fresh j_star gives.
+        for m, k in ((3, 3), (8, 64), (27, 108)):
+            for seed in range(3):
+                u = rand_grid_profile(m, 4, k, seed)
+                assert _jstar_dist(u) == j_star(m).evaluate(u)
+        before = _jstar.cache_info().misses
+        _jstar_dist(rand_grid_profile(8, 2, 64, 9))
+        assert _jstar.cache_info().misses == before
+
     def test_zero_denominators(self):
         u = Profile.of([pref(0, 1), pref(0, 1)])
         with pytest.raises(UndefinedRatioError):
@@ -284,6 +297,21 @@ class TestLowerBoundFormula:
             lower_bound_formula(0, 10, 0, 10, 8)
         with pytest.raises(PreconditionError):
             lower_bound_formula(1, 0, 0, 1, 7)
+
+
+class TestLowerBoundExperiment:
+    @pytest.mark.parametrize(
+        "n, step, seeds",
+        [(0, 1, [0]), (-3, 1, [0]), (2, 1, []), (5, 0, [0]), (5, 6, [0])],
+        ids=["n0", "n_negative", "no_seeds", "step0", "step_above_n"],
+    )
+    def test_rejects_empty_sweeps(self, n, step, seeds):
+        with pytest.raises(PreconditionError):
+            lower_bound_experiment(8, n, 32, step, seeds)
+
+    def test_step_equal_to_n_sweeps(self):
+        rows = lower_bound_experiment(8, 5, 32, 5, [0])
+        assert [(r.a, r.c) for r in rows] == [(0, 5), (5, 0)]
 
 
 class TestMinRatioSearch:

@@ -121,6 +121,12 @@ class TestBadInput:
             "experiment minratio --mech rv --m 2 --n 1 --k 2 --budget 99999999999999999999",
             "experiment negative --m 8 --repeat 99999999999999999999",
             "gen negative --m 8 --repeat 99999999999999999999",
+            "experiment lower --m 8 --n 0 --k 32 --grid-step 1",
+            "experiment lower --m 8 --n -3 --k 32 --grid-step 1",
+            "experiment lower --m 8 --n 2 --k 32 --grid-step 1 --seeds ,",
+            "experiment lower --m 8 --n 5 --k 32 --grid-step 9",
+            "experiment negative --m ,",
+            "experiment cyclic --m ,",
         ],
     )
     def test_bad_flag(self, runner, args):

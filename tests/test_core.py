@@ -1,5 +1,6 @@
 """Core domain types and welfare operations."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,57 @@ class TestPreference:
     def test_tie_free(self):
         assert pref(1, "1/2", 0).is_tie_free()
         assert not pref(1, 1, 0).is_tie_free()
+
+
+class TestFromSteps:
+    def test_values_and_integer_form(self):
+        u = Preference.from_steps([2, 0, 4, 1], 4)
+        assert u.values == (F(1, 2), F(0), F(1), F(1, 4))
+        assert u.ints == (4, (2, 0, 4, 1))
+        assert u == pref("1/2", 0, 1, "1/4") and hash(u) == hash(pref("1/2", 0, 1, "1/4"))
+        assert u.order == (3, 1, 4, 2)
+        assert u.is_normalized() and u.is_tie_free()
+
+    def test_integer_form_is_in_lowest_terms(self):
+        u = Preference.from_steps([0, 6, 3, 3], 6)
+        assert u.ints == (2, (0, 2, 1, 1)) == scaled(u.values)
+        assert not u.is_tie_free()
+
+    @pytest.mark.parametrize(
+        "steps, k, error, match",
+        [
+            ([0, True, 2], 2, PreconditionError, "must be ints"),
+            ([0, 1, 2.0], 2, PreconditionError, "must be ints"),
+            ([0, F(1), 2], 2, PreconditionError, "must be ints"),
+            ([-1, 0, 2], 2, PreconditionError, "outside 0..2"),
+            ([0, 3, 2], 2, PreconditionError, "outside 0..2"),
+            ([1, 2, 2], 2, NormalizationError, "min step 0"),
+            ([0, 1, 1], 2, NormalizationError, "max step 2"),
+            ([0, 0], 1, NormalizationError, "max step 1"),
+            ([0, 1], 0, PreconditionError, "k must be"),
+            ([0, 0], 0, PreconditionError, "k must be"),
+            ([0, 1], -1, PreconditionError, "k must be"),
+            ([0, 1], True, PreconditionError, "k must be"),
+            ([0, 1], 1.0, PreconditionError, "k must be"),
+            ([0], 1, PreconditionError, "at least 2 candidates"),
+            ([], 1, PreconditionError, "at least 2 candidates"),
+        ],
+    )
+    def test_rejects(self, steps, k, error, match):
+        with pytest.raises(error, match=match):
+            Preference.from_steps(steps, k)
+
+    def test_huge_k_allocates_nothing_of_size_k(self):
+        k = 10**30
+        tracemalloc.start()
+        try:
+            u = Preference.from_steps([k, 0, k // 3, 7], k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64_000
+        assert u.values == (F(1), F(0), F(k // 3, k), F(7, k))
+        assert u.ints == (k, (k, 0, k // 3, 7))
 
 
 class TestWelfare:

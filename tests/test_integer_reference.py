@@ -19,6 +19,13 @@ denominator (``core.scaled``) against the exact references they replaced.
 - ``symmetrize`` skips the voter relabelings of an inner mechanism flagged
   ``anonymous``; the reference is the previous body, which averages over all
   n!*m! relabelings whatever the flag.
+- Grid voters are built by ``Preference.from_steps`` and keep their integer
+  form; ``two_block_preference``, ``rand_grid_profile`` and
+  ``enumerate_Rk_prefs`` are compared with their previous bodies, which
+  built `Fraction` vectors, and ``rounded`` and ``grid_steps`` with the
+  `Fraction` comparisons they replaced.  ``reduce_to_Ck_trace`` decides each
+  slide by an integer cross-product; its reference is the previous
+  per-voter loop, which compared two `Fraction`s per slide.
 """
 
 import dataclasses
@@ -34,9 +41,11 @@ from hypothesis import given, settings, strategies as st
 from cardvote.bounds import (
     ReductionTrace,
     SlideStep,
+    _checked_image,
     _image_runs,
     classify,
     reduce_to_Ck_trace,
+    rounded,
 )
 from cardvote.core import (
     ONE,
@@ -49,8 +58,8 @@ from cardvote.core import (
     scaled,
     welfare_vector,
 )
-from cardvote.errors import GridError, PreconditionError, UndefinedRatioError
-from cardvote.generators import rand_grid_profile
+from cardvote.errors import CardvoteError, GridError, PreconditionError, UndefinedRatioError
+from cardvote.generators import DkParams, gen_Dk, rand_grid_profile, two_block_preference
 from cardvote.mechanisms import (
     Mechanism,
     constant_winner,
@@ -62,7 +71,7 @@ from cardvote.mechanisms import (
     sample_stream,
     symmetrize,
 )
-from cardvote.properties import _order_pattern
+from cardvote.properties import _order_pattern, enumerate_Rk_prefs, grid_pref_count
 
 
 # ---------------------------------------------------------------------------
@@ -88,11 +97,45 @@ class TestScaled:
         assert scaled([]) == (1, ())
 
 
+def reference_grid_steps(pref: Preference, k: int) -> list[int]:
+    steps = []
+    for v in pref.values:
+        step = v * k
+        if step.denominator != 1:
+            raise GridError(f"value {v} is not a multiple of 1/{k}")
+        steps.append(step.numerator)
+    return steps
+
+
+def outcome_of(fn, *args):
+    try:
+        return fn(*args)
+    except CardvoteError as e:
+        return type(e), str(e)
+
+
 class TestGridSteps:
     def test_steps_and_error_text(self):
         assert grid_steps(Preference((Fraction(3, 4), ZERO, Fraction(1))), 4) == [3, 0, 4]
         with pytest.raises(GridError, match=r"^value 1/3 is not a multiple of 1/2$"):
             grid_steps(Preference((Fraction(1, 3), Fraction(1))), 2)
+
+    @given(st.lists(st.fractions(0, 1, max_denominator=12), min_size=2, max_size=7),
+           st.integers(1, 30))
+    @settings(max_examples=300)
+    def test_matches_fraction_steps(self, values, k):
+        pref = Preference.relaxed(values)
+        assert outcome_of(grid_steps, pref, k) == outcome_of(reference_grid_steps, pref, k)
+
+    @given(st.integers(1, 12).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.integers(0, k), min_size=0, max_size=5))), st.integers(1, 30))
+    @settings(max_examples=300)
+    def test_step_built_matches_fraction_steps(self, shape, target):
+        k, inner = shape
+        pref = Preference.from_steps([0, k] + inner, k)
+        assert outcome_of(grid_steps, pref, target) == outcome_of(
+            reference_grid_steps, pref, target
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +251,49 @@ def reference_reduce_to_Ck_trace(profile: Profile, k: int) -> ReductionTrace:
     return ReductionTrace(result, tuple(steps), g_initial, g_current)
 
 
+def fraction_reduce_to_Ck_trace(profile: Profile, k: int) -> ReductionTrace:
+    """The per-voter loop before slides were decided in integers: two
+    `Fraction` candidates per slide, and an unvalidated result."""
+    steps_by_voter = [grid_steps(p, k) for p in profile.prefs]
+    for pref, voter_steps in zip(profile.prefs, steps_by_voter):
+        _checked_image(pref, voter_steps, k)
+    column = [sum(steps) for steps in zip(*steps_by_voter)]
+    if column[0] <= 0:
+        raise UndefinedRatioError("candidate 1 has zero welfare")
+    dist = j_star(profile.m).evaluate(profile)
+    den, weights = dist.den, dist.nums
+    numer = sum(w * c for w, c in zip(weights, column))
+    denom = column[0]
+    g_initial = g_current = Fraction(numer, den * denom)
+
+    steps = []
+    for voter, voter_steps in enumerate(steps_by_voter, start=1):
+        while len(runs := _image_runs(set(voter_steps))) > 2:
+            lo, hi = runs[1]
+            affected = [c for c, s in enumerate(voter_steps) if lo <= s <= hi]
+            d_numer = sum(weights[c] for c in affected)
+            d_denom = 1 if 0 in affected else 0
+            g_left = Fraction(numer - d_numer, den * (denom - d_denom))
+            g_right = Fraction(numer + d_numer, den * (denom + d_denom))
+            if g_left <= g_right:
+                delta, g_next, direction = -1, g_left, "left"
+            else:
+                delta, g_next, direction = +1, g_right, "right"
+            for c in affected:
+                voter_steps[c] += delta
+            numer += delta * d_numer
+            denom += delta * d_denom
+            steps.append(SlideStep(voter, (lo, hi), direction, g_current, g_next))
+            g_current = g_next
+    result = Profile(
+        tuple(
+            Preference(tuple(Fraction(s, k) for s in voter_steps))
+            for voter_steps in steps_by_voter
+        )
+    )
+    return ReductionTrace(result, tuple(steps), g_initial, g_current)
+
+
 def outcome(reduce, profile: Profile, k: int):
     try:
         return reduce(profile, k)
@@ -230,6 +316,21 @@ class TestReductionTrace:
         profile, k = shape
         got = outcome(reduce_to_Ck_trace, profile, k)
         assert got == outcome(reference_reduce_to_Ck_trace, profile, k)
+
+    @given(grid_shapes())
+    @settings(max_examples=150, deadline=None)
+    def test_cross_products_match_fraction_slides(self, shape):
+        profile, k = shape
+        got = outcome(reduce_to_Ck_trace, profile, k)
+        expected = outcome(fraction_reduce_to_Ck_trace, profile, k)
+        if isinstance(expected, tuple):
+            assert got == expected
+            return
+        assert got.steps == expected.steps
+        assert (got.g_initial, got.g_final) == (expected.g_initial, expected.g_final)
+        assert got.anomalies == expected.anomalies
+        for mine, theirs in zip(got.result.prefs, expected.result.prefs, strict=True):
+            assert_same_preference(mine, theirs)
 
     def test_many_voters_slide_in_both_directions(self):
         # Seeds with several sliding voters and slides in both directions, so
@@ -443,3 +544,126 @@ class TestSymmetrize:
         assert symmetrize(flagged, 2, 2).evaluate(profile) != reference_symmetrize(
             dictator, profile
         )
+
+
+# ---------------------------------------------------------------------------
+# Grid-native preferences
+
+def assert_same_preference(got: Preference, expected: Preference) -> None:
+    """Same values, order, equality and hash; the integer form, stored or
+    derived, is the least-denominator form of the values."""
+    assert got.values == expected.values
+    assert got.order == expected.order
+    assert got == expected and hash(got) == hash(expected)
+    assert got.ints == expected.ints == scaled(expected.values)
+    assert got.is_normalized() == expected.is_normalized()
+    assert got.is_tie_free() == expected.is_tie_free()
+
+
+def reference_two_block_preference(order, top_size: int, k: int) -> Preference:
+    m = len(order)
+    values = [Fraction(0)] * m
+    for pos, cand in enumerate(order):
+        if pos < top_size:
+            values[cand - 1] = Fraction(k - pos, k)
+        else:
+            values[cand - 1] = Fraction(m - 1 - pos, k)
+    return Preference.normalized(values)
+
+
+def reference_rand_grid_profile(m: int, n: int, k: int, seed: int, tie_free: bool) -> Profile:
+    rng = random.Random(seed)
+    prefs = []
+    for _ in range(n):
+        if tie_free:
+            steps = rng.sample(range(1, k), m - 2) + [0, k]
+            rng.shuffle(steps)
+        else:
+            steps = [rng.randint(0, k) for _ in range(m)]
+            lo, hi = rng.sample(range(m), 2)
+            steps[lo], steps[hi] = 0, k
+        prefs.append(Preference.normalized(Fraction(s, k) for s in steps))
+    return Profile(tuple(prefs))
+
+
+def reference_enumerate_Rk_prefs(m: int, k: int, tie_free: bool):
+    for steps in itertools.product(range(k + 1), repeat=m):
+        if 0 not in steps or k not in steps:
+            continue
+        if tie_free and len(set(steps)) != m:
+            continue
+        yield Preference(tuple(Fraction(s, k) for s in steps))
+
+
+def reference_rounded(pref: Preference) -> tuple[int, ...]:
+    return tuple(1 if v > Fraction(1, 2) else 0 for v in pref.values)
+
+
+@st.composite
+def two_block_shapes(draw):
+    m = draw(st.integers(2, 9))
+    order = draw(st.permutations(range(1, m + 1)))
+    return order, draw(st.integers(0, m)), draw(st.integers(1, 4 * m))
+
+
+class TestGridNativePreferences:
+    @given(two_block_shapes())
+    @settings(max_examples=300)
+    def test_two_block_matches_fraction_body(self, shape):
+        got = outcome_of(two_block_preference, *shape)
+        expected = outcome_of(reference_two_block_preference, *shape)
+        if isinstance(expected, tuple):  # the messages differ, the error classes may not
+            assert got[0] is expected[0]
+        else:
+            assert_same_preference(got, expected)
+
+    @given(st.integers(8, 12), st.integers(0, 2), st.integers(0, 2), st.integers(0, 2),
+           st.integers(0, 2**32))
+    @settings(max_examples=40, deadline=None)
+    def test_gen_Dk_matches_fraction_two_blocks(self, m, a, b, c, seed):
+        if a + c < 1:
+            a = 1
+        params = DkParams(m=m, k=4 * m, a=a, b=b, c=c)
+        profile = gen_Dk(params, seed)
+        for pref in profile.prefs:
+            steps = grid_steps(pref, params.k)
+            order = sorted(range(1, m + 1), key=lambda cand: -steps[cand - 1])
+            top = sum(1 for s in steps if s > m)
+            assert_same_preference(pref, reference_two_block_preference(order, top, params.k))
+
+    @given(st.integers(2, 7), st.integers(1, 4), st.integers(1, 20), st.integers(0, 2**32),
+           st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_rand_grid_matches_fraction_body(self, m, n, k, seed, tie_free):
+        if tie_free and k < m - 1:
+            k = m - 1
+        got = rand_grid_profile(m, n, k, seed, tie_free)
+        expected = reference_rand_grid_profile(m, n, k, seed, tie_free)
+        assert got == expected
+        for mine, theirs in zip(got.prefs, expected.prefs, strict=True):
+            assert_same_preference(mine, theirs)
+
+    @pytest.mark.parametrize("m, k, tie_free", [
+        (2, 1, False), (2, 4, False), (3, 3, False), (4, 2, False),
+        (2, 1, True), (2, 4, True), (3, 3, True), (4, 3, True),
+    ])
+    def test_enumeration_matches_fraction_body(self, m, k, tie_free):
+        got = list(enumerate_Rk_prefs(m, k, tie_free))
+        expected = list(reference_enumerate_Rk_prefs(m, k, tie_free))
+        assert len(got) == len(expected) == grid_pref_count(m, k, tie_free)
+        for mine, theirs in zip(got, expected):
+            assert_same_preference(mine, theirs)
+
+    @given(st.lists(st.fractions(0, 1, max_denominator=20), min_size=2, max_size=8))
+    @settings(max_examples=300)
+    def test_rounded_matches_half_comparison(self, values):
+        pref = Preference.relaxed(values)
+        assert rounded(pref) == reference_rounded(pref)
+
+    @given(st.integers(1, 40).flatmap(lambda k: st.tuples(
+        st.just(k), st.lists(st.integers(0, k), min_size=0, max_size=6))))
+    @settings(max_examples=300)
+    def test_rounded_step_built_matches_half_comparison(self, shape):
+        k, inner = shape
+        pref = Preference.from_steps([k] + inner + [0], k)
+        assert rounded(pref) == reference_rounded(pref)

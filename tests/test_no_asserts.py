@@ -2,7 +2,8 @@
 
 Internal invariants must still be checked under ``python -O``, which strips
 ``assert`` statements: the package raises explicit errors instead.  Imports
-must be used, and only ``core`` knows a distribution's integer form."""
+must be used, and only ``core`` knows the integer form of a distribution or
+of a preference."""
 
 import ast
 from pathlib import Path
@@ -83,4 +84,30 @@ def test_distributions_are_not_rescaled():
                 for sub in ast.walk(arg)
             ):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_preferences_are_not_rescaled():
+    """A preference's integer form is ``Preference.ints``, kept or derived by
+    ``core``; no other module may rebuild it with ``scaled(....values)``,
+    and ``bounds`` rounds from it instead of comparing utilities with
+    ``HALF``."""
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if path.name != "core.py" and isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "scaled" and any(
+                    isinstance(sub, ast.Attribute) and sub.attr == "values"
+                    for arg in node.args
+                    for sub in ast.walk(arg)
+                ):
+                    found.append(f"{path.name}:{node.lineno} scaled")
+            if path.name == "bounds.py" and isinstance(node, ast.Compare) and any(
+                isinstance(sub, ast.Name) and sub.id == "HALF"
+                for side in [node.left, *node.comparators]
+                for sub in ast.walk(side)
+            ):
+                found.append(f"{path.name}:{node.lineno} HALF")
     assert found == []
