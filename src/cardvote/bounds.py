@@ -67,8 +67,8 @@ def switch_count(pref: Preference, k: int) -> int:
 def rounded(pref: Preference) -> tuple[int, ...]:
     """0/1 rounding at threshold 1/2 (strictly above 1/2 rounds to 1), read
     from the integer form: num/den > 1/2 exactly when 2*num > den."""
-    den, nums = pref.ints
-    return tuple(1 if 2 * num > den else 0 for num in nums)
+    den = pref.den
+    return tuple(1 if 2 * num > den else 0 for num in pref.nums)
 
 
 @dataclass(frozen=True)

@@ -3,42 +3,39 @@
 A voter scores every candidate with a rational utility in [0, 1]; a profile
 collects one preference per voter.  Everything downstream (welfares, winning
 probabilities, welfare ratios) is computed with `fractions.Fraction` or
-integers, so comparisons and tie detection are exact; a
-:class:`CandidateDistribution` keeps its probabilities as non-negative
-integers over one denominator, a form only this module knows.  Floats are
+integers, so comparisons and tie detection are exact.  A
+:class:`Preference` and a :class:`CandidateDistribution` each store one
+integer form, numerators over one denominator in lowest terms.  Floats are
 rejected at the boundary: pass ints, Fractions, or strings such as "3/4" or
 "0.25".
 
 Candidates and voters are 1-indexed in the public API.
 
-A preference's integer form is :attr:`Preference.ints`, ``(den, nums)``
-with ``values[i] == nums[i] / den`` over the least common denominator.  A
-grid voter built by :meth:`Preference.from_steps` is validated in integers
-and keeps that form from construction; any other preference derives it from
-its values when asked.  The order, the tie check, :func:`grid_steps` and
-the bounds module's rounding read it.
+A preference holds ``(den, nums)``, utility ``nums[i] / den`` for candidate
+i+1, and :attr:`Preference.values` is its `Fraction` view for reports,
+witness replay and tie-breaks.  :meth:`Preference.from_steps` builds a grid
+voter in integers alone.  The order, the tie check, welfares,
+:func:`grid_steps` and the bounds module's rounding read the integers.
 
 Each voter's strict order (value descending, ties to the lower index) is
 computed once and cached as :attr:`Preference.order`; every ordinal reader
 uses it, and the two integer ballot tables are built from it: the place
 table, cached per profile as :attr:`Profile.places`, and
-:func:`pairwise_beats`.  Every integer path writes its rationals over one
-denominator through :func:`scaled`.
+:func:`pairwise_beats`.  Every path from `Fraction`s to integers goes
+through :func:`scaled`.
 
-All types are logically immutable after construction (the cached order and
-place table only restate the values) and all operations are pure, so
-concurrent evaluation needs no synchronization.
+All types are logically immutable after construction (the cached views only
+restate the stored integers) and all operations are pure, so concurrent
+evaluation needs no synchronization.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
 import io
-import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -47,12 +44,6 @@ from .errors import DataError, GridError, NormalizationError, PreconditionError,
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-# step/k as a Fraction.  Grid voters share few distinct values, so
-# Preference.from_steps reuses recent ones instead of normalizing each again;
-# the cache is bounded, so a huge k holds only the steps actually used.
-_grid_value = functools.lru_cache(maxsize=1024)(Fraction)
-
 
 def exact(value) -> Fraction:
     """Coerce to Fraction, rejecting floats (they are rarely the rational the
@@ -101,7 +92,7 @@ def grid_steps(pref: Preference, k: int) -> list[int]:
     """Each utility as a count of 1/k grid steps; GridError when one is not a
     multiple of 1/k.  Every utility is one exactly when the least common
     denominator divides k."""
-    den, nums = pref.ints
+    den, nums = pref.den, pref.nums
     if k % den:
         bad = next(i for i, num in enumerate(nums) if num * k % den)
         raise GridError(f"value {pref.values[bad]} is not a multiple of 1/{k}")
@@ -111,22 +102,23 @@ def grid_steps(pref: Preference, k: int) -> list[int]:
 
 @dataclass(frozen=True)
 class Preference:
-    """One voter's utility vector over m candidates.
+    """One voter's utility vector over m candidates: candidate j+1 has
+    utility ``nums[j] / den``, in lowest terms, so equality and hashing are
+    exactly those of the utilities; :attr:`values` is the `Fraction` view.
 
     Use :meth:`normalized` for the standard setting (minimum utility exactly
     0, maximum exactly 1), :meth:`relaxed` when only the [0, 1] bounds are
     required, and :meth:`from_steps` for a normalized voter on the 1/k grid.
-    All three constructors validate; instances compare by value, whichever
-    built them.
-
-    :attr:`ints` is the integer form ``(den, nums)``.  Only a step-built
-    preference stores it (in ``_ints``); for any other it is derived from
-    the values on each read, so a voter built from `Fraction`s holds no
-    second copy of them.
+    All three constructors validate and reduce; instances compare by value,
+    whichever built them.
     """
 
-    values: tuple[Fraction, ...]
-    _ints: tuple[int, tuple[int, ...]] | None = field(default=None, compare=False, repr=False)
+    den: int
+    nums: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.den < 1 or math.gcd(self.den, *self.nums) != 1:
+            raise PreconditionError(f"{self.nums} over {self.den} is not in lowest terms")
 
     @classmethod
     def normalized(cls, values: Iterable) -> "Preference":
@@ -142,18 +134,18 @@ class Preference:
         vals = tuple(exact(v) for v in values)
         if len(vals) < 2:
             raise PreconditionError("need at least 2 candidates")
-        for v in vals:
-            # Exact: a Fraction's denominator is positive.
-            if not 0 <= v.numerator <= v.denominator:
-                raise PreconditionError(f"utility {v} outside [0, 1]")
-        return cls(vals)
+        den, nums = scaled(vals)
+        if min(nums) < 0 or max(nums) > den:
+            bad = next(v for v in vals if not 0 <= v <= 1)
+            raise PreconditionError(f"utility {bad} outside [0, 1]")
+        return cls(den, nums)
 
     @classmethod
     def from_steps(cls, steps: Iterable[int], k: int) -> "Preference":
         """The normalized grid preference with utility steps[i]/k for
         candidate i+1, validated in integers: every step an int in 0..k,
-        minimum 0, maximum k.  Each value comes from the bounded cache of
-        recent grid values, never from a table of all k+1 of them."""
+        minimum 0, maximum k.  The steps are kept as given when already in
+        lowest terms, so voters built from shared step ints share them."""
         if type(k) is not int or k < 1:
             raise PreconditionError(f"grid resolution k must be an int >= 1, got {k!r}")
         steps = tuple(steps)
@@ -169,40 +161,31 @@ class Preference:
                 f"normalized grid preference needs min step 0 and max step {k}, got {steps}"
             )
         g = math.gcd(*steps)  # divides k, the maximum
-        nums = steps if g == 1 else tuple(s // g for s in steps)
-        return cls(tuple(map(_grid_value, steps, itertools.repeat(k))), (k // g, nums))
+        return cls(k, steps) if g == 1 else cls(k // g, tuple(s // g for s in steps))
 
     @property
     def m(self) -> int:
-        return len(self.values)
+        return len(self.nums)
 
-    @property
-    def ints(self) -> tuple[int, tuple[int, ...]]:
-        """(den, nums) with ``values[i] == Fraction(nums[i], den)`` and den the
-        least common denominator."""
-        return self._ints or scaled(self.values)
+    @cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        """The utilities as `Fraction`s, for reports, replay and tie-breaks."""
+        return tuple(Fraction(num, self.den) for num in self.nums)
 
     @cached_property
     def order(self) -> tuple[int, ...]:
         """All candidates, value descending; the stable reverse sort keeps value
-        ties in ascending index order.  The sort keys are the numerators of
-        :attr:`ints`."""
-        _, keys = self.ints
+        ties in ascending index order."""
+        keys = self.nums
         return tuple(
             j + 1 for j in sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
         )
 
     def is_normalized(self) -> bool:
-        # A value's sign is its numerator's, and value - 1 has the sign of
-        # numerator - denominator, so this is min == 0 and max == 1 exactly.
-        values = self.values
-        return (
-            min(v.numerator for v in values) == 0
-            and max(v.numerator - v.denominator for v in values) == 0
-        )
+        return min(self.nums) == 0 and max(self.nums) == self.den
 
     def is_tie_free(self) -> bool:
-        return len(set(self.ints[1])) == self.m
+        return len(set(self.nums)) == self.m
 
 
 @dataclass(frozen=True)
@@ -319,10 +302,12 @@ def welfare(profile: Profile, j: int) -> Fraction:
 
 
 def welfare_vector(profile: Profile) -> tuple[Fraction, ...]:
-    """Total utility of every candidate, summed as integer numerators over the
-    common denominator of all utilities in the profile."""
-    den, nums = scaled([v for p in profile.prefs for v in p.values])
-    return tuple(Fraction(sum(nums[c::profile.m]), den) for c in range(profile.m))
+    """Total utility of every candidate: integer column sums over the least
+    common denominator of the voters' ``den``."""
+    den = math.lcm(*{p.den for p in profile.prefs})
+    rows = [p.nums if p.den == den else [num * (den // p.den) for num in p.nums]
+            for p in profile.prefs]
+    return tuple(Fraction(sum(column), den) for column in zip(*rows))
 
 
 def rv_winner(profile: Profile) -> int:
@@ -453,7 +438,10 @@ def profile_from_json_dict(data: dict) -> Profile:
         if len(row) != m:
             raise PreconditionError(f"voter row has {len(row)} values, expected m={m}")
         try:
-            values = [Fraction(num, den) for num, den in row]
+            pairs = [(num, den) for num, den in row]
+            if any(isinstance(x, bool) for pair in pairs for x in pair):
+                raise TypeError("true and false are not integers")
+            values = [Fraction(num, den) for num, den in pairs]
         except (TypeError, ValueError, ZeroDivisionError) as e:
             raise DataError(
                 f"voter row {row!r} needs integer [numerator, denominator] pairs "

@@ -34,7 +34,11 @@ class BudgetError(CardvoteError):
     def __init__(self, needed: int, budget: int, what: str = "enumeration"):
         self.needed = needed
         self.budget = budget
-        super().__init__(f"{what} needs {needed} steps, budget is {budget}")
+        try:
+            count = str(needed)
+        except ValueError:  # more digits than int() converts to text
+            count = f"at least 2**{needed.bit_length() - 1}"
+        super().__init__(f"{what} needs {count} steps, budget is {budget}")
 
 
 class GridError(CardvoteError):

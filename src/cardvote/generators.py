@@ -90,33 +90,32 @@ def gen_negative(m: int, repeat: int = 1) -> Profile:
         min(params.favorite_block_size * params.block_count, m - 1),
         params.block_count,
     )
-    zero, one = Fraction(0), Fraction(1)
-    ladder = [Fraction(step, den) for step in range(m)]
-    near_top = [Fraction(den - s, den) for s in range(params.favorite_block_size)]
+    # Utilities as steps of 1/den.  Every voter reads its steps from these
+    # shared ints, so the profile holds each distinct step once.
+    ladder = list(range(m))
+    near_top = [den - s for s in range(params.favorite_block_size)]
+    one, pivot = near_top[0], den - m * m  # exactly 1 and 1 - 1/m^2
     prefs: list[Preference] = []
     for i in range(1, m):
-        values: list[Fraction] = [zero] * m
-        values[i - 1] = one
+        steps = [0] * m
+        steps[i - 1] = one
         step = m - 2
-        for j in range(1, m + 1):
-            if j in (i, m):
-                continue
-            values[j - 1] = ladder[step]
-            step -= 1
-        prefs.append(Preference.normalized(values))
-    pivot = Fraction(m * m - 1, m * m)  # exactly 1 - 1/m^2
+        for j in range(1, m):
+            if j != i:
+                steps[j - 1] = ladder[step]
+                step -= 1
+        prefs.append(Preference.from_steps(steps, den))
     for block in blocks:
-        values = [zero] * m
+        steps = [0] * m
         for s, j in enumerate(block):
-            values[j - 1] = near_top[s]
-        values[m - 1] = pivot
+            steps[j - 1] = near_top[s]
+        steps[m - 1] = pivot
         step = 0
         for j in range(1, m):
-            if j in block:
-                continue
-            values[j - 1] = ladder[step]
-            step += 1
-        prefs.append(Preference.normalized(values))
+            if j not in block:
+                steps[j - 1] = ladder[step]
+                step += 1
+        prefs.append(Preference.from_steps(steps, den))
     return Profile(tuple(prefs * repeat))
 
 

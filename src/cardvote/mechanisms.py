@@ -21,7 +21,7 @@ import random
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .core import (
     ZERO,
@@ -33,7 +33,6 @@ from .core import (
     pairwise_beats,
     parse_rational,
     rv_winner,
-    scaled,
 )
 from .errors import (
     BudgetError,
@@ -166,6 +165,23 @@ def j2q(q: int) -> Mechanism:
     return Mechanism(f"j2:{q}", evaluate, q=q, anonymous=True)
 
 
+def _weighted_sum(m: int, terms: Iterable[tuple]) -> CandidateDistribution:
+    """The sum of the (w, den, nums) terms, each the distribution nums / den
+    with exact weight w, the weights summing to 1: integer numerators
+    w.numerator * nums over w.denominator * den, accumulated over a common
+    denominator that grows only when a term needs it."""
+    den, acc = 1, [0] * m
+    for w, part_den, nums in terms:
+        part = w.denominator * part_den
+        if den % part:
+            up = part // math.gcd(den, part)
+            den *= up
+            acc = [a * up for a in acc]
+        factor = w.numerator * (den // part)
+        acc = [a + factor * b for a, b in zip(acc, nums)]
+    return CandidateDistribution.over(den, acc)
+
+
 def mix(parts: Sequence[tuple]) -> Mechanism:
     """Convex combination of mechanisms: weights must be exact, nonnegative,
     and sum to 1."""
@@ -180,14 +196,8 @@ def mix(parts: Sequence[tuple]) -> Mechanism:
             raise WeightError(f"negative weight {w}")
 
     def evaluate(profile: Profile) -> CandidateDistribution:
-        # Each part w*d is w.numerator * d.nums over w.denominator * d.den.
-        parts = [(w, mech.evaluate(profile)) for w, mech in weighted if w]
-        den = math.lcm(*(w.denominator * d.den for w, d in parts))
-        nums = [0] * profile.m
-        for w, d in parts:
-            factor = w.numerator * (den // (w.denominator * d.den))
-            nums = [a + factor * b for a, b in zip(nums, d.nums)]
-        return CandidateDistribution.over(den, nums)
+        dists = ((w, mech.evaluate(profile)) for w, mech in weighted if w)
+        return _weighted_sum(profile.m, ((w, d.den, d.nums) for w, d in dists))
 
     return Mechanism("mix:" + "+".join(f"{w}*{mech.name}" for w, mech in weighted), evaluate,
                      anonymous=all(mech.anonymous for _, mech in weighted))
@@ -208,7 +218,7 @@ def j_star(m: int) -> Mechanism:
 def _compose(pref: Preference, tau: tuple[int, ...]) -> Preference:
     # Candidate j of the relabeled preference takes the value candidate
     # tau[j-1] had originally; value multiset is unchanged, so validation holds.
-    return Preference(tuple(pref.values[tau[j] - 1] for j in range(len(tau))))
+    return Preference(pref.den, tuple(pref.nums[t - 1] for t in tau))
 
 
 def symmetrize(mech: Mechanism, m: int, n: int, budget: int = 10_000_000) -> Mechanism:
@@ -224,8 +234,11 @@ def symmetrize(mech: Mechanism, m: int, n: int, budget: int = 10_000_000) -> Mec
     if total > budget:
         raise BudgetError(total, budget, "relabeling enumeration")
     voter_perms = [tuple(range(n))] if mech.anonymous else list(itertools.permutations(range(n)))
-    cand_perms = list(itertools.permutations(range(1, m + 1)))
-    count = len(voter_perms) * len(cand_perms)
+    # Winner w of an election relabeled by tau is candidate tau(w) in the
+    # original labeling, so original candidate c reads the winner back[c].
+    relabelings = [(tau, [tau.index(c) for c in range(1, m + 1)])
+                   for tau in itertools.permutations(range(1, m + 1))]
+    weight = Fraction(1, len(voter_perms) * len(relabelings))
 
     def evaluate(profile: Profile) -> CandidateDistribution:
         if profile.m != m or profile.n != n:
@@ -233,19 +246,12 @@ def symmetrize(mech: Mechanism, m: int, n: int, budget: int = 10_000_000) -> Mec
                 f"symmetrized mechanism fixed at m={m}, n={n}; "
                 f"got m={profile.m}, n={profile.n}"
             )
-        sums = [ZERO] * m
-        for sigma in voter_perms:
-            for tau in cand_perms:
-                relabeled = Profile(
-                    tuple(_compose(profile.prefs[sigma[i]], tau) for i in range(n))
-                )
-                inner = mech.evaluate(relabeled).probs
-                # Winner w of the relabeled election is candidate tau(w) in
-                # the original labeling.
-                for w in range(m):
-                    if inner[w] != ZERO:
-                        sums[tau[w] - 1] += inner[w]
-        return CandidateDistribution(*scaled([s / count for s in sums]))
+        outcomes = (
+            (mech.evaluate(Profile(tuple(_compose(profile.prefs[s], tau) for s in sigma))), back)
+            for sigma in voter_perms for tau, back in relabelings
+        )
+        return _weighted_sum(m, ((weight, d.den, [d.nums[w] for w in back])
+                                 for d, back in outcomes))
 
     return Mechanism(f"sym:{mech.name}", evaluate, anonymous=True)
 

@@ -101,7 +101,7 @@ def _order_pattern(pref: Preference) -> tuple[int, ...]:
     level starts wherever the value changes along :attr:`Preference.order`."""
     pattern = [0] * pref.m
     for level, (_, cands) in enumerate(
-        itertools.groupby(pref.order, key=lambda c: pref.values[c - 1])
+        itertools.groupby(pref.order, key=lambda c: pref.nums[c - 1])
     ):
         for cand in cands:
             pattern[cand - 1] = level
@@ -394,16 +394,17 @@ def check_neutral(
     work = scan.profile_count * math.factorial(m)
     if work > budget:
         raise BudgetError(work, budget, "neutrality scan")
+    # relabel[i]: the index of grid preference i relabeled by tau, found by
+    # its grid steps.  The identity is trivially fine.
     perms = list(itertools.permutations(range(1, m + 1)))
-    pref_index = {p.values: i for i, p in enumerate(scan.prefs)}
+    steps = [tuple(grid_steps(p, k)) for p in scan.prefs]
+    index = {s: i for i, s in enumerate(steps)}
+    relabelings = [(tau, [index[tuple(s[t - 1] for t in tau)] for s in steps])
+                   for tau in perms[1:]]
     for key in scan.keys():
         base = scan.dist(key)
-        for tau in perms[1:]:  # identity is trivially fine
-            relabeled_key = tuple(
-                pref_index[tuple(scan.prefs[i].values[tau[j] - 1] for j in range(m))]
-                for i in key
-            )
-            actual = scan.dist(relabeled_key)
+        for tau, relabel in relabelings:
+            actual = scan.dist(tuple(relabel[i] for i in key))
             expected = CandidateDistribution(
                 base.den, tuple(base.nums[tau[j] - 1] for j in range(m))
             )

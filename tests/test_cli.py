@@ -127,6 +127,9 @@ class TestBadInput:
             "experiment lower --m 8 --n 5 --k 32 --grid-step 9",
             "experiment negative --m ,",
             "experiment cyclic --m ,",
+            # Budget counts with more digits than int() converts to text.
+            "verify ordinal --mech rv --m 3000 --n 300 --k 2",
+            "verify anonymous --mech rv --m 30 --n 2000 --k 2",
         ],
     )
     def test_bad_flag(self, runner, args):
@@ -161,6 +164,21 @@ class TestBadInput:
         result = invoke(runner, "eval", "--mech", "rv", "--profile", str(profile_path))
         assert result.exit_code == 1
         assert "must be an integer" in result.output
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"m": 2, "n": 1, "prefs": [[[true, 1], [false, 1]]]}',
+            '{"m": 2, "n": 1, "prefs": [[[1, 1], [0, true]]]}',
+        ],
+        ids=["bool_numerators", "bool_denominator"],
+    )
+    def test_bool_utility(self, runner, tmp_path, text):
+        profile_path = tmp_path / "u.json"
+        profile_path.write_text(text)
+        result = invoke(runner, "eval", "--mech", "rv", "--profile", str(profile_path))
+        assert result.exit_code == 1
+        assert "true and false are not integers" in result.output
 
     def test_directory_as_profile(self, runner, tmp_path):
         result = invoke(runner, "eval", "--mech", "rv", "--profile", str(tmp_path))

@@ -11,6 +11,7 @@ from cardvote.core import (
     Preference,
     Profile,
     dot,
+    exact,
     normalize,
     pairwise_beats,
     profile_from_csv_text,
@@ -108,14 +109,20 @@ class TestPreference:
 
     def test_fractions_pass_through_unchanged(self):
         half = F(1, 2)
-        assert Preference.relaxed([half, 1]).values[0] is half
+        assert exact(half) is half
 
     @given(st.lists(st.fractions(min_value=-2, max_value=2, max_denominator=9),
                     min_size=2, max_size=6))
     def test_is_normalized_means_min_zero_max_one(self, values):
         # Built directly, so values outside [0, 1] reach the check too.
-        u = Preference(tuple(values))
+        u = Preference(*scaled(values))
         assert u.is_normalized() == (min(values) == 0 and max(values) == 1)
+
+    @pytest.mark.parametrize("den, nums", [(2, (2, 0)), (4, (0, 2, 4)), (0, (0, 1)), (-1, (-1, 0))])
+    def test_integer_form_must_be_in_lowest_terms(self, den, nums):
+        # Otherwise equal utilities could compare and hash unequal.
+        with pytest.raises(PreconditionError, match="lowest terms"):
+            Preference(den, nums)
 
     def test_tie_free(self):
         assert pref(1, "1/2", 0).is_tie_free()
@@ -126,14 +133,14 @@ class TestFromSteps:
     def test_values_and_integer_form(self):
         u = Preference.from_steps([2, 0, 4, 1], 4)
         assert u.values == (F(1, 2), F(0), F(1), F(1, 4))
-        assert u.ints == (4, (2, 0, 4, 1))
+        assert (u.den, u.nums) == (4, (2, 0, 4, 1))
         assert u == pref("1/2", 0, 1, "1/4") and hash(u) == hash(pref("1/2", 0, 1, "1/4"))
         assert u.order == (3, 1, 4, 2)
         assert u.is_normalized() and u.is_tie_free()
 
     def test_integer_form_is_in_lowest_terms(self):
         u = Preference.from_steps([0, 6, 3, 3], 6)
-        assert u.ints == (2, (0, 2, 1, 1)) == scaled(u.values)
+        assert (u.den, u.nums) == (2, (0, 2, 1, 1)) == scaled(u.values)
         assert not u.is_tie_free()
 
     @pytest.mark.parametrize(
@@ -170,7 +177,7 @@ class TestFromSteps:
             tracemalloc.stop()
         assert peak < 64_000
         assert u.values == (F(1), F(0), F(k // 3, k), F(7, k))
-        assert u.ints == (k, (k, 0, k // 3, 7))
+        assert (u.den, u.nums) == (k, (k, 0, k // 3, 7))
 
 
 class TestWelfare:

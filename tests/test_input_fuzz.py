@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cardvote.cli import main
 from cardvote.core import (
@@ -129,6 +129,8 @@ json_values = st.recursive(
 )
 pairs = st.one_of(
     st.tuples(st.integers(-2, 5), st.integers(-2, 5)).map(list),
+    st.tuples(st.one_of(st.booleans(), st.integers(0, 2)),
+              st.one_of(st.booleans(), st.integers(1, 2))).map(list),
     st.lists(json_scalars, max_size=3),
     json_scalars,
 )
@@ -157,20 +159,27 @@ csv_text = st.one_of(
 )
 
 
-def _check_profile(load, data):
+def _check_profile(load, data) -> bool:
+    """Whether ``load`` accepted the data; it must raise nothing but a
+    CardvoteError, and what it accepts must be a profile of utilities in
+    [0, 1]."""
     try:
         profile = load(data)
     except CardvoteError:
-        return
+        return False
     assert isinstance(profile, Profile)
     assert all(0 <= v <= 1 for p in profile.prefs for v in p.values)
+    return True
 
 
 class TestProfileLoaders:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(near_profile_dicts(), json_values))
+    @example({"m": 2, "n": 1, "prefs": [[[True, 1], [False, 1]]]})
     def test_json_dict_loads_or_raises_cardvote_error(self, data):
-        _check_profile(profile_from_json_dict, data)
+        if _check_profile(profile_from_json_dict, data):  # true and false are not integers
+            assert not any(isinstance(x, bool) for row in data["prefs"] for pair in row
+                           for x in pair)
 
     @settings(max_examples=300, deadline=None)
     @given(csv_text)

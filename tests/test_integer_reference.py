@@ -26,6 +26,13 @@ denominator (``core.scaled``) against the exact references they replaced.
   `Fraction` comparisons they replaced.  ``reduce_to_Ck_trace`` decides each
   slide by an integer cross-product; its reference is the previous
   per-voter loop, which compared two `Fraction`s per slide.
+- ``Preference`` stores only ``(den, nums)`` in lowest terms, and ``values``
+  is its `Fraction` view.  ``gen_negative`` builds its voters from steps of
+  1/m^4 and is compared with its previous `Fraction` body;
+  ``welfare_vector`` sums integer columns over the lcm of the voters'
+  denominators and is compared with its previous body, which scaled every
+  utility of the profile.  Every constructor must give lowest terms, and
+  ``==`` and ``hash`` must agree with equality of the values.
 """
 
 import dataclasses
@@ -55,11 +62,20 @@ from cardvote.core import (
     Profile,
     dot,
     grid_steps,
+    normalize,
     scaled,
     welfare_vector,
 )
 from cardvote.errors import CardvoteError, GridError, PreconditionError, UndefinedRatioError
-from cardvote.generators import DkParams, gen_Dk, rand_grid_profile, two_block_preference
+from cardvote.generators import (
+    DkParams,
+    _nearly_equal_blocks,
+    gen_Dk,
+    gen_negative,
+    negative_params,
+    rand_grid_profile,
+    two_block_preference,
+)
 from cardvote.mechanisms import (
     Mechanism,
     constant_winner,
@@ -116,9 +132,9 @@ def outcome_of(fn, *args):
 
 class TestGridSteps:
     def test_steps_and_error_text(self):
-        assert grid_steps(Preference((Fraction(3, 4), ZERO, Fraction(1))), 4) == [3, 0, 4]
+        assert grid_steps(Preference.relaxed((Fraction(3, 4), ZERO, Fraction(1))), 4) == [3, 0, 4]
         with pytest.raises(GridError, match=r"^value 1/3 is not a multiple of 1/2$"):
-            grid_steps(Preference((Fraction(1, 3), Fraction(1))), 2)
+            grid_steps(Preference.relaxed((Fraction(1, 3), Fraction(1))), 2)
 
     @given(st.lists(st.fractions(0, 1, max_denominator=12), min_size=2, max_size=7),
            st.integers(1, 30))
@@ -157,7 +173,7 @@ def fixed(probs) -> tuple[Mechanism, CandidateDistribution]:
     return Mechanism("fixed", lambda profile: dist), dist
 
 
-ANY_PROFILE = Profile.of([Preference((Fraction(1), ZERO))])
+ANY_PROFILE = Profile.of([Preference.relaxed((Fraction(1), ZERO))])
 
 
 @st.composite
@@ -244,7 +260,7 @@ def reference_reduce_to_Ck_trace(profile: Profile, k: int) -> ReductionTrace:
         g_current = g_next
     result = Profile(
         tuple(
-            Preference(tuple(Fraction(s, k) for s in voter_steps))
+            Preference.relaxed(Fraction(s, k) for s in voter_steps)
             for voter_steps in steps_by_voter
         )
     )
@@ -287,7 +303,7 @@ def fraction_reduce_to_Ck_trace(profile: Profile, k: int) -> ReductionTrace:
             g_current = g_next
     result = Profile(
         tuple(
-            Preference(tuple(Fraction(s, k) for s in voter_steps))
+            Preference.relaxed(Fraction(s, k) for s in voter_steps)
             for voter_steps in steps_by_voter
         )
     )
@@ -488,7 +504,7 @@ def reference_symmetrize(mech: Mechanism, profile: Profile) -> CandidateDistribu
     for sigma in voter_perms:
         for tau in cand_perms:
             relabeled = Profile(tuple(
-                Preference(tuple(profile.prefs[sigma[i]].values[tau[j] - 1] for j in range(m)))
+                Preference.relaxed(profile.prefs[sigma[i]].values[tau[j] - 1] for j in range(m))
                 for i in range(n)
             ))
             inner = mech.evaluate(relabeled).probs
@@ -555,7 +571,7 @@ def assert_same_preference(got: Preference, expected: Preference) -> None:
     assert got.values == expected.values
     assert got.order == expected.order
     assert got == expected and hash(got) == hash(expected)
-    assert got.ints == expected.ints == scaled(expected.values)
+    assert (got.den, got.nums) == (expected.den, expected.nums) == scaled(expected.values)
     assert got.is_normalized() == expected.is_normalized()
     assert got.is_tie_free() == expected.is_tie_free()
 
@@ -592,7 +608,7 @@ def reference_enumerate_Rk_prefs(m: int, k: int, tie_free: bool):
             continue
         if tie_free and len(set(steps)) != m:
             continue
-        yield Preference(tuple(Fraction(s, k) for s in steps))
+        yield Preference.relaxed(Fraction(s, k) for s in steps)
 
 
 def reference_rounded(pref: Preference) -> tuple[int, ...]:
@@ -667,3 +683,134 @@ class TestGridNativePreferences:
         k, inner = shape
         pref = Preference.from_steps([k] + inner + [0], k)
         assert rounded(pref) == reference_rounded(pref)
+
+
+# ---------------------------------------------------------------------------
+# One integer form per preference
+
+def reference_gen_negative(m: int, repeat: int = 1) -> Profile:
+    params = negative_params(m, repeat)
+    den = params.ladder_denominator
+    blocks = _nearly_equal_blocks(
+        min(params.favorite_block_size * params.block_count, m - 1),
+        params.block_count,
+    )
+    zero, one = Fraction(0), Fraction(1)
+    ladder = [Fraction(step, den) for step in range(m)]
+    near_top = [Fraction(den - s, den) for s in range(params.favorite_block_size)]
+    prefs = []
+    for i in range(1, m):
+        values = [zero] * m
+        values[i - 1] = one
+        step = m - 2
+        for j in range(1, m + 1):
+            if j in (i, m):
+                continue
+            values[j - 1] = ladder[step]
+            step -= 1
+        prefs.append(Preference.normalized(values))
+    pivot = Fraction(m * m - 1, m * m)
+    for block in blocks:
+        values = [zero] * m
+        for s, j in enumerate(block):
+            values[j - 1] = near_top[s]
+        values[m - 1] = pivot
+        step = 0
+        for j in range(1, m):
+            if j in block:
+                continue
+            values[j - 1] = ladder[step]
+            step += 1
+        prefs.append(Preference.normalized(values))
+    return Profile(tuple(prefs * repeat))
+
+
+def reference_welfare_vector(profile: Profile) -> tuple[Fraction, ...]:
+    den, nums = scaled([v for p in profile.prefs for v in p.values])
+    return tuple(Fraction(sum(nums[c::profile.m]), den) for c in range(profile.m))
+
+
+def assert_lowest_terms(pref: Preference) -> None:
+    assert type(pref.den) is int and pref.den >= 1
+    assert all(type(num) is int for num in pref.nums)
+    assert math.gcd(pref.den, *pref.nums) == 1
+
+
+@st.composite
+def mixed_denominator_profiles(draw) -> Profile:
+    m, n = draw(st.integers(2, 6)), draw(st.integers(1, 5))
+    rows = []
+    for _ in range(n):
+        build = draw(st.sampled_from(["relaxed", "normalized", "steps"]))
+        if build == "steps":
+            k = draw(st.integers(1, 12))
+            inner = draw(st.lists(st.integers(0, k), min_size=m - 2, max_size=m - 2))
+            rows.append(Preference.from_steps([0, k] + inner, k))
+        else:
+            values = draw(st.lists(st.fractions(0, 1, max_denominator=30),
+                                   min_size=m, max_size=m))
+            if build == "normalized":
+                values[:2] = [ZERO, ONE]
+            rows.append(getattr(Preference, build)(values))
+    return Profile(tuple(rows))
+
+
+@st.composite
+def any_preferences(draw) -> Preference:
+    """A preference from each constructor, over few values so that equal
+    preferences from different constructors are drawn often."""
+    m = draw(st.integers(2, 4))
+    build = draw(st.sampled_from(["relaxed", "normalized", "normalize", "steps"]))
+    if build == "steps":
+        k = draw(st.sampled_from([1, 2, 3, 4, 6, 12]))
+        inner = draw(st.lists(st.integers(0, k), min_size=m - 2, max_size=m - 2))
+        order = draw(st.permutations(range(m)))
+        steps = [0, k] + inner
+        return Preference.from_steps([steps[i] for i in order], k)
+    grid = st.sampled_from([Fraction(s, 12) for s in range(13)])
+    values = draw(st.lists(grid, min_size=m, max_size=m))
+    if build != "relaxed":
+        values[:2] = [ZERO, ONE]
+        values = [values[i] for i in draw(st.permutations(range(m)))]
+    if build == "normalize":  # an affine image of a normalized vector
+        shift, scale = draw(st.fractions(-3, 3, max_denominator=5)), draw(st.integers(1, 7))
+        return normalize([shift + scale * v for v in values])
+    return getattr(Preference, build)(values)
+
+
+class TestOneIntegerForm:
+    @pytest.mark.parametrize("repeat", [1, 2, 3])
+    def test_gen_negative_matches_fraction_body(self, repeat):
+        for m in range(8, 65):
+            got = gen_negative(m, repeat)
+            expected = reference_gen_negative(m, repeat)
+            assert got == expected
+            for mine, theirs in zip(got.prefs, expected.prefs, strict=True):
+                assert (mine.den, mine.nums) == (theirs.den, theirs.nums)
+                assert mine.values == theirs.values and mine.order == theirs.order
+                assert_lowest_terms(mine)
+
+    def test_gen_negative_voters_share_their_step_ints(self):
+        # One int object per distinct step keeps the big profiles small.
+        profile = gen_negative(64)
+        nums = [num for p in profile.prefs for num in p.nums]
+        assert len({id(num) for num in nums}) == len(set(nums))
+
+    @given(mixed_denominator_profiles())
+    @settings(max_examples=300)
+    def test_welfare_vector_matches_scaled_values(self, profile):
+        assert welfare_vector(profile) == reference_welfare_vector(profile)
+
+    @given(any_preferences())
+    @settings(max_examples=300)
+    def test_every_constructor_gives_lowest_terms(self, pref):
+        assert_lowest_terms(pref)
+        assert pref.values == tuple(Fraction(num, pref.den) for num in pref.nums)
+        assert Preference.relaxed(pref.values) == pref
+
+    @given(any_preferences(), any_preferences())
+    @settings(max_examples=500)
+    def test_equality_and_hash_are_value_equality(self, a, b):
+        assert (a == b) == (a.values == b.values)
+        if a == b:
+            assert hash(a) == hash(b)

@@ -254,7 +254,7 @@ class TestSymmetrize:
             tau = list(range(1, 4))
             rng.shuffle(tau)
             relabeled = Profile.of(
-                Preference(tuple(p.values[tau[j] - 1] for j in range(3)))
+                Preference.relaxed(p.values[tau[j] - 1] for j in range(3))
                 for p in rows
             )
             base = sym.evaluate(u)

@@ -2,8 +2,9 @@
 
 Internal invariants must still be checked under ``python -O``, which strips
 ``assert`` statements: the package raises explicit errors instead.  Imports
-must be used, and only ``core`` knows the integer form of a distribution or
-of a preference."""
+must be used, only ``core`` turns the `Fraction` view of a distribution or
+of a preference back into integers, and the grid families are built from
+integer steps."""
 
 import ast
 from pathlib import Path
@@ -88,10 +89,10 @@ def test_distributions_are_not_rescaled():
 
 
 def test_preferences_are_not_rescaled():
-    """A preference's integer form is ``Preference.ints``, kept or derived by
-    ``core``; no other module may rebuild it with ``scaled(....values)``,
-    and ``bounds`` rounds from it instead of comparing utilities with
-    ``HALF``."""
+    """A preference stores only its integer form ``(den, nums)``, and
+    ``values`` is the `Fraction` view of it; no module but ``core`` may
+    rebuild the integers with ``scaled(....values)``, and ``bounds`` rounds
+    from them instead of comparing utilities with ``HALF``."""
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), str(path))
@@ -110,4 +111,34 @@ def test_preferences_are_not_rescaled():
                 for sub in ast.walk(side)
             ):
                 found.append(f"{path.name}:{node.lineno} HALF")
+    assert found == []
+
+
+GRID_CONSTRUCTORS = {
+    "generators.py": {"gen_negative", "gen_Dk", "two_block_preference", "rand_grid_profile"},
+    "properties.py": {"enumerate_Rk_prefs"},
+}
+
+
+def test_grid_constructors_build_no_fractions():
+    """The grid families are built from integer steps: their constructors
+    call no ``Fraction(...)`` and make voters only through
+    ``Preference.from_steps``."""
+    found, seen = [], set()
+    for path in SOURCES:
+        names = GRID_CONSTRUCTORS.get(path.name, set())
+        for func in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(func, ast.FunctionDef) and func.name in names):
+                continue
+            seen.add(func.name)
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Call):
+                    continue
+                callee = node.func
+                if isinstance(callee, ast.Name) and callee.id in ("Fraction", "Preference"):
+                    found.append(f"{func.name}:{node.lineno} {callee.id}")
+                elif (isinstance(callee, ast.Attribute) and isinstance(callee.value, ast.Name)
+                      and callee.value.id == "Preference" and callee.attr != "from_steps"):
+                    found.append(f"{func.name}:{node.lineno} Preference.{callee.attr}")
+    assert seen == set().union(*GRID_CONSTRUCTORS.values())
     assert found == []

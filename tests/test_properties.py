@@ -201,7 +201,7 @@ class TestSymmetries:
         mech = j1q(1)
         tau = w.permutation
         relabeled = Profile.of(
-            Preference(tuple(p.values[tau[j] - 1] for j in range(3)))
+            Preference.relaxed(p.values[tau[j] - 1] for j in range(3))
             for p in w.profile.prefs
         )
         assert mech.evaluate(relabeled) == w.actual
