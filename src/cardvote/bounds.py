@@ -202,9 +202,13 @@ class ReductionTrace:
     @property
     def anomalies(self) -> tuple[int, ...]:
         """Indices of steps where the benchmark functional increased; the
-        sliding argument predicts there are none."""
+        sliding argument predicts there are none.  Each pair is compared as
+        integer cross-products (denominators are positive), which is half
+        the cost of the generic ``Fraction`` comparison on long traces."""
         return tuple(
-            i for i, s in enumerate(self.steps) if s.g_after > s.g_before
+            i for i, s in enumerate(self.steps)
+            if s.g_after.numerator * s.g_before.denominator
+            > s.g_before.numerator * s.g_after.denominator
         )
 
 
@@ -212,7 +216,8 @@ def reduce_to_Ck_trace(profile: Profile, k: int) -> ReductionTrace:
     """Slide one maximal interior image run of one voter by one grid step at a
     time, always in a direction that does not increase the benchmark
     functional (ties move left), until every voter's image is two runs.
-    Voters are finished one at a time, in index order.
+    Voters are finished one at a time, in index order, and each voter's first
+    interior run is slid until it merges with a neighbouring run.
 
     Each voter's strict order is untouched by every slide, so the
     stacked-lottery distribution (integers w over den) is invariant across
@@ -223,6 +228,13 @@ def reduce_to_Ck_trace(profile: Profile, k: int) -> ReductionTrace:
     gives (numer-d)/(den*(denom-dd)) and right (numer+d)/(den*(denom+dd)), so
     left is taken when (numer-d)*(denom+dd) <= (numer+d)*(denom-dd).  An
     interior run starts at step 2 or above, so denom-dd stays positive.
+
+    That rule reduces to numer*dd <= d*denom, and a slide by delta adds
+    delta*d*dd to both sides, so a run keeps its direction until it touches
+    the neighbouring run on that side, ``gap`` steps later.  The direction is
+    decided once per run, the ``gap`` slides are applied as integer updates
+    (one ``Fraction`` and one ``SlideStep`` each), and the runs are recomputed
+    only after the merge.
     """
     steps_by_voter = [grid_steps(p, k) for p in profile.prefs]
     for pref, voter_steps in zip(profile.prefs, steps_by_voter):
@@ -242,25 +254,30 @@ def reduce_to_Ck_trace(profile: Profile, k: int) -> ReductionTrace:
         # A slide moves no other voter's image, so this voter stays the first
         # one with an interior run until it has none.
         while len(runs := _image_runs(set(voter_steps))) > 2:
-            if len(steps) > cap:
-                raise RuntimeError("interior-block sliding failed to terminate")
             lo, hi = runs[1]  # first interior run
             affected = [c for c, s in enumerate(voter_steps) if lo <= s <= hi]
             d_numer = sum(weights[c] for c in affected)
             d_denom = 1 if 0 in affected else 0
-            if denom - d_denom <= 0:
-                raise RuntimeError("sliding emptied candidate 1's welfare")
-            if (numer - d_numer) * (denom + d_denom) <= (numer + d_numer) * (denom - d_denom):
-                delta, direction = -1, "left"
+            if numer * d_denom <= d_numer * denom:
+                delta, direction, gap = -1, "left", lo - runs[0][1] - 1
             else:
-                delta, direction = +1, "right"
+                delta, direction, gap = +1, "right", runs[2][0] - hi - 1
+            if len(steps) + gap - 1 > cap:
+                raise RuntimeError("interior-block sliding failed to terminate")
+            if denom - (gap if delta < 0 else 1) * d_denom <= 0:
+                raise RuntimeError("sliding emptied candidate 1's welfare")
+            d_numer *= delta
+            d_denom *= delta
+            for _ in range(gap):
+                numer += d_numer
+                denom += d_denom
+                g_next = Fraction(numer, den * denom)
+                steps.append(SlideStep(voter, (lo, hi), direction, g_current, g_next))
+                g_current = g_next
+                lo += delta
+                hi += delta
             for c in affected:
-                voter_steps[c] += delta
-            numer += delta * d_numer
-            denom += delta * d_denom
-            g_next = Fraction(numer, den * denom)
-            steps.append(SlideStep(voter, (lo, hi), direction, g_current, g_next))
-            g_current = g_next
+                voter_steps[c] += delta * gap
     result = Profile(
         tuple(Preference.from_steps(voter_steps, k) for voter_steps in steps_by_voter)
     )

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
 import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import click
@@ -41,10 +41,6 @@ class RunConfig:
         return {"subcommand": self.subcommand, **{k: v for k, v in self.params}}
 
 
-def _frac(f: Fraction) -> str:
-    return str(f)
-
-
 def _dec(f) -> str:
     return format(float(f), ".12g")
 
@@ -63,9 +59,80 @@ def _emit(text: str, out: str | None) -> None:
         click.echo(text, nl=False)
 
 
-def _json_report(config: RunConfig, body: dict, out: str | None) -> None:
-    report = {"config": config.as_dict(), **body}
-    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", out)
+def _json_report(
+    config: RunConfig, body: dict, out: str | None, records: dict[str, str] | None = None
+) -> None:
+    _emit(_json_text({"config": config.as_dict(), **body}, records or {}), out)
+
+
+def _json_text(report: dict, records: dict[str, str]) -> str:
+    """``json.dumps({**report, **records}, indent=2, sort_keys=True) + "\n"``,
+    written one top-level key at a time.  ``records`` holds arrays already
+    rendered by ``_array``; every other value goes through ``json.dumps`` and
+    is indented one level.  With ``indent`` set, ``json.dumps`` runs CPython's
+    pure-Python encoder, so the long step and move arrays of ``reduce`` and
+    ``project`` are written from fixed templates instead."""
+    texts = {key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+             for key, value in report.items()}
+    texts.update(records)
+    return "{\n" + ",\n".join(f"  {_quote(key)}: {texts[key]}" for key in sorted(texts)) + "\n}\n"
+
+
+def _array(items, pad: str) -> str:
+    """A JSON array of rendered items, laid out as ``json.dumps(indent=2)``
+    lays out an array whose closing bracket is indented by ``pad``."""
+    text = (",\n  " + pad).join(items)
+    return f"[\n  {pad}{text}\n{pad}]" if text else "[]"
+
+
+# One reduce step and one project move, keys sorted, at the depth of an
+# element of a top-level array.
+_STEP = """{
+      "direction": %s,
+      "g_after": %s,
+      "g_before": %s,
+      "run": [
+        %d,
+        %d
+      ],
+      "voter": %d
+    }"""
+
+_MOVE = """{
+      "after": %s,
+      "before": %s,
+      "kept": %s,
+      "target_class": %s,
+      "voter": %d
+    }"""
+
+
+def _steps_array(steps) -> str:
+    def rendered():
+        # A reduction trace passes each step's g_after on as the next step's
+        # g_before, the same object, so its text is reused.
+        g, text = None, None
+        for s in steps:
+            before = text if s.g_before is g else _quote(str(s.g_before))
+            g, text = s.g_after, _quote(str(s.g_after))
+            yield _STEP % (_quote(s.direction), text, before, *s.run, s.voter)
+
+    return _array(rendered(), "  ")
+
+
+def _values_array(pref: core.Preference) -> str:
+    return _array((_quote(str(v)) for v in pref.values), "      ")
+
+
+def _moves_array(moves) -> str:
+    return _array(
+        (
+            _MOVE % (_values_array(mv.after), _values_array(mv.before), json.dumps(mv.kept),
+                     json.dumps(mv.target_class), mv.voter)
+            for mv in moves
+        ),
+        "  ",
+    )
 
 
 def _csv_report(
@@ -100,10 +167,6 @@ def _profile_body(profile: core.Profile, fmt: str) -> str:
     return json.dumps(core.profile_to_json_dict(profile), sort_keys=True) + "\n"
 
 
-def _mech(spec: str) -> mechanisms.Mechanism:
-    return mechanisms.parse_mechanism(spec)
-
-
 def _wrap(fn):
     """Convert package errors into clean CLI failures (exit 1)."""
 
@@ -130,23 +193,23 @@ def main():
 @_wrap
 def eval_cmd(spec: str, profile_path: str, out: str | None):
     """Evaluate a mechanism on a profile: distribution, welfares, ratio."""
-    mech = _mech(spec)
+    mech = mechanisms.parse_mechanism(spec)
     profile = _load_profile(profile_path)
     dist = mech.evaluate(profile)
     report = core.welfare_report(profile, dist)
     body = {
         "mechanism": mech.name,
         "distribution": {
-            "exact": [_frac(p) for p in dist.probs],
+            "exact": [str(p) for p in dist.probs],
             "decimal": [_dec(p) for p in dist.probs],
         },
         "welfares": {
-            "exact": [_frac(w) for w in report.welfares],
+            "exact": [str(w) for w in report.welfares],
             "decimal": [_dec(w) for w in report.welfares],
         },
         "rv_winner": report.rv_winner,
-        "expected_welfare": {"exact": _frac(report.expected), "decimal": _dec(report.expected)},
-        "ratio": {"exact": _frac(report.ratio), "decimal": _dec(report.ratio)},
+        "expected_welfare": {"exact": str(report.expected), "decimal": _dec(report.expected)},
+        "ratio": {"exact": str(report.ratio), "decimal": _dec(report.ratio)},
     }
     if mech.q is not None:
         body["quota_in_range"] = mech.q in mechanisms.j2q_quota_range(profile.n)
@@ -160,12 +223,12 @@ def eval_cmd(spec: str, profile_path: str, out: str | None):
 @_wrap
 def ratio_cmd(spec: str, profile_path: str, out: str | None):
     """Welfare ratio of a mechanism on a profile."""
-    mech = _mech(spec)
+    mech = mechanisms.parse_mechanism(spec)
     profile = _load_profile(profile_path)
     value = core.ratio(mech, profile)
     _json_report(
         RunConfig.of("ratio", mech=spec, profile=profile_path),
-        {"mechanism": mech.name, "ratio": {"exact": _frac(value), "decimal": _dec(value)}},
+        {"mechanism": mech.name, "ratio": {"exact": str(value), "decimal": _dec(value)}},
         out,
     )
 
@@ -265,7 +328,7 @@ def _verify_command(name: str):
     @click.pass_context
     @_wrap
     def run(ctx, spec, m, n, k, tie_free, budget, out):
-        mech = _mech(spec)
+        mech = mechanisms.parse_mechanism(spec)
         report = _CHECKS[name](mech, m, n, k, tie_free=tie_free, budget=budget)
         config = RunConfig.of(
             f"verify {name}", mech=spec, m=m, n=n, k=k, tie_free=tie_free, budget=budget
@@ -318,7 +381,7 @@ def experiment_negative(ms_text: str, repeat: int, out: str | None):
                 "m": row.m,
                 "scheme": row.scheme,
                 "q": row.q,
-                "ratio": _frac(row.ratio),
+                "ratio": str(row.ratio),
                 "ratio_decimal": _dec(row.ratio),
                 "m_pow_minus_2_3": format(reference, ".12g"),
                 "ratio_over_reference": format(float(row.ratio) / reference, ".12g"),
@@ -351,11 +414,11 @@ def experiment_lower(m, n, k, step, seeds, out):
             "b": r.b,
             "c": r.c,
             "seed": r.seed,
-            "gbar": _frac(r.gbar),
+            "gbar": str(r.gbar),
             "gbar_decimal": _dec(r.gbar),
-            "bound": _frac(r.bound),
+            "bound": str(r.bound),
             "bound_decimal": _dec(r.bound),
-            "slack": _frac(r.slack),
+            "slack": str(r.slack),
             "ok": r.slack >= 0,
         }
         for r in rows
@@ -395,10 +458,10 @@ def experiment_cyclic(ms_text: str, eps: str | None, out: str | None):
                 {
                     "m": m,
                     "star": star,
-                    "eps": _frac(eps_m),
-                    "ratio": _frac(r),
+                    "eps": str(eps_m),
+                    "ratio": str(r),
                     "ratio_decimal": _dec(r),
-                    "bound": _frac(bound),
+                    "bound": str(bound),
                     "within_bound": r <= bound,
                     "all_orderings_equivalent": equivalent,
                 }
@@ -410,6 +473,38 @@ def experiment_cyclic(ms_text: str, eps: str | None, out: str | None):
         rows,
         out,
     )
+
+
+def _lazy_product(items, n: int):
+    """``itertools.product(items, repeat=n)`` in the same order, reading
+    ``items`` only as far as the tuples yielded so far need: the product
+    materializes its input up front, which for a large grid family never
+    ends, although a small ``--budget`` visits only its first few profiles.
+    Positions are indices into one cache of the items read so far, and the
+    last position is the first to reach an unread item."""
+    items = iter(items)
+    cache = []
+
+    def has(i: int) -> bool:  # i <= len(cache)
+        if i == len(cache):
+            item = next(items, cache)  # the cache itself marks the end
+            if item is cache:
+                return False
+            cache.append(item)
+        return True
+
+    if n and not has(0):
+        return
+    index = [0] * n
+    while True:
+        yield tuple(map(cache.__getitem__, index))
+        pos = n - 1
+        while pos >= 0 and not has(index[pos] + 1):
+            index[pos] = 0
+            pos -= 1
+        if pos < 0:
+            return
+        index[pos] += 1
 
 
 @experiment.command("minratio")
@@ -424,16 +519,15 @@ def experiment_cyclic(ms_text: str, eps: str | None, out: str | None):
 @_wrap
 def experiment_minratio(spec, m, n, k, tie_free, profile_path, budget, out):
     """Minimal exact ratio over a grid family or a single profile file."""
-    mech = _mech(spec)
+    mech = mechanisms.parse_mechanism(spec)
     if profile_path:
         family = [_load_profile(profile_path)]
     elif None not in (m, n, k):
         if n < 1:
             raise PreconditionError(f"need at least one voter, got n={n}")
-        prefs = list(properties.enumerate_Rk_prefs(m, k, tie_free))
-        family = (
-            core.Profile(combo) for combo in itertools.product(prefs, repeat=n)
-        )
+        properties.grid_pref_count(m, k, tie_free)  # rejects bad m, k before the budget
+        prefs = properties.enumerate_Rk_prefs(m, k, tie_free)
+        family = map(core.Profile, _lazy_product(prefs, n))
     else:
         raise click.ClickException("provide either --profile or all of --m/--n/--k")
     result = bounds.min_ratio_search(mech, family, budget)
@@ -445,7 +539,7 @@ def experiment_minratio(spec, m, n, k, tie_free, profile_path, budget, out):
         config,
         {
             "mechanism": mech.name,
-            "min_ratio": {"exact": _frac(result.ratio), "decimal": _dec(result.ratio)},
+            "min_ratio": {"exact": str(result.ratio), "decimal": _dec(result.ratio)},
             "visited": result.visited,
             "argmin_profile": core.profile_to_json_dict(result.profile),
         },
@@ -467,21 +561,12 @@ def reduce_cmd(profile_path: str, k: int, out: str | None):
     trace = bounds.reduce_to_Ck_trace(_load_profile(profile_path), k)
     body = {
         "result": core.profile_to_json_dict(trace.result),
-        "g_initial": _frac(trace.g_initial),
-        "g_final": _frac(trace.g_final),
+        "g_initial": str(trace.g_initial),
+        "g_final": str(trace.g_final),
         "anomalies": list(trace.anomalies),
-        "steps": [
-            {
-                "voter": s.voter,
-                "run": list(s.run),
-                "direction": s.direction,
-                "g_before": _frac(s.g_before),
-                "g_after": _frac(s.g_after),
-            }
-            for s in trace.steps
-        ],
     }
-    _json_report(RunConfig.of("reduce", profile=profile_path, k=k), body, out)
+    _json_report(RunConfig.of("reduce", profile=profile_path, k=k), body, out,
+                 {"steps": _steps_array(trace.steps)})
 
 
 @main.command("project")
@@ -492,20 +577,12 @@ def reduce_cmd(profile_path: str, k: int, out: str | None):
 def project_cmd(profile_path: str, k: int, out: str | None):
     """Project two-block voters onto the structured classes."""
     trace = bounds.project_to_Dk_trace(_load_profile(profile_path), k)
-    body = {
-        "result": core.profile_to_json_dict(trace.result),
-        "moves": [
-            {
-                "voter": mv.voter,
-                "kept": mv.kept,
-                "target_class": mv.target_class,
-                "before": [str(v) for v in mv.before.values],
-                "after": [str(v) for v in mv.after.values],
-            }
-            for mv in trace.moves
-        ],
-    }
-    _json_report(RunConfig.of("project", profile=profile_path, k=k), body, out)
+    _json_report(
+        RunConfig.of("project", profile=profile_path, k=k),
+        {"result": core.profile_to_json_dict(trace.result)},
+        out,
+        {"moves": _moves_array(trace.moves)},
+    )
 
 
 def fit_slope(points: list[tuple[int, Fraction]]) -> tuple[float, float]:

@@ -1,13 +1,27 @@
 """End-to-end CLI coverage via click's test runner."""
 
+import itertools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings, strategies as st
 
-from cardvote.cli import fit_slope, main
+from cardvote import bounds
+from cardvote.bounds import ProjectionMove, ProjectionTrace, ReductionTrace, SlideStep
+from cardvote.cli import _json_text, _lazy_product, fit_slope, main
+from cardvote.core import Profile, profile_to_json_dict
 from cardvote.errors import DataError
+from cardvote.generators import rand_grid_profile
+from cardvote.properties import enumerate_Rk_prefs
+
+ROOT = Path(__file__).resolve().parent.parent
 
 F = Fraction
 
@@ -301,6 +315,175 @@ class TestReduceProject:
         assert result.exit_code == 0
         moves = json.loads(result.output)["moves"]
         assert all(mv["target_class"] in ("a", "b", "c") for mv in moves)
+
+
+# ---------------------------------------------------------------------------
+# The report writer: reduce steps and project moves from templates, every
+# other value through json.dumps, against one json.dumps of the whole report.
+
+def dumped(report: dict) -> str:
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def reduce_reference(trace: ReductionTrace, path: str, k: int) -> str:
+    """The ``reduce`` report as one dict per step, dumped whole, with the
+    anomalies found by `Fraction` comparison."""
+    return dumped({
+        "config": {"subcommand": "reduce", "profile": path, "k": k},
+        "result": profile_to_json_dict(trace.result),
+        "g_initial": str(trace.g_initial),
+        "g_final": str(trace.g_final),
+        "anomalies": [i for i, s in enumerate(trace.steps) if s.g_after > s.g_before],
+        "steps": [
+            {
+                "voter": s.voter,
+                "run": list(s.run),
+                "direction": s.direction,
+                "g_before": str(s.g_before),
+                "g_after": str(s.g_after),
+            }
+            for s in trace.steps
+        ],
+    })
+
+
+def project_reference(trace: ProjectionTrace, path: str, k: int) -> str:
+    return dumped({
+        "config": {"subcommand": "project", "profile": path, "k": k},
+        "result": profile_to_json_dict(trace.result),
+        "moves": [
+            {
+                "voter": mv.voter,
+                "kept": mv.kept,
+                "target_class": mv.target_class,
+                "before": [str(v) for v in mv.before.values],
+                "after": [str(v) for v in mv.after.values],
+            }
+            for mv in trace.moves
+        ],
+    })
+
+
+@st.composite
+def profiles(draw, n=None):
+    m = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 3)) if n is None else n
+    k = draw(st.integers(1, 6))
+    return rand_grid_profile(m, n, k, draw(st.integers(0, 2**32)), tie_free=False)
+
+
+fractions = st.fractions(max_denominator=10**12)
+labels = st.one_of(st.sampled_from(["left", "right", "a", "b", "c"]), st.text())
+slide_steps = st.builds(SlideStep, st.integers(), st.tuples(st.integers(), st.integers()),
+                        labels, fractions, fractions)
+moves = st.builds(ProjectionMove, st.integers(), st.booleans(), st.none() | labels,
+                  profiles(n=1).map(lambda p: p.prefs[0]),
+                  profiles(n=1).map(lambda p: p.prefs[0]))
+reduce_traces = st.builds(ReductionTrace, profiles(), st.lists(slide_steps, max_size=6).map(tuple),
+                          fractions, fractions)
+project_traces = st.builds(ProjectionTrace, profiles(), st.lists(moves, max_size=4).map(tuple))
+
+BASE = rand_grid_profile(3, 2, 3, 0)
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@pytest.fixture(scope="module")
+def profile_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("writer") / "in.json"
+    path.write_text(json.dumps(profile_to_json_dict(BASE)))
+    return str(path)
+
+
+class TestReportWriter:
+    @given(reduce_traces, st.integers(1, 10**6))
+    @example(ReductionTrace(BASE, (), Fraction(1, 3), Fraction(1, 3)), 3)
+    @settings(max_examples=150, deadline=None)
+    def test_reduce_report_matches_json_dumps(self, profile_file, trace, k):
+        with mock.patch.object(bounds, "reduce_to_Ck_trace", lambda profile, k: trace):
+            result = CliRunner().invoke(
+                main, ["reduce", "--profile", profile_file, "--k", str(k)], catch_exceptions=False
+            )
+        assert result.exit_code == 0
+        assert result.output == reduce_reference(trace, profile_file, k)
+
+    @given(project_traces, st.integers(1, 10**6))
+    @example(ProjectionTrace(BASE, ()), 3)
+    @settings(max_examples=150, deadline=None)
+    def test_project_report_matches_json_dumps(self, profile_file, trace, k):
+        with mock.patch.object(bounds, "project_to_Dk_trace", lambda profile, k: trace):
+            result = CliRunner().invoke(
+                main, ["project", "--profile", profile_file, "--k", str(k)], catch_exceptions=False
+            )
+        assert result.exit_code == 0
+        assert result.output == project_reference(trace, profile_file, k)
+
+    @given(st.dictionaries(st.text(), json_values, min_size=1, max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_other_values_match_json_dumps(self, report):
+        assert _json_text(report, {}) == dumped(report)
+
+    def test_real_chain_matches_json_dumps(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(profile_to_json_dict(rand_grid_profile(8, 6, 64, 3))))
+        trace = bounds.reduce_to_Ck_trace(rand_grid_profile(8, 6, 64, 3), 64)
+        assert len(trace.steps) > 100
+        reduced = invoke(CliRunner(), "reduce", "--profile", str(path), "--k", "64").output
+        assert reduced == reduce_reference(trace, str(path), 64)
+        path.write_text(json.dumps(json.loads(reduced)["result"]))
+        projected = invoke(CliRunner(), "project", "--profile", str(path), "--k", "64").output
+        assert projected == project_reference(
+            bounds.project_to_Dk_trace(trace.result, 64), str(path), 64
+        )
+
+
+class TestLazyProduct:
+    @given(st.lists(st.integers(), max_size=4), st.integers(0, 4))
+    def test_matches_itertools_product(self, items, n):
+        assert list(_lazy_product(items, n)) == list(itertools.product(items, repeat=n))
+
+    def test_reads_only_what_it_yields(self):
+        counter = itertools.count()
+        first = list(itertools.islice(_lazy_product(counter, 3), 5))
+        assert first == [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3), (0, 0, 4)]
+        assert next(counter) == 5
+
+    def test_many_voters(self):
+        # No recursion over the voters: a long product starts at once.
+        row = next(_lazy_product("ab", 5000))
+        assert row == ("a",) * 5000
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ("--m 1 --n 2 --k 2 --budget -1", "need at least 2 candidates"),
+            ("--m 3 --n 2 --k 1 --tie-free --budget 0", "cannot host 3 distinct"),
+        ],
+    )
+    def test_grid_errors_come_before_the_budget(self, runner, args, message):
+        # Listing the grid used to check m and k before the budget applied.
+        result = runner.invoke(main, ["experiment", "minratio", "--mech", "rv", *args.split()])
+        assert result.exit_code == 1
+        assert message in result.output
+
+    def test_minratio_on_a_huge_grid_returns(self):
+        # 3^3000 grid preferences: listing them never ends, and one profile
+        # answers --budget 1.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-m", "cardvote.cli", "experiment", "minratio", "--mech", "rv",
+             "--m", "3000", "--n", "2", "--k", "2", "--budget", "1"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["visited"] == 1
+        first = next(enumerate_Rk_prefs(3000, 2))
+        assert report["argmin_profile"] == profile_to_json_dict(Profile((first, first)))
 
 
 class TestDeterminism:

@@ -26,6 +26,10 @@ denominator (``core.scaled``) against the exact references they replaced.
   `Fraction` comparisons they replaced.  ``reduce_to_Ck_trace`` decides each
   slide by an integer cross-product; its reference is the previous
   per-voter loop, which compared two `Fraction`s per slide.
+- ``reduce_to_Ck_trace`` decides the direction once per interior run and
+  slides the run until it merges with its neighbour; the reference is the
+  step-at-a-time integer body, which recomputes the runs, the affected
+  candidates and the direction before every slide.
 - ``Preference`` stores only ``(den, nums)`` in lowest terms, and ``values``
   is its `Fraction` view.  ``gen_negative`` builds its voters from steps of
   1/m^4 and is compared with its previous `Fraction` body;
@@ -310,6 +314,66 @@ def fraction_reduce_to_Ck_trace(profile: Profile, k: int) -> ReductionTrace:
     return ReductionTrace(result, tuple(steps), g_initial, g_current)
 
 
+def step_reduce_to_Ck_trace(profile: Profile, k: int) -> ReductionTrace:
+    """The integer body before whole runs were slid at once: before every
+    slide it recomputes the voter's runs, the affected candidates and the
+    direction by the full cross-product."""
+    steps_by_voter = [grid_steps(p, k) for p in profile.prefs]
+    for pref, voter_steps in zip(profile.prefs, steps_by_voter):
+        _checked_image(pref, voter_steps, k)
+    column = [sum(steps) for steps in zip(*steps_by_voter)]
+    if column[0] <= 0:
+        raise UndefinedRatioError("candidate 1 has zero welfare")
+    dist = j_star(profile.m).evaluate(profile)
+    den, weights = dist.den, dist.nums
+    numer = sum(w * c for w, c in zip(weights, column))
+    denom = column[0]
+    g_initial = g_current = Fraction(numer, den * denom)
+
+    steps = []
+    for voter, voter_steps in enumerate(steps_by_voter, start=1):
+        while len(runs := _image_runs(set(voter_steps))) > 2:
+            lo, hi = runs[1]
+            affected = [c for c, s in enumerate(voter_steps) if lo <= s <= hi]
+            d_numer = sum(weights[c] for c in affected)
+            d_denom = 1 if 0 in affected else 0
+            if denom - d_denom <= 0:
+                raise RuntimeError("sliding emptied candidate 1's welfare")
+            if (numer - d_numer) * (denom + d_denom) <= (numer + d_numer) * (denom - d_denom):
+                delta, direction = -1, "left"
+            else:
+                delta, direction = +1, "right"
+            for c in affected:
+                voter_steps[c] += delta
+            numer += delta * d_numer
+            denom += delta * d_denom
+            g_next = Fraction(numer, den * denom)
+            steps.append(SlideStep(voter, (lo, hi), direction, g_current, g_next))
+            g_current = g_next
+    result = Profile(
+        tuple(Preference.from_steps(voter_steps, k) for voter_steps in steps_by_voter)
+    )
+    return ReductionTrace(result, tuple(steps), g_initial, g_current)
+
+
+def merges(trace: ReductionTrace) -> list[tuple[int, str, int]]:
+    """(voter, direction, slides) of each run slid until it merged: a run of
+    consecutive steps of one voter in one direction, each starting where the
+    previous one ended."""
+    out = []
+    previous = None
+    for s in trace.steps:
+        shift = -1 if s.direction == "left" else 1
+        if previous and (s.voter, s.direction) == previous[:2] and s.run == (
+            previous[2][0] + shift, previous[2][1] + shift
+        ):
+            out[-1] = (s.voter, s.direction, out[-1][2] + 1)
+        else:
+            out.append((s.voter, s.direction, 1))
+        previous = (s.voter, s.direction, s.run)
+    return out
+
+
 def outcome(reduce, profile: Profile, k: int):
     try:
         return reduce(profile, k)
@@ -359,6 +423,65 @@ class TestReductionTrace:
             assert len({s.voter for s in trace.steps}) > 1
             directions |= {s.direction for s in trace.steps}
         assert directions == {"left", "right"}
+
+
+@st.composite
+def wide_grid_shapes(draw) -> tuple[Profile, int]:
+    """Grid profiles at several (m, n, k), from k = m (gaps of one step) to
+    k = 16m (long slides)."""
+    m = draw(st.integers(3, 9))
+    n = draw(st.integers(1, 8))
+    k = draw(st.sampled_from([m, m + 1, 2 * m, 4 * m, 16 * m]))
+    return rand_grid_profile(m, n, k, draw(st.integers(0, 2**32))), k
+
+
+class TestRunAtOnce:
+    """``reduce_to_Ck_trace`` slides each interior run to its neighbour in
+    one pass; the reference decides every single slide afresh."""
+
+    @given(wide_grid_shapes())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_step_at_a_time(self, shape):
+        profile, k = shape
+        got = outcome(reduce_to_Ck_trace, profile, k)
+        expected = outcome(step_reduce_to_Ck_trace, profile, k)
+        if isinstance(expected, tuple):
+            assert got == expected
+            return
+        assert got.steps == expected.steps
+        assert [(s.g_before, s.g_after) for s in got.steps] == [
+            (s.g_before, s.g_after) for s in expected.steps
+        ]
+        assert (got.g_initial, got.g_final) == (expected.g_initial, expected.g_final)
+        assert got.anomalies == expected.anomalies == ()
+        assert got == expected
+
+    def test_runs_merge_left_and_right(self):
+        # Fixed profiles where one voter's runs merge in both directions and
+        # over several slides, so the comparison above is not won on traces
+        # of one-step gaps or of one direction only.
+        seen = set()
+        for seed in range(12):
+            profile = rand_grid_profile(8, 6, 64, seed)
+            trace = reduce_to_Ck_trace(profile, 64)
+            assert trace == step_reduce_to_Ck_trace(profile, 64)
+            runs = merges(trace)
+            for voter in {v for v, _, _ in runs}:
+                mine = [(d, count) for v, d, count in runs if v == voter]
+                if {d for d, _ in mine} == {"left", "right"} and max(c for _, c in mine) > 1:
+                    seen.add(voter)
+        assert len(seen) > 1
+
+    def test_hand_built_merges(self):
+        # Image {0, 3, 5, 6, 10} on the 1/10 grid: the run {3} slides left
+        # twice onto {0}, then the run {5, 6}, which holds candidate 1, slides
+        # right three times onto {10}.
+        profile = Profile((Preference.from_steps([5, 0, 3, 6, 10], 10),))
+        trace = reduce_to_Ck_trace(profile, 10)
+        assert trace == step_reduce_to_Ck_trace(profile, 10)
+        assert merges(trace) == [(1, "left", 2), (1, "right", 3)]
+        assert [s.run for s in trace.steps] == [(3, 3), (2, 2), (5, 6), (6, 7), (7, 8)]
+        assert grid_steps(trace.result.prefs[0], 10) == [8, 0, 1, 9, 10]
 
 
 # ---------------------------------------------------------------------------
