@@ -54,7 +54,6 @@ from .generators import (
 from .bounds import (
     ClassifiedPref,
     classify,
-    g_value,
     gbar_value,
     lower_bound_formula,
     min_ratio_search,

@@ -23,16 +23,12 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .core import (
-    ZERO,
     CandidateDistribution,
     Preference,
     Profile,
-    dot,
     grid_steps,
     pairwise_beats,
     ratio as ratio_of,
-    scaled,
-    welfare_vector,
 )
 from .errors import (
     DegenerateProjectionError,
@@ -161,23 +157,18 @@ def _jstar_dist(profile: Profile) -> CandidateDistribution:
 
 def _g(dist: CandidateDistribution, profile: Profile) -> Fraction:
     """Benchmark functional of the profile under the given distribution."""
-    totals = welfare_vector(profile)
-    if totals[0] <= ZERO:
+    totals = profile.totals[1]
+    if totals[0] <= 0:
         raise UndefinedRatioError("candidate 1 has zero welfare")
-    return dot(dist.probs, totals) / totals[0]
-
-
-def g_value(profile: Profile) -> Fraction:
-    return _g(_jstar_dist(profile), profile)
+    return Fraction(sum(map(operator.mul, dist.nums, totals)), dist.den * totals[0])
 
 
 def gbar_value(profile: Profile) -> Fraction:
     dist = _jstar_dist(profile)
     counts = [sum(column) for column in zip(*(rounded(p) for p in profile.prefs))]
-    denom = counts[0]
-    if denom <= 0:
+    if counts[0] <= 0:
         raise UndefinedRatioError("no voter rounds candidate 1 up to 1")
-    return dot(dist.probs, counts) / denom
+    return Fraction(sum(map(operator.mul, dist.nums, counts)), dist.den * counts[0])
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +420,8 @@ def all_q_ratios(profile: Profile) -> tuple[dict[int, Fraction], dict[int, Fract
     """Exact welfare ratios of every top-q lottery (q = 1..m) and every
     in-range pairwise-quota scheme on one profile.
 
-    Both families are one integer sweep over the ``core`` ballot tables, with
-    the welfares scaled to integers W over their common denominator.  The
+    Both families are one integer sweep over the ``core`` ballot tables and
+    the welfare numerators W of :attr:`Profile.totals`.  The
     top-q numerator grows by sum_c places[c][q-1] * W[c] from q-1 to q.  For an
     in-range quota at most one candidate of a pair reaches it, so a beats b
     exactly while q <= beats[a][b]; starting from every pair decided by a coin
@@ -439,7 +430,7 @@ def all_q_ratios(profile: Profile) -> tuple[dict[int, Fraction], dict[int, Fract
     Each ratio is built as one ``Fraction`` at the end.
     """
     m, n = profile.m, profile.n
-    _, weights = scaled(welfare_vector(profile))
+    weights = profile.totals[1]
     top = max(weights)
     if top <= 0:
         raise UndefinedRatioError("maximal welfare is zero")

@@ -70,8 +70,8 @@ def _json_text(report: dict, records: dict[str, str]) -> str:
     written one top-level key at a time.  ``records`` holds arrays already
     rendered by ``_array``; every other value goes through ``json.dumps`` and
     is indented one level.  With ``indent`` set, ``json.dumps`` runs CPython's
-    pure-Python encoder, so the long step and move arrays of ``reduce`` and
-    ``project`` are written from fixed templates instead."""
+    pure-Python encoder, so whole profiles and the long step and move arrays
+    of ``reduce`` and ``project`` are written from fixed templates instead."""
     texts = {key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
              for key, value in report.items()}
     texts.update(records)
@@ -133,6 +133,24 @@ def _moves_array(moves) -> str:
         ),
         "  ",
     )
+
+
+# One utility of a profile, [numerator, denominator], at the depth of a pair
+# inside a top-level profile value.
+_PAIR = """[
+          %d,
+          %d
+        ]"""
+
+
+def _profile_record(profile: core.Profile) -> str:
+    """``core.profile_to_json_dict(profile)`` as a top-level report value,
+    laid out as ``json.dumps(indent=2)`` lays it out, with every utility
+    written from the ``_PAIR`` template."""
+    voters = (_array((_PAIR % (v.numerator, v.denominator) for v in p.values), "      ")
+              for p in profile.prefs)
+    return '{\n    "m": %d,\n    "n": %d,\n    "prefs": %s\n  }' % (
+        profile.m, profile.n, _array(voters, "    "))
 
 
 def _csv_report(
@@ -541,9 +559,9 @@ def experiment_minratio(spec, m, n, k, tie_free, profile_path, budget, out):
             "mechanism": mech.name,
             "min_ratio": {"exact": str(result.ratio), "decimal": _dec(result.ratio)},
             "visited": result.visited,
-            "argmin_profile": core.profile_to_json_dict(result.profile),
         },
         out,
+        {"argmin_profile": _profile_record(result.profile)},
     )
 
 
@@ -560,13 +578,12 @@ def reduce_cmd(profile_path: str, k: int, out: str | None):
     """Slide interior image blocks until every voter is two-block."""
     trace = bounds.reduce_to_Ck_trace(_load_profile(profile_path), k)
     body = {
-        "result": core.profile_to_json_dict(trace.result),
         "g_initial": str(trace.g_initial),
         "g_final": str(trace.g_final),
         "anomalies": list(trace.anomalies),
     }
     _json_report(RunConfig.of("reduce", profile=profile_path, k=k), body, out,
-                 {"steps": _steps_array(trace.steps)})
+                 {"result": _profile_record(trace.result), "steps": _steps_array(trace.steps)})
 
 
 @main.command("project")
@@ -579,9 +596,9 @@ def project_cmd(profile_path: str, k: int, out: str | None):
     trace = bounds.project_to_Dk_trace(_load_profile(profile_path), k)
     _json_report(
         RunConfig.of("project", profile=profile_path, k=k),
-        {"result": core.profile_to_json_dict(trace.result)},
+        {},
         out,
-        {"moves": _moves_array(trace.moves)},
+        {"result": _profile_record(trace.result), "moves": _moves_array(trace.moves)},
     )
 
 

@@ -14,8 +14,9 @@ Candidates and voters are 1-indexed in the public API.
 A preference holds ``(den, nums)``, utility ``nums[i] / den`` for candidate
 i+1, and :attr:`Preference.values` is its `Fraction` view for reports,
 witness replay and tie-breaks.  :meth:`Preference.from_steps` builds a grid
-voter in integers alone.  The order, the tie check, welfares,
-:func:`grid_steps` and the bounds module's rounding read the integers.
+voter in integers alone.  The order, the tie check, :func:`grid_steps`,
+the bounds module's rounding and :attr:`Profile.totals`, the one welfare
+form (:func:`welfare_vector` is its `Fraction` view), read the integers.
 
 Each voter's strict order (value descending, ties to the lower index) is
 computed once and cached as :attr:`Preference.order`; every ordinal reader
@@ -34,6 +35,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -240,6 +242,15 @@ class Profile:
                 places[cand - 1][place] += 1
         return places
 
+    @cached_property
+    def totals(self) -> tuple[int, tuple[int, ...]]:
+        """(den, nums): candidate c+1's total utility is ``nums[c] / den``,
+        with den the lcm of the voters' ``den``.  Built once per profile."""
+        den = math.lcm(*{p.den for p in self.prefs})
+        rows = [p.nums if p.den == den else [num * (den // p.den) for num in p.nums]
+                for p in self.prefs]
+        return den, tuple(map(sum, zip(*rows)))
+
 
 @dataclass(frozen=True)
 class CandidateDistribution:
@@ -298,29 +309,20 @@ def welfare(profile: Profile, j: int) -> Fraction:
     """Total utility of candidate j across all voters."""
     if not 1 <= j <= profile.m:
         raise IndexError(f"candidate {j} out of range 1..{profile.m}")
-    return sum((p.values[j - 1] for p in profile.prefs), ZERO)
+    return welfare_vector(profile)[j - 1]
 
 
 def welfare_vector(profile: Profile) -> tuple[Fraction, ...]:
-    """Total utility of every candidate: integer column sums over the least
-    common denominator of the voters' ``den``."""
-    den = math.lcm(*{p.den for p in profile.prefs})
-    rows = [p.nums if p.den == den else [num * (den // p.den) for num in p.nums]
-            for p in profile.prefs]
-    return tuple(Fraction(sum(column), den) for column in zip(*rows))
+    """Total utility of every candidate: the view of :attr:`Profile.totals`."""
+    den, nums = profile.totals
+    return tuple(Fraction(num, den) for num in nums)
 
 
 def rv_winner(profile: Profile) -> int:
     """Candidate with maximal total utility; welfare ties go to the lowest
     candidate index."""
-    totals = welfare_vector(profile)
-    best = max(totals)
-    return totals.index(best) + 1
-
-
-def dot(weights: Sequence, values: Sequence) -> Fraction:
-    """Exact sum of weight * value, skipping zero weights."""
-    return sum((w * v for w, v in zip(weights, values) if w), ZERO)
+    nums = profile.totals[1]
+    return nums.index(max(nums)) + 1
 
 
 @dataclass(frozen=True)
@@ -335,16 +337,21 @@ class WelfareReport:
     ratio: Fraction
 
 
-def welfare_report(profile: Profile, dist: CandidateDistribution) -> WelfareReport:
-    totals = welfare_vector(profile)
-    best = max(totals)
-    winner = totals.index(best) + 1
-    if best <= ZERO:
+def _expected(profile: Profile, dist: CandidateDistribution) -> tuple[Fraction, Fraction]:
+    """Expected welfare and its ratio to the maximal welfare: one integer dot
+    product with :attr:`Profile.totals`, made one `Fraction` each."""
+    den, nums = profile.totals
+    best = max(nums)
+    if best <= 0:
         raise UndefinedRatioError(
             "welfare ratio undefined: maximal welfare is zero"
         )
-    expected = dot(dist.probs, totals)
-    return WelfareReport(totals, winner, expected, expected / best)
+    numer = sum(map(operator.mul, dist.nums, nums))
+    return Fraction(numer, dist.den * den), Fraction(numer, dist.den * best)
+
+
+def welfare_report(profile: Profile, dist: CandidateDistribution) -> WelfareReport:
+    return WelfareReport(welfare_vector(profile), rv_winner(profile), *_expected(profile, dist))
 
 
 def ratio(mechanism, profile: Profile) -> Fraction:
@@ -352,7 +359,7 @@ def ratio(mechanism, profile: Profile) -> Fraction:
     welfare.  Accepts anything with an ``evaluate(profile)`` method, or a
     bare callable."""
     evaluate = getattr(mechanism, "evaluate", mechanism)
-    return welfare_report(profile, evaluate(profile)).ratio
+    return _expected(profile, evaluate(profile))[1]
 
 
 def rank(pref: Preference, j: int) -> int:

@@ -236,6 +236,8 @@ def rand_grid_profile(
         raise PreconditionError(f"grid resolution k must be >= 1, got {k}")
     if tie_free and k < m - 1:
         raise PreconditionError(f"k={k} cannot host {m} distinct grid values")
+    if tie_free and k - 1 > sys.maxsize:  # random.sample cannot index range(1, k)
+        raise PreconditionError(f"tie-free sampling needs k <= {sys.maxsize + 1}, got {k}")
     rng = random.Random(seed)
     prefs = []
     for _ in range(n):

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .core import CandidateDistribution, Preference, Profile, dot, grid_steps
+from .core import CandidateDistribution, Preference, Profile, grid_steps
 from .errors import BudgetError, PreconditionError
 
 DEFAULT_BUDGET = 10_000_000
@@ -329,10 +329,11 @@ def _first_truthfulness_witness(
     """The first misreport, in preference order, that strictly raises the
     voter's exact expected utility at the profile encoded by key."""
     honest_idx = key[voter]
-    values = scan.prefs[honest_idx].values
+    pref = scan.prefs[honest_idx]
 
     def utility(profile_key: tuple[int, ...]) -> Fraction:
-        return dot(scan.dist(profile_key).probs, values)
+        d = scan.dist(profile_key)
+        return Fraction(sum(map(operator.mul, d.nums, pref.nums)), d.den * pref.den)
 
     honest = utility(key)
     for mis_idx in range(len(scan.prefs)):

@@ -6,11 +6,11 @@ from fractions import Fraction
 import pytest
 
 from cardvote.bounds import (
+    _g,
     _jstar,
     _jstar_dist,
     all_q_ratios,
     classify,
-    g_value,
     gbar_value,
     lower_bound_experiment,
     lower_bound_formula,
@@ -144,7 +144,7 @@ class TestBenchmarkFunctionals:
             if rv_winner(u) != 1:
                 continue
             checked += 1
-            assert g_value(u) == ratio(j_star(8), u)
+            assert _g(_jstar_dist(u), u) == ratio(j_star(8), u)
         assert checked >= 1
 
     def test_g_vs_gbar_gap_small_for_two_block(self):
@@ -153,7 +153,7 @@ class TestBenchmarkFunctionals:
             two_block_preference(list(range(1, 9)), 1, k),
             two_block_preference([2, 1, 3, 4, 5, 6, 7, 8], 2, k),
         ])
-        gap = abs(g_value(u) - gbar_value(u))
+        gap = abs(_g(_jstar_dist(u), u) - gbar_value(u))
         assert gap <= 2 * F(m - 1, k) * 4  # loose structural sanity bound
 
     def test_stacked_lottery_built_once_per_m(self):
@@ -169,7 +169,7 @@ class TestBenchmarkFunctionals:
     def test_zero_denominators(self):
         u = Profile.of([pref(0, 1), pref(0, 1)])
         with pytest.raises(UndefinedRatioError):
-            g_value(u)
+            _g(_jstar_dist(u), u)
         with pytest.raises(UndefinedRatioError):
             gbar_value(u)
 

@@ -15,8 +15,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from cardvote import bounds
 from cardvote.bounds import ProjectionMove, ProjectionTrace, ReductionTrace, SlideStep
-from cardvote.cli import _json_text, _lazy_product, fit_slope, main
-from cardvote.core import Profile, profile_to_json_dict
+from cardvote.cli import _json_text, _lazy_product, _profile_record, fit_slope, main
+from cardvote.core import Preference, Profile, profile_to_json_dict
 from cardvote.errors import DataError
 from cardvote.generators import rand_grid_profile
 from cardvote.properties import enumerate_Rk_prefs
@@ -129,6 +129,7 @@ class TestBadInput:
             "gen grid --m 1 --n 2 --k 3",
             "gen grid --m 1 --n 2 --k 3 --ties",
             "gen grid --m 3 --n 2 --k -1 --ties",
+            "gen grid --m 3 --n 2 --k 99999999999999999999",
             "experiment cyclic --m 0",
             "experiment cyclic --m 3,0",
             "experiment minratio --mech rv --m 2 --n 1 --k 2 --budget -1",
@@ -383,6 +384,12 @@ reduce_traces = st.builds(ReductionTrace, profiles(), st.lists(slide_steps, max_
                           fractions, fractions)
 project_traces = st.builds(ProjectionTrace, profiles(), st.lists(moves, max_size=4).map(tuple))
 
+# Relaxed voters over mixed denominators, with zeros and ones among them.
+utilities = st.sampled_from([F(0), F(1)]) | st.fractions(0, 1, max_denominator=10**9)
+any_profiles = st.integers(2, 6).flatmap(lambda m: st.lists(
+    st.lists(utilities, min_size=m, max_size=m).map(Preference.relaxed), min_size=1, max_size=4,
+).map(Profile.of))
+
 BASE = rand_grid_profile(3, 2, 3, 0)
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
@@ -425,6 +432,36 @@ class TestReportWriter:
     @settings(max_examples=150, deadline=None)
     def test_other_values_match_json_dumps(self, report):
         assert _json_text(report, {}) == dumped(report)
+
+    @given(any_profiles)
+    @example(Profile.of([Preference.relaxed([0, 1])]))  # m=2, n=1
+    @settings(max_examples=150, deadline=None)
+    def test_profile_record_matches_json_dumps(self, profile):
+        report = {"argmin_profile": profile_to_json_dict(profile), "visited": 1}
+        assert _json_text({"visited": 1}, {"argmin_profile": _profile_record(profile)}) == (
+            dumped(report)
+        )
+
+    @given(any_profiles, fractions, st.integers(0, 10**6))
+    @example(Profile.of([Preference.relaxed([1, 0])]), Fraction(1), 1)
+    @settings(max_examples=100, deadline=None)
+    def test_minratio_report_matches_json_dumps(self, profile_file, profile, value, visited):
+        found = bounds.MinRatioResult(profile, value, visited)
+        with mock.patch.object(bounds, "min_ratio_search", lambda mech, family, budget: found):
+            result = CliRunner().invoke(
+                main, ["experiment", "minratio", "--mech", "rv", "--profile", profile_file],
+                catch_exceptions=False,
+            )
+        assert result.exit_code == 0
+        assert result.output == dumped({
+            "config": {"subcommand": "experiment minratio", "mech": "rv", "m": None, "n": None,
+                       "k": None, "tie_free": False, "profile": profile_file,
+                       "budget": 1_000_000},
+            "mechanism": "rv",
+            "min_ratio": {"exact": str(value), "decimal": format(float(value), ".12g")},
+            "visited": visited,
+            "argmin_profile": profile_to_json_dict(profile),
+        })
 
     def test_real_chain_matches_json_dumps(self, tmp_path):
         path = tmp_path / "g.json"

@@ -10,7 +10,6 @@ from cardvote.core import (
     CandidateDistribution,
     Preference,
     Profile,
-    dot,
     exact,
     normalize,
     pairwise_beats,
@@ -384,7 +383,3 @@ class TestOrderAndBallots:
         assert u.places is u.places
         assert v.places == u.places and v.places is not u.places
         assert u == v
-
-    def test_dot_skips_zero_weights(self):
-        assert dot([0, F(1, 2), 0], [object(), F(2, 3), object()]) == F(1, 3)
-        assert dot([0, 0], [1, 2]) == 0

@@ -1,6 +1,7 @@
 """Profile family constructors."""
 
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -211,3 +212,12 @@ class TestRandGridProfile:
         with pytest.raises(PreconditionError):
             rand_grid_profile(5, 2, 3, seed=0)
 
+
+    def test_tie_free_k_must_fit_the_sampled_range(self):
+        # random.sample indexes range(1, k), whose length must fit a C ssize_t.
+        largest = sys.maxsize + 1
+        u = rand_grid_profile(3, 2, largest, seed=0)
+        assert u.is_tie_free() and u.is_normalized()
+        with pytest.raises(PreconditionError, match="tie-free sampling needs k <="):
+            rand_grid_profile(3, 2, largest + 1, seed=0)
+        assert rand_grid_profile(3, 2, largest + 1, seed=0, tie_free=False).is_normalized()

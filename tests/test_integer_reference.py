@@ -37,6 +37,11 @@ denominator (``core.scaled``) against the exact references they replaced.
   denominators and is compared with its previous body, which scaled every
   utility of the profile.  Every constructor must give lowest terms, and
   ``==`` and ``hash`` must agree with equality of the values.
+- Welfare has one integer form, ``Profile.totals``.  ``welfare``,
+  ``rv_winner``, ``welfare_report``, ``ratio``, ``_g``, ``gbar_value`` and
+  the truthfulness witness's utilities are compared with their previous
+  bodies, which summed and multiplied `Fraction`s through a `Fraction` dot
+  product (kept here as ``fraction_dot``), errors included.
 """
 
 import dataclasses
@@ -51,10 +56,12 @@ from hypothesis import given, settings, strategies as st
 
 from cardvote.bounds import (
     ReductionTrace,
+    _g,
     SlideStep,
     _checked_image,
     _image_runs,
     classify,
+    gbar_value,
     reduce_to_Ck_trace,
     rounded,
 )
@@ -64,10 +71,14 @@ from cardvote.core import (
     CandidateDistribution,
     Preference,
     Profile,
-    dot,
+    WelfareReport,
     grid_steps,
     normalize,
+    ratio,
+    rv_winner,
     scaled,
+    welfare,
+    welfare_report,
     welfare_vector,
 )
 from cardvote.errors import CardvoteError, GridError, PreconditionError, UndefinedRatioError
@@ -91,7 +102,14 @@ from cardvote.mechanisms import (
     sample_stream,
     symmetrize,
 )
-from cardvote.properties import _order_pattern, enumerate_Rk_prefs, grid_pref_count
+from cardvote.properties import (
+    _first_truthfulness_witness,
+    TruthfulnessWitness,
+    _GridScan,
+    _order_pattern,
+    enumerate_Rk_prefs,
+    grid_pref_count,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +238,23 @@ class TestSampleStream:
 # ---------------------------------------------------------------------------
 # reduce_to_Ck_trace
 
+def fraction_dot(weights, values) -> Fraction:
+    """Exact sum of weight * value, skipping zero weights: the `Fraction` dot
+    product the welfare paths used before they read ``Profile.totals``."""
+    return sum((w * v for w, v in zip(weights, values) if w), ZERO)
+
+
 def reference_reduce_to_Ck_trace(profile: Profile, k: int) -> ReductionTrace:
     steps_by_voter = [grid_steps(p, k) for p in profile.prefs]
     for pref in profile.prefs:
         classify(pref, k)
-    totals = welfare_vector(profile)
+    totals = reference_welfare_vector(profile)
     if totals[0] <= ZERO:
         raise UndefinedRatioError("candidate 1 has zero welfare")
     dist = j_star(profile.m).evaluate(profile)
     one_step = Fraction(1, k)
 
-    numer = dot(dist.probs, totals)
+    numer = fraction_dot(dist.probs, totals)
     denom = totals[0]
     g_initial = numer / denom
     g_current = g_initial
@@ -937,3 +961,207 @@ class TestOneIntegerForm:
         assert (a == b) == (a.values == b.values)
         if a == b:
             assert hash(a) == hash(b)
+
+
+# ---------------------------------------------------------------------------
+# One integer welfare form
+
+def reference_welfare(profile: Profile, j: int) -> Fraction:
+    if not 1 <= j <= profile.m:
+        raise IndexError(f"candidate {j} out of range 1..{profile.m}")
+    return sum((p.values[j - 1] for p in profile.prefs), ZERO)
+
+
+def reference_rv_winner(profile: Profile) -> int:
+    totals = reference_welfare_vector(profile)
+    best = max(totals)
+    return totals.index(best) + 1
+
+
+def reference_welfare_report(profile: Profile, dist: CandidateDistribution) -> WelfareReport:
+    totals = reference_welfare_vector(profile)
+    best = max(totals)
+    winner = totals.index(best) + 1
+    if best <= ZERO:
+        raise UndefinedRatioError(
+            "welfare ratio undefined: maximal welfare is zero"
+        )
+    expected = fraction_dot(dist.probs, totals)
+    return WelfareReport(totals, winner, expected, expected / best)
+
+
+def reference_g(dist: CandidateDistribution, profile: Profile) -> Fraction:
+    totals = reference_welfare_vector(profile)
+    if totals[0] <= ZERO:
+        raise UndefinedRatioError("candidate 1 has zero welfare")
+    return fraction_dot(dist.probs, totals) / totals[0]
+
+
+def reference_gbar_value(profile: Profile) -> Fraction:
+    dist = j_star(profile.m).evaluate(profile)
+    counts = [sum(column) for column in zip(*(reference_rounded(p) for p in profile.prefs))]
+    denom = counts[0]
+    if denom <= 0:
+        raise UndefinedRatioError("no voter rounds candidate 1 up to 1")
+    return fraction_dot(dist.probs, counts) / denom
+
+
+def reference_first_truthfulness_witness(scan: _GridScan, key: tuple[int, ...], voter: int):
+    honest_idx = key[voter]
+    values = scan.prefs[honest_idx].values
+
+    def utility(profile_key: tuple[int, ...]) -> Fraction:
+        return fraction_dot(scan.dist(profile_key).probs, values)
+
+    honest = utility(key)
+    for mis_idx in range(len(scan.prefs)):
+        if mis_idx == honest_idx:
+            continue
+        gained = utility(key[:voter] + (mis_idx,) + key[voter + 1:])
+        if gained > honest:
+            return TruthfulnessWitness(
+                scan.profile(key), voter + 1, scan.prefs[mis_idx], honest, gained
+            )
+    return None
+
+
+def witness_or_none(scan: _GridScan, key: tuple[int, ...], voter: int):
+    """The replayed witness, or None where no misreport gains (the scan
+    never asks for one there; the replay raises)."""
+    try:
+        return _first_truthfulness_witness(scan, key, voter)
+    except RuntimeError:
+        return None
+
+
+def mechanisms_for(m: int, n: int) -> st.SearchStrategy[Mechanism]:
+    base = st.one_of(
+        st.just(range_voting()),
+        st.integers(1, m).map(j1q),
+        st.integers(1, n + 1).map(j2q),
+        st.just(j_star(m)),
+    )
+    mixed = st.tuples(st.integers(0, 6), base, base).map(
+        lambda t: mix([(Fraction(t[0], 6), t[1]), (Fraction(6 - t[0], 6), t[2])])
+    )
+    return st.one_of(base, mixed)
+
+
+@st.composite
+def welfare_cases(draw) -> tuple[Profile, CandidateDistribution]:
+    """A mixed-denominator profile and a distribution over its candidates:
+    one evaluated by rv, j1q, j2q, jstar or a mix of two of them, or a random
+    one."""
+    profile = draw(mixed_denominator_profiles())
+    m, n = profile.m, profile.n
+    if draw(st.booleans()):
+        return profile, draw(mechanisms_for(m, n)).evaluate(profile)
+    nums = draw(st.lists(st.integers(0, 9), min_size=m, max_size=m).filter(any))
+    return profile, CandidateDistribution.over(sum(nums), nums)
+
+
+def zero_welfare_profiles() -> list[Profile]:
+    zero = Preference.relaxed([0, 0, 0])
+    return [
+        Profile.of([zero]),
+        Profile.of([zero, zero, zero]),
+        Profile.of([zero, Preference.relaxed([0, Fraction(1, 3), 1])]),  # only candidate 1 is 0
+        Profile.of([Preference.from_steps([0, 4, 1], 4), Preference.normalized([0, 1, 0])]),
+    ]
+
+
+class TestOneWelfareForm:
+    @given(mixed_denominator_profiles())
+    @settings(max_examples=300)
+    def test_totals_and_views_match_fraction_sums(self, profile):
+        den, nums = profile.totals
+        assert den == reference_lcm(p.den for p in profile.prefs)
+        assert all(type(num) is int for num in nums) and len(nums) == profile.m
+        assert tuple(Fraction(num, den) for num in nums) == reference_welfare_vector(profile)
+        for j in range(1, profile.m + 1):
+            assert welfare(profile, j) == reference_welfare(profile, j)
+        assert rv_winner(profile) == reference_rv_winner(profile)
+
+    def test_welfare_rejects_candidates_out_of_range(self):
+        profile = Profile.of([Preference.relaxed([0, 1])])
+        for j in (0, 3):
+            with pytest.raises(IndexError, match=f"candidate {j} out of range 1..2"):
+                welfare(profile, j)
+
+    @given(welfare_cases())
+    @settings(max_examples=400)
+    def test_report_and_ratio_match_fraction_bodies(self, case):
+        profile, dist = case
+        got = outcome_of(welfare_report, profile, dist)
+        expected = outcome_of(reference_welfare_report, profile, dist)
+        assert got == expected
+        if isinstance(got, WelfareReport):  # the rendered report text too
+            assert [str(w) for w in got.welfares] == [str(w) for w in expected.welfares]
+            assert (str(got.expected), str(got.ratio)) == (str(expected.expected),
+                                                          str(expected.ratio))
+        fixed_mech = Mechanism("fixed", lambda p: dist)
+        assert outcome_of(ratio, fixed_mech, profile) == (
+            expected.ratio if isinstance(expected, WelfareReport) else expected
+        )
+
+    @given(welfare_cases())
+    @settings(max_examples=300)
+    def test_functionals_match_fraction_bodies(self, case):
+        profile, dist = case
+        assert outcome_of(_g, dist, profile) == outcome_of(reference_g, dist, profile)
+        assert outcome_of(gbar_value, profile) == outcome_of(reference_gbar_value, profile)
+
+    @pytest.mark.parametrize("m,k", [(8, 64), (27, 108)])
+    def test_functionals_on_structured_profiles(self, m, k):
+        profiles = [rand_grid_profile(m, 5, k, seed) for seed in range(3)]
+        profiles += [gen_Dk(DkParams(m=m, k=k, a=a, b=5 - a - c, c=c), seed)
+                     for a, c in ((1, 1), (2, 0), (0, 3)) for seed in range(2)]
+        for profile in profiles:
+            dist = j_star(m).evaluate(profile)
+            assert outcome_of(_g, dist, profile) == outcome_of(reference_g, dist, profile)
+            assert outcome_of(gbar_value, profile) == outcome_of(reference_gbar_value, profile)
+
+    @pytest.mark.parametrize("profile", zero_welfare_profiles(),
+                             ids=["one-zero-voter", "all-zero", "candidate-1-zero", "grid-1-zero"])
+    def test_zero_welfare_raises_the_same_error(self, profile):
+        dist = CandidateDistribution.point(1, profile.m)
+        for fn, reference, args in ((welfare_report, reference_welfare_report, (profile, dist)),
+                                    (_g, reference_g, (dist, profile)),
+                                    (gbar_value, reference_gbar_value, (profile,))):
+            assert outcome_of(fn, *args) == outcome_of(reference, *args)
+        assert outcome_of(_g, dist, profile)[0] is UndefinedRatioError
+        if max(reference_welfare_vector(profile)) == 0:
+            with pytest.raises(UndefinedRatioError, match="maximal welfare is zero"):
+                ratio(lambda p: dist, profile)
+
+    def test_totals_are_built_once_per_profile(self):
+        u = Profile.of([Preference.relaxed([1, Fraction(1, 2), 0]),
+                        Preference.from_steps([0, 3, 1], 3)])
+        v = Profile.of(u.prefs)
+        assert u.totals is u.totals
+        assert v.totals == u.totals == (6, (6, 9, 2)) and v.totals is not u.totals
+        assert u == v
+
+    @given(st.sampled_from([(2, 2, 2), (3, 2, 2), (3, 2, 3), (3, 3, 2)]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_witness_utilities_match_fraction_replay(self, shape, data):
+        m, n, k = shape
+        mech = data.draw(mechanisms_for(m, n))
+        scan = _GridScan(mech, m, n, k, tie_free=False)
+        key = tuple(data.draw(st.lists(st.integers(0, scan.pref_count - 1),
+                                       min_size=n, max_size=n)))
+        voter = data.draw(st.integers(0, n - 1))
+        assert witness_or_none(scan, key, voter) == reference_first_truthfulness_witness(
+            scan, key, voter)
+
+    def test_witness_found_for_range_voting(self):
+        # rv is manipulable at (3, 2, 2), so the replays above meet real
+        # witnesses, not only profiles where no misreport gains.
+        scan = _GridScan(range_voting(), 3, 2, 2, tie_free=False)
+        found = 0
+        for key in itertools.islice(scan.keys(), 200):
+            for voter in range(2):
+                expected = reference_first_truthfulness_witness(scan, key, voter)
+                assert witness_or_none(scan, key, voter) == expected
+                found += expected is not None
+        assert found > 0

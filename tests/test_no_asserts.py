@@ -4,7 +4,11 @@ Internal invariants must still be checked under ``python -O``, which strips
 ``assert`` statements: the package raises explicit errors instead.  Imports
 must be used, only ``core`` turns the `Fraction` view of a distribution or
 of a preference back into integers, and the grid families are built from
-integer steps."""
+integer steps.  Welfare has one integer form, ``Profile.totals``: only
+``core`` calls ``scaled``, no module defines or imports a `Fraction` ``dot``
+product, and ``bounds`` reads neither ``.probs`` nor ``welfare_vector``
+(each of which the ``bounds`` and ``properties`` modules did before the
+functionals read the integer form, so this guard failed there)."""
 
 import ast
 from pathlib import Path
@@ -141,4 +145,31 @@ def test_grid_constructors_build_no_fractions():
                       and callee.value.id == "Preference" and callee.attr != "from_steps"):
                     found.append(f"{func.name}:{node.lineno} Preference.{callee.attr}")
     assert seen == set().union(*GRID_CONSTRUCTORS.values())
+    assert found == []
+
+
+def test_welfare_has_one_integer_form():
+    """Ratios, functionals and witness utilities are integer dot products
+    over ``Profile.totals`` and a distribution's ``nums``: no module but
+    ``core`` converts with ``scaled``, none defines or imports ``dot``, and
+    ``bounds`` neither reads a distribution's ``.probs`` view nor calls
+    ``welfare_vector``."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "scaled" and path.name != "core.py":
+                    found.append(f"{path.name}:{node.lineno} scaled")
+                if name == "welfare_vector" and path.name == "bounds.py":
+                    found.append(f"{path.name}:{node.lineno} welfare_vector")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "dot":
+                found.append(f"{path.name}:{node.lineno} def dot")
+            elif isinstance(node, ast.ImportFrom) and any(
+                alias.name == "dot" for alias in node.names
+            ):
+                found.append(f"{path.name}:{node.lineno} import dot")
+            elif (isinstance(node, ast.Attribute) and node.attr == "probs"
+                  and path.name == "bounds.py"):
+                found.append(f"{path.name}:{node.lineno} .probs")
     assert found == []
