@@ -8,8 +8,8 @@ two-block class, then per-voter projection onto the three structured
 classes), computes the closed-form lower bound, and runs the worst-case
 experiments.
 
-Everything is exact; every reduction step is logged so monotonicity can be
-re-checked step by step.
+Everything is exact; every slide of the first reduction is logged, as one
+integer record per slid run, so monotonicity can be re-checked step by step.
 """
 
 from __future__ import annotations
@@ -184,23 +184,78 @@ class SlideStep:
 
 
 @dataclass(frozen=True)
+class SlideRun:
+    """One interior run of one voter, slid ``gap`` grid steps in one
+    direction.  ``run`` is its ``(lo, hi)`` before the first slide, and slide
+    i moves it to ``(lo + i*shift, hi + i*shift)``.  Before slide i
+    (0 <= i <= gap) the benchmark functional is
+    ``(numer + i*d_numer) / (den * (denom + i*d_denom))``: ``d_numer`` and
+    ``d_denom`` are the signed changes of one slide."""
+
+    voter: int
+    run: tuple[int, int]
+    direction: str
+    gap: int
+    den: int
+    numer: int
+    denom: int
+    d_numer: int
+    d_denom: int
+
+    @property
+    def shift(self) -> int:
+        return -1 if self.direction == "left" else 1
+
+
+@dataclass(frozen=True)
 class ReductionTrace:
+    """The outcome of :func:`reduce_to_Ck_trace`: the two-block profile, one
+    :class:`SlideRun` per slid interior run, and the functional before and
+    after.  :attr:`steps` expands the runs into one :class:`SlideStep` per
+    slide, built on first read."""
+
     result: Profile
-    steps: tuple[SlideStep, ...]
+    runs: tuple[SlideRun, ...]
     g_initial: Fraction
     g_final: Fraction
+
+    @functools.cached_property
+    def steps(self) -> tuple[SlideStep, ...]:
+        """One step per slide, in order, each with its run position and the
+        functional before and after; within a run each ``g_after`` is passed
+        on as the next ``g_before``."""
+        steps = []
+        for r in self.runs:
+            (lo, hi), shift, den = r.run, r.shift, r.den
+            numer, denom = r.numer, r.denom
+            g = Fraction(numer, den * denom)
+            for i in range(r.gap):
+                numer += r.d_numer
+                denom += r.d_denom
+                g_next = Fraction(numer, den * denom)
+                steps.append(SlideStep(r.voter, (lo + i * shift, hi + i * shift),
+                                       r.direction, g, g_next))
+                g = g_next
+        return tuple(steps)
 
     @property
     def anomalies(self) -> tuple[int, ...]:
         """Indices of steps where the benchmark functional increased; the
-        sliding argument predicts there are none.  Each pair is compared as
-        integer cross-products (denominators are positive), which is half
-        the cost of the generic ``Fraction`` comparison on long traces."""
-        return tuple(
-            i for i, s in enumerate(self.steps)
-            if s.g_after.numerator * s.g_before.denominator
-            > s.g_before.numerator * s.g_after.denominator
-        )
+        sliding argument predicts there are none.  Every slide is re-checked
+        on its own, from the runs' integers: the common positive factor
+        ``den`` cancels, so step i rose exactly when
+        after_numer * before_denom > before_numer * after_denom."""
+        found = []
+        index = 0
+        for r in self.runs:
+            numer, denom, d_numer, d_denom = r.numer, r.denom, r.d_numer, r.d_denom
+            for i in range(index, index + r.gap):
+                next_numer, next_denom = numer + d_numer, denom + d_denom
+                if next_numer * denom > numer * next_denom:
+                    found.append(i)
+                numer, denom = next_numer, next_denom
+            index += r.gap
+        return tuple(found)
 
 
 def reduce_to_Ck_trace(profile: Profile, k: int) -> ReductionTrace:
@@ -223,9 +278,12 @@ def reduce_to_Ck_trace(profile: Profile, k: int) -> ReductionTrace:
     That rule reduces to numer*dd <= d*denom, and a slide by delta adds
     delta*d*dd to both sides, so a run keeps its direction until it touches
     the neighbouring run on that side, ``gap`` steps later.  The direction is
-    decided once per run, the ``gap`` slides are applied as integer updates
-    (one ``Fraction`` and one ``SlideStep`` each), and the runs are recomputed
-    only after the merge.
+    decided once per run, the run is logged as one :class:`SlideRun` holding
+    the integers before its first slide and the signed change per slide, and
+    ``numer`` and ``denom`` advance by ``gap`` slides in one update.  No
+    per-step record or ``Fraction`` is built: the trace's ``steps`` derive
+    them from the runs on demand, and ``g_final`` is one ``Fraction`` at the
+    end, re-checked against the functional of the result.
     """
     steps_by_voter = [grid_steps(p, k) for p in profile.prefs]
     for pref, voter_steps in zip(profile.prefs, steps_by_voter):
@@ -237,44 +295,43 @@ def reduce_to_Ck_trace(profile: Profile, k: int) -> ReductionTrace:
     den, weights = dist.den, dist.nums
     numer = sum(map(operator.mul, weights, column))
     denom = column[0]
-    g_initial = g_current = Fraction(numer, den * denom)
+    g_initial = Fraction(numer, den * denom)
 
-    steps: list[SlideStep] = []
+    runs: list[SlideRun] = []
+    slides = 0
     cap = 4 * profile.n * profile.m * k + 16
     for voter, voter_steps in enumerate(steps_by_voter, start=1):
         # A slide moves no other voter's image, so this voter stays the first
         # one with an interior run until it has none.
-        while len(runs := _image_runs(set(voter_steps))) > 2:
-            lo, hi = runs[1]  # first interior run
+        while len(image := _image_runs(set(voter_steps))) > 2:
+            lo, hi = image[1]  # first interior run
             affected = [c for c, s in enumerate(voter_steps) if lo <= s <= hi]
             d_numer = sum(weights[c] for c in affected)
             d_denom = 1 if 0 in affected else 0
             if numer * d_denom <= d_numer * denom:
-                delta, direction, gap = -1, "left", lo - runs[0][1] - 1
+                delta, direction, gap = -1, "left", lo - image[0][1] - 1
             else:
-                delta, direction, gap = +1, "right", runs[2][0] - hi - 1
-            if len(steps) + gap - 1 > cap:
+                delta, direction, gap = +1, "right", image[2][0] - hi - 1
+            if slides + gap - 1 > cap:
                 raise RuntimeError("interior-block sliding failed to terminate")
             if denom - (gap if delta < 0 else 1) * d_denom <= 0:
                 raise RuntimeError("sliding emptied candidate 1's welfare")
             d_numer *= delta
             d_denom *= delta
-            for _ in range(gap):
-                numer += d_numer
-                denom += d_denom
-                g_next = Fraction(numer, den * denom)
-                steps.append(SlideStep(voter, (lo, hi), direction, g_current, g_next))
-                g_current = g_next
-                lo += delta
-                hi += delta
+            runs.append(SlideRun(voter, (lo, hi), direction, gap, den, numer, denom,
+                                 d_numer, d_denom))
+            numer += gap * d_numer
+            denom += gap * d_denom
+            slides += gap
             for c in affected:
                 voter_steps[c] += delta * gap
     result = Profile(
         tuple(Preference.from_steps(voter_steps, k) for voter_steps in steps_by_voter)
     )
-    if _jstar_dist(result) != dist or _g(dist, result) != g_current:
+    g_final = Fraction(numer, den * denom)
+    if _jstar_dist(result) != dist or _g(dist, result) != g_final:
         raise RuntimeError("sliding changed the stacked-lottery distribution or lost track of g")
-    return ReductionTrace(result, tuple(steps), g_initial, g_current)
+    return ReductionTrace(result, tuple(runs), g_initial, g_final)
 
 
 def reduce_to_Ck(profile: Profile, k: int) -> Profile:

@@ -71,7 +71,9 @@ def _json_text(report: dict, records: dict[str, str]) -> str:
     rendered by ``_array``; every other value goes through ``json.dumps`` and
     is indented one level.  With ``indent`` set, ``json.dumps`` runs CPython's
     pure-Python encoder, so whole profiles and the long step and move arrays
-    of ``reduce`` and ``project`` are written from fixed templates instead."""
+    of ``reduce`` and ``project`` are written from fixed templates instead:
+    ``_steps_array`` writes every step of ``reduce``, its g values included,
+    from the integers of the trace's slide runs."""
     texts = {key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
              for key, value in report.items()}
     texts.update(records)
@@ -86,14 +88,15 @@ def _array(items, pad: str) -> str:
 
 
 # One reduce step and one project move, keys sorted, at the depth of an
-# element of a top-level array.
+# element of a top-level array.  A step's direction and voter are filled in
+# once per run, which leaves the slots of g_after, g_before and the run.
 _STEP = """{
       "direction": %s,
-      "g_after": %s,
-      "g_before": %s,
+      "g_after": %%s,
+      "g_before": %%s,
       "run": [
-        %d,
-        %d
+        %%d,
+        %%d
       ],
       "voter": %d
     }"""
@@ -107,15 +110,33 @@ _MOVE = """{
     }"""
 
 
-def _steps_array(steps) -> str:
+def _ratio_text(numer: int, denom: int) -> str:
+    """``str(Fraction(numer, denom))`` for a positive ``denom``, quoted: one
+    ``math.gcd``, and no ``/1`` when the reduced denominator is 1."""
+    g = math.gcd(numer, denom)
+    return '"%d/%d"' % (numer // g, denom // g) if g != denom else '"%d"' % (numer // g)
+
+
+def _steps_array(runs) -> str:
+    """The ``steps`` array of a ``reduce`` report, written from a trace's
+    :class:`~cardvote.bounds.SlideRun` records: each step's ``g_after`` by
+    ``_ratio_text`` from the run's integers, its ``g_before`` as the text
+    before it, and its run as the run's start shifted once per slide."""
+
     def rendered():
-        # A reduction trace passes each step's g_after on as the next step's
-        # g_before, the same object, so its text is reused.
-        g, text = None, None
-        for s in steps:
-            before = text if s.g_before is g else _quote(str(s.g_before))
-            g, text = s.g_after, _quote(str(s.g_after))
-            yield _STEP % (_quote(s.direction), text, before, *s.run, s.voter)
+        for r in runs:
+            step = _STEP % (_quote(r.direction).replace("%", "%%"), r.voter)
+            (lo, hi), shift = r.run, r.shift
+            numer, d_numer = r.numer, r.d_numer
+            denom, d_denom = r.den * r.denom, r.den * r.d_denom
+            text = _ratio_text(numer, denom)
+            for _ in range(r.gap):
+                numer += d_numer
+                denom += d_denom
+                before, text = text, _ratio_text(numer, denom)
+                yield step % (text, before, lo, hi)
+                lo += shift
+                hi += shift
 
     return _array(rendered(), "  ")
 
@@ -583,7 +604,7 @@ def reduce_cmd(profile_path: str, k: int, out: str | None):
         "anomalies": list(trace.anomalies),
     }
     _json_report(RunConfig.of("reduce", profile=profile_path, k=k), body, out,
-                 {"result": _profile_record(trace.result), "steps": _steps_array(trace.steps)})
+                 {"result": _profile_record(trace.result), "steps": _steps_array(trace.runs)})
 
 
 @main.command("project")

@@ -94,6 +94,8 @@ def grid_steps(pref: Preference, k: int) -> list[int]:
     """Each utility as a count of 1/k grid steps; GridError when one is not a
     multiple of 1/k.  Every utility is one exactly when the least common
     denominator divides k."""
+    if type(k) is not int or k < 1:
+        raise PreconditionError(f"grid resolution k must be an int >= 1, got {k!r}")
     den, nums = pref.den, pref.nums
     if k % den:
         bad = next(i for i, num in enumerate(nums) if num * k % den)

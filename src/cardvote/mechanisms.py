@@ -262,17 +262,31 @@ def sample(mech: Mechanism, profile: Profile, seed: int) -> int:
     return sample_stream(mech, profile, 1, seed)[0]
 
 
+# Draws per chunk of sample_stream: bounds the raw integers held at once.
+_SAMPLE_CHUNK = 4096
+
+
 def sample_stream(
     mech: Mechanism, profile: Profile, count: int, seed: int
 ) -> list[int]:
     """Draw ``count`` winners from one seeded generator, evaluating the
     distribution once.  Sampling is exact: each draw is a uniform integer
     below the probabilities' common denominator, so every candidate is drawn
-    with exactly its probability."""
+    with exactly its probability.
+
+    The integers are drawn as CPython's ``randrange(den)`` draws them:
+    ``getrandbits`` of den's bit length, rejecting values of den or above.
+    They are drawn in chunks of at most ``_SAMPLE_CHUNK`` calls, each chunk
+    filtered in order, until ``count`` are kept, so each seed gives the
+    stream that one ``randrange(den)`` per draw gives."""
     dist = mech.evaluate(profile)
-    bounds = list(itertools.accumulate(dist.nums))
-    rng = random.Random(seed)
-    return [bisect.bisect_right(bounds, rng.randrange(dist.den)) + 1 for _ in range(count)]
+    den, bounds = dist.den, list(itertools.accumulate(dist.nums))
+    draw, bits = random.Random(seed).getrandbits, den.bit_length()
+    out: list[int] = []
+    while (needed := count - len(out)) > 0:
+        kept = [x for x in map(draw, itertools.repeat(bits, min(needed, _SAMPLE_CHUNK))) if x < den]
+        out.extend([bisect.bisect_right(bounds, x) + 1 for x in kept])
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
 from cardvote import bounds
-from cardvote.bounds import ProjectionMove, ProjectionTrace, ReductionTrace, SlideStep
+from cardvote.bounds import ProjectionMove, ProjectionTrace, ReductionTrace, SlideRun
 from cardvote.cli import _json_text, _lazy_product, _profile_record, fit_slope, main
 from cardvote.core import Preference, Profile, profile_to_json_dict
 from cardvote.errors import DataError
@@ -145,9 +145,16 @@ class TestBadInput:
             # Budget counts with more digits than int() converts to text.
             "verify ordinal --mech rv --m 3000 --n 300 --k 2",
             "verify anonymous --mech rv --m 30 --n 2000 --k 2",
+            # Grid resolutions below 1, rejected before any value is read.
+            "reduce --profile {grid} --k -3",
+            "reduce --profile {grid} --k 0",
         ],
     )
-    def test_bad_flag(self, runner, args):
+    def test_bad_flag(self, runner, tmp_path, args):
+        if "{grid}" in args:
+            grid = tmp_path / "g.json"
+            grid.write_text(json.dumps(profile_to_json_dict(rand_grid_profile(8, 6, 64, 3))))
+            args = args.format(grid=grid)
         result = invoke(runner, *args.split())
         assert result.exit_code == 1
         assert "Traceback" not in result.output
@@ -375,13 +382,45 @@ def profiles(draw, n=None):
 
 fractions = st.fractions(max_denominator=10**12)
 labels = st.one_of(st.sampled_from(["left", "right", "a", "b", "c"]), st.text())
-slide_steps = st.builds(SlideStep, st.integers(), st.tuples(st.integers(), st.integers()),
-                        labels, fractions, fractions)
+
+
+@st.composite
+def slide_runs(draw) -> SlideRun:
+    """Runs of up to 6 slides in either direction (any other label shifts
+    right, as the writer must render it), zero gaps included, whose
+    functional may rise, fall or stay: the signed changes take either sign,
+    and the denominator stays positive before and after every slide.  Small
+    denominators give values that reduce to integers."""
+    gap = draw(st.integers(0, 6))
+    d_denom = draw(st.integers(-3, 3))
+    denom = draw(st.integers(1, 40)) + max(0, -d_denom * gap)
+    big = st.integers(-(2**80), 2**80)
+    return SlideRun(
+        voter=draw(st.integers()),
+        run=draw(st.tuples(st.integers(), st.integers())),
+        direction=draw(labels),
+        gap=gap,
+        den=draw(st.sampled_from([1, 2, 3]) | st.integers(1, 2**70)),
+        numer=draw(st.integers(-60, 60) | big),
+        denom=denom,
+        d_numer=draw(st.integers(-9, 9) | big),
+        d_denom=d_denom,
+    )
+
+
 moves = st.builds(ProjectionMove, st.integers(), st.booleans(), st.none() | labels,
                   profiles(n=1).map(lambda p: p.prefs[0]),
                   profiles(n=1).map(lambda p: p.prefs[0]))
-reduce_traces = st.builds(ReductionTrace, profiles(), st.lists(slide_steps, max_size=6).map(tuple),
+reduce_traces = st.builds(ReductionTrace, profiles(), st.lists(slide_runs(), max_size=6).map(tuple),
                           fractions, fractions)
+# Two runs of voter 2: 6/2 -> 5/2 -> 4/2 -> 3/2, whose values 3 and 2 reduce
+# to integers, then a rise from 1/3 to 2/3.
+INTEGER_RUNS = (
+    SlideRun(2, (5, 6), "left", 3, 2, 6, 1, -1, 0),
+    SlideRun(2, (9, 9), "right", 1, 3, 1, 1, 1, 0),
+)
+# A label with a format directive in it, which the writer must copy as text.
+PERCENT_RUN = (SlideRun(1, (2, 3), "100%s", 2, 1, 4, 1, -1, 0),)
 project_traces = st.builds(ProjectionTrace, profiles(), st.lists(moves, max_size=4).map(tuple))
 
 # Relaxed voters over mixed denominators, with zeros and ones among them.
@@ -408,6 +447,8 @@ def profile_file(tmp_path_factory):
 class TestReportWriter:
     @given(reduce_traces, st.integers(1, 10**6))
     @example(ReductionTrace(BASE, (), Fraction(1, 3), Fraction(1, 3)), 3)
+    @example(ReductionTrace(BASE, INTEGER_RUNS, Fraction(3), Fraction(2, 3)), 3)
+    @example(ReductionTrace(BASE, PERCENT_RUN, Fraction(4), Fraction(2)), 3)
     @settings(max_examples=150, deadline=None)
     def test_reduce_report_matches_json_dumps(self, profile_file, trace, k):
         with mock.patch.object(bounds, "reduce_to_Ck_trace", lambda profile, k: trace):
@@ -475,6 +516,40 @@ class TestReportWriter:
         assert projected == project_reference(
             bounds.project_to_Dk_trace(trace.result, 64), str(path), 64
         )
+
+    def test_reduce_builds_no_steps(self, tmp_path):
+        # The report is written from the trace's runs: with SlideStep unusable
+        # the real chain still gives the same bytes.
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(profile_to_json_dict(rand_grid_profile(8, 6, 64, 3))))
+        expected = invoke(CliRunner(), "reduce", "--profile", str(path), "--k", "64").output
+        refused = mock.Mock(side_effect=AssertionError("reduce built a SlideStep"))
+        with mock.patch.object(bounds, "SlideStep", refused):
+            result = invoke(CliRunner(), "reduce", "--profile", str(path), "--k", "64")
+        assert result.exit_code == 0
+        assert result.output == expected
+        assert len(json.loads(expected)["steps"]) > 100
+        refused.assert_not_called()
+
+
+class TestRunAnomalies:
+    """``ReductionTrace.anomalies`` re-checks every slide from the runs'
+    integers; the reference compares the derived steps' `Fraction`s."""
+
+    @given(st.lists(slide_runs(), max_size=8).map(tuple))
+    @example(INTEGER_RUNS)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_comparison(self, runs):
+        trace = ReductionTrace(BASE, runs, Fraction(0), Fraction(0))
+        assert len(trace.steps) == sum(r.gap for r in runs)
+        assert trace.anomalies == tuple(
+            i for i, s in enumerate(trace.steps) if s.g_after > s.g_before
+        )
+
+    def test_rising_runs_are_flagged(self):
+        trace = ReductionTrace(BASE, INTEGER_RUNS, Fraction(3), Fraction(2, 3))
+        assert [str(s.g_after) for s in trace.steps] == ["5/2", "2", "3/2", "2/3"]
+        assert trace.anomalies == (3,)
 
 
 class TestLazyProduct:

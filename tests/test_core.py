@@ -11,6 +11,7 @@ from cardvote.core import (
     Preference,
     Profile,
     exact,
+    grid_steps,
     normalize,
     pairwise_beats,
     profile_from_csv_text,
@@ -165,6 +166,12 @@ class TestFromSteps:
     def test_rejects(self, steps, k, error, match):
         with pytest.raises(error, match=match):
             Preference.from_steps(steps, k)
+
+    @pytest.mark.parametrize("k", [0, -3, True, 64.0])
+    def test_grid_steps_rejects_bad_resolution(self, k):
+        # Before the multiple-of-1/k check, which would name a value instead.
+        with pytest.raises(PreconditionError, match="grid resolution k must be an int >= 1"):
+            grid_steps(Preference.from_steps([9, 0, 64], 64), k)
 
     def test_huge_k_allocates_nothing_of_size_k(self):
         k = 10**30

@@ -3,12 +3,14 @@ denominator (``core.scaled``) against the exact references they replaced.
 
 - ``scaled`` must round-trip every value, and its denominator must be the
   least common one (here, an lcm folded pairwise through ``gcd``).
-- ``sample_stream`` draws ``randrange(den)`` and bisects the integer
-  cumulative sums; the reference scans the same sums linearly.
+- ``sample_stream`` draws ``getrandbits`` in bounded chunks, keeps the
+  values below ``den`` and bisects the integer cumulative sums; one
+  reference is its previous body, one ``randrange(den)`` per draw, and the
+  other scans the same sums linearly.
 - ``reduce_to_Ck_trace`` finishes voters one at a time and tracks the
   benchmark functional as integers; the reference is the previous body,
   which rescans every voter for the first interior run before each slide and
-  tracks the functional in `Fraction`s.  Whole traces must be equal.
+  tracks the functional in `Fraction`s.
 - ``properties._order_pattern`` walks the cached order; the reference sorts
   the distinct values.
 - ``CandidateDistribution`` holds non-negative integer numerators over one
@@ -30,6 +32,10 @@ denominator (``core.scaled``) against the exact references they replaced.
   slides the run until it merges with its neighbour; the reference is the
   step-at-a-time integer body, which recomputes the runs, the affected
   candidates and the direction before every slide.
+- ``ReductionTrace`` holds one ``SlideRun`` per slid run, and its ``steps``
+  and ``anomalies`` are derived from the runs.  Each comparison with a
+  reference above goes through ``reported``: the result, every step, the
+  functional before and after, and the anomalies must be equal.
 - ``Preference`` stores only ``(den, nums)`` in lowest terms, and ``values``
   is its `Fraction` view.  ``gen_negative`` builds its voters from steps of
   1/m^4 and is compared with its previous `Fraction` body;
@@ -44,6 +50,7 @@ denominator (``core.scaled``) against the exact references they replaced.
   product (kept here as ``fraction_dot``), errors included.
 """
 
+import bisect
 import dataclasses
 import functools
 import itertools
@@ -52,7 +59,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cardvote.bounds import (
     ReductionTrace,
@@ -190,6 +197,14 @@ def reference_sample_stream(dist: CandidateDistribution, count: int, seed: int) 
     return out
 
 
+def randrange_sample_stream(dist: CandidateDistribution, count: int, seed: int) -> list[int]:
+    """The previous body of ``sample_stream``: one ``randrange(den)`` per
+    draw, bisected into the integer cumulative sums."""
+    bounds = list(itertools.accumulate(dist.nums))
+    rng = random.Random(seed)
+    return [bisect.bisect_right(bounds, rng.randrange(dist.den)) + 1 for _ in range(count)]
+
+
 def fixed(probs) -> tuple[Mechanism, CandidateDistribution]:
     dist = CandidateDistribution(*scaled([Fraction(p) for p in probs]))
     return Mechanism("fixed", lambda profile: dist), dist
@@ -203,6 +218,15 @@ def distributions(draw) -> list[Fraction]:
     weights = draw(st.lists(st.integers(0, 7), min_size=2, max_size=9).filter(any))
     total = sum(weights)
     return [Fraction(w, total) for w in weights]
+
+
+@st.composite
+def integer_distributions(draw) -> CandidateDistribution:
+    """Distributions with zero numerators among the others, over
+    denominators from 1 to far above 2**64."""
+    top = draw(st.sampled_from([1, 7, 2**20, 2**70, 2**200]))
+    nums = draw(st.lists(st.integers(0, top) | st.just(0), min_size=1, max_size=9).filter(any))
+    return CandidateDistribution.over(sum(nums), nums)
 
 
 class TestSampleStream:
@@ -228,6 +252,17 @@ class TestSampleStream:
         assert draws == reference_sample_stream(dist, 20_000, 11)
         assert set(draws) == {1, 3, 4}
 
+    @given(integer_distributions(), st.sampled_from([0, 1, 2, 4095, 4096, 4097, 9_000]),
+           st.integers(0, 2**64))
+    @example(CandidateDistribution.point(1, 1), 4097, 0)  # den 1: one-bit draws, zeros kept
+    @example(CandidateDistribution(2**64 + 1, (2**64, 0, 1)), 4097, 3)  # den above 2**64
+    @settings(max_examples=100, deadline=None)
+    def test_batches_match_randrange_draws(self, dist, count, seed):
+        mech = Mechanism("fixed", lambda profile: dist)
+        draws = sample_stream(mech, ANY_PROFILE, count, seed)
+        assert draws == randrange_sample_stream(dist, count, seed)
+        assert all(dist.nums[j - 1] > 0 for j in draws)
+
     def test_jstar_stream_matches_reference(self):
         profile = rand_grid_profile(8, 5, 64, 3)
         mech = j_star(8)
@@ -244,7 +279,30 @@ def fraction_dot(weights, values) -> Fraction:
     return sum((w * v for w, v in zip(weights, values) if w), ZERO)
 
 
-def reference_reduce_to_Ck_trace(profile: Profile, k: int) -> ReductionTrace:
+@dataclasses.dataclass(frozen=True)
+class StepTrace:
+    """A reduction as the references log it, one ``SlideStep`` per slide,
+    with the anomalies found by `Fraction` comparison."""
+
+    result: Profile
+    steps: tuple[SlideStep, ...]
+    g_initial: Fraction
+    g_final: Fraction
+
+    @property
+    def anomalies(self) -> tuple[int, ...]:
+        return tuple(i for i, s in enumerate(self.steps) if s.g_after > s.g_before)
+
+
+def reported(trace):
+    """Everything a trace reports: the result, every step, the functional
+    before and after, and the anomalies.  An error outcome passes through."""
+    if isinstance(trace, tuple):
+        return trace
+    return trace.result, trace.steps, trace.g_initial, trace.g_final, trace.anomalies
+
+
+def reference_reduce_to_Ck_trace(profile: Profile, k: int) -> StepTrace:
     steps_by_voter = [grid_steps(p, k) for p in profile.prefs]
     for pref in profile.prefs:
         classify(pref, k)
@@ -292,10 +350,10 @@ def reference_reduce_to_Ck_trace(profile: Profile, k: int) -> ReductionTrace:
             for voter_steps in steps_by_voter
         )
     )
-    return ReductionTrace(result, tuple(steps), g_initial, g_current)
+    return StepTrace(result, tuple(steps), g_initial, g_current)
 
 
-def fraction_reduce_to_Ck_trace(profile: Profile, k: int) -> ReductionTrace:
+def fraction_reduce_to_Ck_trace(profile: Profile, k: int) -> StepTrace:
     """The per-voter loop before slides were decided in integers: two
     `Fraction` candidates per slide, and an unvalidated result."""
     steps_by_voter = [grid_steps(p, k) for p in profile.prefs]
@@ -335,10 +393,10 @@ def fraction_reduce_to_Ck_trace(profile: Profile, k: int) -> ReductionTrace:
             for voter_steps in steps_by_voter
         )
     )
-    return ReductionTrace(result, tuple(steps), g_initial, g_current)
+    return StepTrace(result, tuple(steps), g_initial, g_current)
 
 
-def step_reduce_to_Ck_trace(profile: Profile, k: int) -> ReductionTrace:
+def step_reduce_to_Ck_trace(profile: Profile, k: int) -> StepTrace:
     """The integer body before whole runs were slid at once: before every
     slide it recomputes the voter's runs, the affected candidates and the
     direction by the full cross-product."""
@@ -377,10 +435,10 @@ def step_reduce_to_Ck_trace(profile: Profile, k: int) -> ReductionTrace:
     result = Profile(
         tuple(Preference.from_steps(voter_steps, k) for voter_steps in steps_by_voter)
     )
-    return ReductionTrace(result, tuple(steps), g_initial, g_current)
+    return StepTrace(result, tuple(steps), g_initial, g_current)
 
 
-def merges(trace: ReductionTrace) -> list[tuple[int, str, int]]:
+def merges(trace: ReductionTrace | StepTrace) -> list[tuple[int, str, int]]:
     """(voter, direction, slides) of each run slid until it merged: a run of
     consecutive steps of one voter in one direction, each starting where the
     previous one ended."""
@@ -419,7 +477,7 @@ class TestReductionTrace:
     def test_matches_reference(self, shape):
         profile, k = shape
         got = outcome(reduce_to_Ck_trace, profile, k)
-        assert got == outcome(reference_reduce_to_Ck_trace, profile, k)
+        assert reported(got) == reported(outcome(reference_reduce_to_Ck_trace, profile, k))
 
     @given(grid_shapes())
     @settings(max_examples=150, deadline=None)
@@ -433,6 +491,7 @@ class TestReductionTrace:
         assert got.steps == expected.steps
         assert (got.g_initial, got.g_final) == (expected.g_initial, expected.g_final)
         assert got.anomalies == expected.anomalies
+        assert reported(got) == reported(expected)
         for mine, theirs in zip(got.result.prefs, expected.result.prefs, strict=True):
             assert_same_preference(mine, theirs)
 
@@ -443,7 +502,7 @@ class TestReductionTrace:
         for seed in range(6):
             profile = rand_grid_profile(8, 6, 64, seed)
             trace = reduce_to_Ck_trace(profile, 64)
-            assert trace == reference_reduce_to_Ck_trace(profile, 64)
+            assert reported(trace) == reported(reference_reduce_to_Ck_trace(profile, 64))
             assert len({s.voter for s in trace.steps}) > 1
             directions |= {s.direction for s in trace.steps}
         assert directions == {"left", "right"}
@@ -478,7 +537,8 @@ class TestRunAtOnce:
         ]
         assert (got.g_initial, got.g_final) == (expected.g_initial, expected.g_final)
         assert got.anomalies == expected.anomalies == ()
-        assert got == expected
+        assert reported(got) == reported(expected)
+        assert len(got.runs) == len(merges(expected))
 
     def test_runs_merge_left_and_right(self):
         # Fixed profiles where one voter's runs merge in both directions and
@@ -488,7 +548,7 @@ class TestRunAtOnce:
         for seed in range(12):
             profile = rand_grid_profile(8, 6, 64, seed)
             trace = reduce_to_Ck_trace(profile, 64)
-            assert trace == step_reduce_to_Ck_trace(profile, 64)
+            assert reported(trace) == reported(step_reduce_to_Ck_trace(profile, 64))
             runs = merges(trace)
             for voter in {v for v, _, _ in runs}:
                 mine = [(d, count) for v, d, count in runs if v == voter]
@@ -502,8 +562,11 @@ class TestRunAtOnce:
         # right three times onto {10}.
         profile = Profile((Preference.from_steps([5, 0, 3, 6, 10], 10),))
         trace = reduce_to_Ck_trace(profile, 10)
-        assert trace == step_reduce_to_Ck_trace(profile, 10)
+        assert reported(trace) == reported(step_reduce_to_Ck_trace(profile, 10))
         assert merges(trace) == [(1, "left", 2), (1, "right", 3)]
+        assert [(r.voter, r.run, r.direction, r.gap) for r in trace.runs] == [
+            (1, (3, 3), "left", 2), (1, (5, 6), "right", 3)
+        ]
         assert [s.run for s in trace.steps] == [(3, 3), (2, 2), (5, 6), (6, 7), (7, 8)]
         assert grid_steps(trace.result.prefs[0], 10) == [8, 0, 1, 9, 10]
 
