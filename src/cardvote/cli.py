@@ -1,10 +1,12 @@
 """Command-line entry point wiring generators, mechanisms, checkers and
 experiments into reproducible runs.
 
+This is the one module that renders reports: the others return plain data.
 Reports are fully determined by the invocation (seeds included): the parsed
-configuration is echoed into every report and no timestamps or environment
-data are emitted, so reruns are byte-identical.  Exact rationals appear next
-to any decimal rendering (decimals use 12 significant digits).
+configuration, a plain dict, is echoed into every report and no timestamps
+or environment data are emitted, so reruns are byte-identical.  Exact
+rationals appear next to any decimal rendering (decimals use 12 significant
+digits).
 
 Exit codes: 0 success, 2 a property check found a violation, 1 any error.
 """
@@ -12,10 +14,11 @@ Exit codes: 0 success, 2 a property check found a violation, 1 any error.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
+import itertools
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -24,21 +27,6 @@ import click
 
 from . import bounds, core, generators, mechanisms, properties
 from .errors import CardvoteError, DataError, PreconditionError
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that determined a run; echoed into the report header."""
-
-    subcommand: str
-    params: tuple[tuple[str, object], ...]
-
-    @classmethod
-    def of(cls, subcommand: str, **params) -> "RunConfig":
-        return cls(subcommand, tuple(sorted(params.items())))
-
-    def as_dict(self) -> dict:
-        return {"subcommand": self.subcommand, **{k: v for k, v in self.params}}
 
 
 def _dec(f) -> str:
@@ -60,9 +48,9 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json_report(
-    config: RunConfig, body: dict, out: str | None, records: dict[str, str] | None = None
+    config: dict, body: dict, out: str | None, records: dict[str, str] | None = None
 ) -> None:
-    _emit(_json_text({"config": config.as_dict(), **body}, records or {}), out)
+    _emit(_json_text({"config": config, **body}, records or {}), out)
 
 
 def _json_text(report: dict, records: dict[str, str]) -> str:
@@ -174,12 +162,12 @@ def _profile_record(profile: core.Profile) -> str:
         profile.m, profile.n, _array(voters, "    "))
 
 
-def _csv_report(
-    config: RunConfig, fieldnames: list[str], rows: list[dict], out: str | None
-) -> None:
+def _csv_report(config: dict, rows: list[dict], out: str | None) -> None:
+    """A CSV table under a ``# config:`` line; its columns are the keys of
+    the first row, and every command writes at least one."""
     buf = io.StringIO()
-    buf.write("# config: " + json.dumps(config.as_dict(), sort_keys=True) + "\n")
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+    buf.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
     _emit(buf.getvalue(), out)
@@ -252,7 +240,7 @@ def eval_cmd(spec: str, profile_path: str, out: str | None):
     }
     if mech.q is not None:
         body["quota_in_range"] = mech.q in mechanisms.j2q_quota_range(profile.n)
-    _json_report(RunConfig.of("eval", mech=spec, profile=profile_path), body, out)
+    _json_report({"subcommand": "eval", "mech": spec, "profile": profile_path}, body, out)
 
 
 @main.command("ratio")
@@ -266,7 +254,7 @@ def ratio_cmd(spec: str, profile_path: str, out: str | None):
     profile = _load_profile(profile_path)
     value = core.ratio(mech, profile)
     _json_report(
-        RunConfig.of("ratio", mech=spec, profile=profile_path),
+        {"subcommand": "ratio", "mech": spec, "profile": profile_path},
         {"mechanism": mech.name, "ratio": {"exact": str(value), "decimal": _dec(value)}},
         out,
     )
@@ -350,6 +338,49 @@ _CHECKS = {
 }
 
 
+def _verify_body(report: properties.WitnessReport) -> dict:
+    """The body of a ``verify`` report: the verdict, the search space and a
+    violation's witness, every exact value written by ``str``."""
+
+    def strs(values) -> list[str]:
+        return [str(v) for v in values]
+
+    def profile(p: core.Profile) -> list[list[str]]:
+        return [strs(pref.values) for pref in p.prefs]
+
+    body = {
+        "check": report.check,
+        "mechanism": report.mechanism,
+        "verdict": "holds" if report.holds else "violated",
+        "search_space": dataclasses.asdict(report.search_space),
+    }
+    w = report.witness
+    if isinstance(w, properties.TruthfulnessWitness):
+        body["witness"] = {
+            "profile": profile(w.profile),
+            "voter": w.voter,
+            "misreport": strs(w.misreport.values),
+            "honest_utility": str(w.honest_utility),
+            "misreport_utility": str(w.misreport_utility),
+            "gain": str(w.gain),
+        }
+    elif isinstance(w, properties.OrdinalWitness):
+        body["witness"] = {
+            "profile_a": profile(w.profile_a),
+            "profile_b": profile(w.profile_b),
+            "dist_a": strs(w.dist_a.probs),
+            "dist_b": strs(w.dist_b.probs),
+        }
+    elif isinstance(w, properties.SymmetryWitness):
+        body["witness"] = {
+            "profile": profile(w.profile),
+            "permutation": list(w.permutation),
+            "expected": strs(w.expected.probs),
+            "actual": strs(w.actual.probs),
+        }
+    return body
+
+
 @main.group()
 def verify():
     """Exhaustive property checks over grid families (exit 2 on violation)."""
@@ -369,10 +400,9 @@ def _verify_command(name: str):
     def run(ctx, spec, m, n, k, tie_free, budget, out):
         mech = mechanisms.parse_mechanism(spec)
         report = _CHECKS[name](mech, m, n, k, tie_free=tie_free, budget=budget)
-        config = RunConfig.of(
-            f"verify {name}", mech=spec, m=m, n=n, k=k, tie_free=tie_free, budget=budget
-        )
-        _json_report(config, report.to_json_dict(), out)
+        config = {"subcommand": f"verify {name}", "mech": spec, "m": m, "n": n, "k": k,
+                  "tie_free": tie_free, "budget": budget}
+        _json_report(config, _verify_body(report), out)
         if not report.holds:
             ctx.exit(2)
 
@@ -426,13 +456,7 @@ def experiment_negative(ms_text: str, repeat: int, out: str | None):
                 "ratio_over_reference": format(float(row.ratio) / reference, ".12g"),
             }
         )
-    config = RunConfig.of("experiment negative", m=ms, repeat=repeat)
-    _csv_report(
-        config,
-        ["m", "scheme", "q", "ratio", "ratio_decimal", "m_pow_minus_2_3", "ratio_over_reference"],
-        out_rows,
-        out,
-    )
+    _csv_report({"subcommand": "experiment negative", "m": ms, "repeat": repeat}, out_rows, out)
 
 
 @experiment.command("lower")
@@ -462,13 +486,9 @@ def experiment_lower(m, n, k, step, seeds, out):
         }
         for r in rows
     ]
-    config = RunConfig.of("experiment lower", m=m, n=n, k=k, grid_step=step, seeds=seed_list)
-    _csv_report(
-        config,
-        ["a", "b", "c", "seed", "gbar", "gbar_decimal", "bound", "bound_decimal", "slack", "ok"],
-        out_rows,
-        out,
-    )
+    config = {"subcommand": "experiment lower", "m": m, "n": n, "k": k, "grid_step": step,
+              "seeds": seed_list}
+    _csv_report(config, out_rows, out)
 
 
 @experiment.command("cyclic")
@@ -505,45 +525,16 @@ def experiment_cyclic(ms_text: str, eps: str | None, out: str | None):
                     "all_orderings_equivalent": equivalent,
                 }
             )
-    config = RunConfig.of("experiment cyclic", m=ms_text, eps=eps)
-    _csv_report(
-        config,
-        ["m", "star", "eps", "ratio", "ratio_decimal", "bound", "within_bound", "all_orderings_equivalent"],
-        rows,
-        out,
-    )
+    _csv_report({"subcommand": "experiment cyclic", "m": ms_text, "eps": eps}, rows, out)
 
 
-def _lazy_product(items, n: int):
-    """``itertools.product(items, repeat=n)`` in the same order, reading
-    ``items`` only as far as the tuples yielded so far need: the product
-    materializes its input up front, which for a large grid family never
-    ends, although a small ``--budget`` visits only its first few profiles.
-    Positions are indices into one cache of the items read so far, and the
-    last position is the first to reach an unread item."""
-    items = iter(items)
-    cache = []
-
-    def has(i: int) -> bool:  # i <= len(cache)
-        if i == len(cache):
-            item = next(items, cache)  # the cache itself marks the end
-            if item is cache:
-                return False
-            cache.append(item)
-        return True
-
-    if n and not has(0):
-        return
-    index = [0] * n
-    while True:
-        yield tuple(map(cache.__getitem__, index))
-        pos = n - 1
-        while pos >= 0 and not has(index[pos] + 1):
-            index[pos] = 0
-            pos -= 1
-        if pos < 0:
-            return
-        index[pos] += 1
+def _grid_family(m: int, n: int, k: int, tie_free: bool, first: int):
+    """The grid profiles in enumeration order.  The first B profiles of
+    ``product(prefs, repeat=n)`` use only the first B grid preferences, so
+    only ``first`` = min(P, B) are listed, once ``min_ratio_search`` reads
+    the first profile: after it has checked the budget B."""
+    prefs = list(itertools.islice(properties.enumerate_Rk_prefs(m, k, tie_free), first))
+    yield from map(core.Profile, itertools.product(prefs, repeat=n))
 
 
 @experiment.command("minratio")
@@ -559,21 +550,20 @@ def _lazy_product(items, n: int):
 def experiment_minratio(spec, m, n, k, tie_free, profile_path, budget, out):
     """Minimal exact ratio over a grid family or a single profile file."""
     mech = mechanisms.parse_mechanism(spec)
+    if profile_path and (tie_free or (m, n, k) != (None, None, None)):
+        raise PreconditionError("give --profile or the grid flags --m/--n/--k/--tie-free, not both")
     if profile_path:
         family = [_load_profile(profile_path)]
     elif None not in (m, n, k):
         if n < 1:
             raise PreconditionError(f"need at least one voter, got n={n}")
-        properties.grid_pref_count(m, k, tie_free)  # rejects bad m, k before the budget
-        prefs = properties.enumerate_Rk_prefs(m, k, tie_free)
-        family = map(core.Profile, _lazy_product(prefs, n))
+        count = properties.grid_pref_count(m, k, tie_free)  # rejects bad m, k before the budget
+        family = _grid_family(m, n, k, tie_free, min(count, budget))
     else:
         raise click.ClickException("provide either --profile or all of --m/--n/--k")
     result = bounds.min_ratio_search(mech, family, budget)
-    config = RunConfig.of(
-        "experiment minratio",
-        mech=spec, m=m, n=n, k=k, tie_free=tie_free, profile=profile_path, budget=budget,
-    )
+    config = {"subcommand": "experiment minratio", "mech": spec, "m": m, "n": n, "k": k,
+              "tie_free": tie_free, "profile": profile_path, "budget": budget}
     _json_report(
         config,
         {
@@ -603,7 +593,7 @@ def reduce_cmd(profile_path: str, k: int, out: str | None):
         "g_final": str(trace.g_final),
         "anomalies": list(trace.anomalies),
     }
-    _json_report(RunConfig.of("reduce", profile=profile_path, k=k), body, out,
+    _json_report({"subcommand": "reduce", "profile": profile_path, "k": k}, body, out,
                  {"result": _profile_record(trace.result), "steps": _steps_array(trace.runs)})
 
 
@@ -616,7 +606,7 @@ def project_cmd(profile_path: str, k: int, out: str | None):
     """Project two-block voters onto the structured classes."""
     trace = bounds.project_to_Dk_trace(_load_profile(profile_path), k)
     _json_report(
-        RunConfig.of("project", profile=profile_path, k=k),
+        {"subcommand": "project", "profile": profile_path, "k": k},
         {},
         out,
         {"result": _profile_record(trace.result), "moves": _moves_array(trace.moves)},
@@ -681,7 +671,7 @@ def fit_cmd(data_path: str, aggregate: str, out: str | None):
         points = sorted(by_m.items())
     slope, residual = fit_slope(points)
     _json_report(
-        RunConfig.of("fit", data=data_path, aggregate=aggregate),
+        {"subcommand": "fit", "data": data_path, "aggregate": aggregate},
         {"slope": format(slope, ".12g"), "residual": format(residual, ".12g"),
          "points": len(points)},
         out,

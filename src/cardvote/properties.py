@@ -5,7 +5,8 @@ Every checker enumerates a finite grid family of normalized preferences and
 either certifies the property over that family or returns a concrete,
 replayable counterexample.  A "holds" verdict is always relative to the
 enumerated grid, never a universal claim; the report records the search
-space.
+space.  Reports and witnesses are plain data; ``cardvote.cli`` renders
+them.
 
 Enumeration order is fixed so that the first witness is reproducible:
 preferences are ordered lexicographically by their value tuple (candidate 1
@@ -146,7 +147,7 @@ class SymmetryWitness:
 
     profile: Profile
     permutation: tuple[int, ...]
-    expected: CandidateDistribution | None
+    expected: CandidateDistribution
     actual: CandidateDistribution
 
 
@@ -157,55 +158,6 @@ class WitnessReport:
     holds: bool
     search_space: SearchSpace
     witness: object | None = None
-
-    @property
-    def verdict(self) -> str:
-        return "holds" if self.holds else "violated"
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "check": self.check,
-            "mechanism": self.mechanism,
-            "verdict": self.verdict,
-            "search_space": {
-                "m": self.search_space.m,
-                "n": self.search_space.n,
-                "k": self.search_space.k,
-                "tie_free": self.search_space.tie_free,
-                "preference_count": self.search_space.preference_count,
-                "profile_count": self.search_space.profile_count,
-            },
-        }
-        w = self.witness
-        if isinstance(w, TruthfulnessWitness):
-            out["witness"] = {
-                "profile": _profile_json(w.profile),
-                "voter": w.voter,
-                "misreport": [str(v) for v in w.misreport.values],
-                "honest_utility": str(w.honest_utility),
-                "misreport_utility": str(w.misreport_utility),
-                "gain": str(w.gain),
-            }
-        elif isinstance(w, OrdinalWitness):
-            out["witness"] = {
-                "profile_a": _profile_json(w.profile_a),
-                "profile_b": _profile_json(w.profile_b),
-                "dist_a": [str(p) for p in w.dist_a.probs],
-                "dist_b": [str(p) for p in w.dist_b.probs],
-            }
-        elif isinstance(w, SymmetryWitness):
-            out["witness"] = {
-                "profile": _profile_json(w.profile),
-                "permutation": list(w.permutation),
-                "expected": None if w.expected is None
-                else [str(p) for p in w.expected.probs],
-                "actual": [str(p) for p in w.actual.probs],
-            }
-        return out
-
-
-def _profile_json(profile: Profile) -> list[list[str]]:
-    return [[str(v) for v in p.values] for p in profile.prefs]
 
 
 class _GridScan:

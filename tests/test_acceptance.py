@@ -56,7 +56,7 @@ def test_criterion_1_truthfulness_suite():
             report = check_truthful(mech, m, n, k)
             assert report.holds, (
                 f"{mech.name} manipulable at (m={m}, n={n}, k={k}): "
-                f"{report.to_json_dict()['witness']}"
+                f"{report.witness}"
             )
     _report(1, "truthfulness holds for all listed schemes on all seven grids")
 

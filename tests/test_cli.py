@@ -13,13 +13,13 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
-from cardvote import bounds
+from cardvote import bounds, mechanisms
 from cardvote.bounds import ProjectionMove, ProjectionTrace, ReductionTrace, SlideRun
-from cardvote.cli import _json_text, _lazy_product, _profile_record, fit_slope, main
+from cardvote.cli import _json_text, _profile_record, fit_slope, main
 from cardvote.core import Preference, Profile, profile_to_json_dict
-from cardvote.errors import DataError
+from cardvote.errors import CardvoteError, DataError
 from cardvote.generators import rand_grid_profile
-from cardvote.properties import enumerate_Rk_prefs
+from cardvote.properties import enumerate_Rk_prefs, grid_pref_count
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -134,6 +134,10 @@ class TestBadInput:
             "experiment cyclic --m 3,0",
             "experiment minratio --mech rv --m 2 --n 1 --k 2 --budget -1",
             "experiment minratio --mech rv --m 2 --n 1 --k 2 --budget 99999999999999999999",
+            # A profile file and grid flags describe two different runs.
+            "experiment minratio --mech rv --profile {grid} --m 2 --n 1 --k 2",
+            "experiment minratio --mech rv --profile {grid} --k 2",
+            "experiment minratio --mech rv --profile {grid} --tie-free",
             "experiment negative --m 8 --repeat 99999999999999999999",
             "gen negative --m 8 --repeat 99999999999999999999",
             "experiment lower --m 8 --n 0 --k 32 --grid-step 1",
@@ -552,21 +556,57 @@ class TestRunAnomalies:
         assert trace.anomalies == (3,)
 
 
+def _grid_shapes(limit: int = 200) -> list[tuple[int, int, int, bool, int]]:
+    """(m, n, k, tie_free, P^n) for every valid grid with P^n <= limit."""
+    shapes = []
+    for m, n, k, tie_free in itertools.product(range(2, 5), range(1, 4), range(1, 5),
+                                               (False, True)):
+        if tie_free and k < m - 1:
+            continue
+        size = grid_pref_count(m, k, tie_free) ** n
+        if size <= limit:
+            shapes.append((m, n, k, tie_free, size))
+    return shapes
+
+
+GRID_SHAPES = _grid_shapes()
+SHAPE_BUDGETS = st.sampled_from(GRID_SHAPES).flatmap(
+    lambda shape: st.tuples(st.just(shape), st.integers(0, shape[-1] + 1)))
+
+
 class TestLazyProduct:
-    @given(st.lists(st.integers(), max_size=4), st.integers(0, 4))
-    def test_matches_itertools_product(self, items, n):
-        assert list(_lazy_product(items, n)) == list(itertools.product(items, repeat=n))
+    """``experiment minratio`` lists only the grid preferences its budget
+    reaches, and walks the same profiles as the whole product."""
 
-    def test_reads_only_what_it_yields(self):
-        counter = itertools.count()
-        first = list(itertools.islice(_lazy_product(counter, 3), 5))
-        assert first == [(0, 0, 0), (0, 0, 1), (0, 0, 2), (0, 0, 3), (0, 0, 4)]
-        assert next(counter) == 5
-
-    def test_many_voters(self):
-        # No recursion over the voters: a long product starts at once.
-        row = next(_lazy_product("ab", 5000))
-        assert row == ("a",) * 5000
+    @settings(max_examples=60, deadline=None)
+    @given(SHAPE_BUDGETS, st.sampled_from(["rv", "j1:1", "jstar", "mix:1/2*rv+1/2*j1:1"]))
+    @example(((3, 2, 2, False, 144), 0), "rv")
+    @example(((3, 2, 2, False, 144), 145), "jstar")
+    @example(((3, 2, 3, True, 144), 7), "mix:1/2*rv+1/2*j1:1")
+    def test_matches_the_whole_product(self, shape_budget, spec):
+        (m, n, k, tie_free, size), budget = shape_budget
+        args = ["experiment", "minratio", "--mech", spec, "--m", str(m), "--n", str(n),
+                "--k", str(k), "--budget", str(budget)] + (["--tie-free"] if tie_free else [])
+        result = CliRunner().invoke(main, args)
+        mech = mechanisms.parse_mechanism(spec)
+        prefs = list(enumerate_Rk_prefs(m, k, tie_free))
+        family = map(Profile, itertools.product(prefs, repeat=n))
+        try:
+            expected = bounds.min_ratio_search(mech, family, budget)
+        except CardvoteError as e:
+            assert result.exit_code == 1
+            assert result.output == f"Error: {e}\n"
+            return
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        del report["config"]
+        assert report == {
+            "mechanism": mech.name,
+            "min_ratio": {"exact": str(expected.ratio),
+                          "decimal": format(float(expected.ratio), ".12g")},
+            "visited": expected.visited,
+            "argmin_profile": profile_to_json_dict(expected.profile),
+        }
 
     @pytest.mark.parametrize(
         "args, message",

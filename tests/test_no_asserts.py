@@ -8,7 +8,10 @@ integer steps.  Welfare has one integer form, ``Profile.totals``: only
 ``core`` calls ``scaled``, no module defines or imports a `Fraction` ``dot``
 product, and ``bounds`` reads neither ``.probs`` nor ``welfare_vector``
 (each of which the ``bounds`` and ``properties`` modules did before the
-functionals read the integer form, so this guard failed there)."""
+functionals read the integer form, so this guard failed there).  Only the
+``cli`` renders reports: ``properties`` reads neither the ``.probs`` nor the
+``.values`` view and calls no ``str`` (it did both while its reports
+rendered their own JSON)."""
 
 import ast
 from pathlib import Path
@@ -172,4 +175,19 @@ def test_welfare_has_one_integer_form():
             elif (isinstance(node, ast.Attribute) and node.attr == "probs"
                   and path.name == "bounds.py"):
                 found.append(f"{path.name}:{node.lineno} .probs")
+    assert found == []
+
+
+def test_properties_render_nothing():
+    """``properties`` returns reports as plain data and scans in integers:
+    it reads neither `Fraction` view, ``.probs`` or ``.values``, and calls
+    no ``str``; the ``cli`` renders every report."""
+    path = next(p for p in SOURCES if p.name == "properties.py")
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Attribute) and node.attr in ("probs", "values"):
+            found.append(f"{node.lineno} .{node.attr}")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "str"):
+            found.append(f"{node.lineno} str")
     assert found == []

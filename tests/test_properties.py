@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from cardvote.cli import _verify_body
 from cardvote.core import Preference, Profile, CandidateDistribution, scaled
 from cardvote.errors import BudgetError, PreconditionError
 from cardvote.mechanisms import (
@@ -228,7 +229,7 @@ class TestSymmetries:
 class TestReports:
     def test_json_round_trip_is_serializable(self):
         report = check_truthful(range_voting(), 3, 2, 4)
-        data = report.to_json_dict()
+        data = _verify_body(report)
         text = json.dumps(data, sort_keys=True)
         assert json.loads(text) == data
         if not report.holds:

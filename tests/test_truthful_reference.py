@@ -6,6 +6,11 @@ expected utilities in the documented enumeration order and returns the first
 strict gain.  ``check_truthful`` must produce the same report, witness
 included, on every case, both on the orbit walk that a mechanism flagged
 ``anonymous`` takes and on the full scan with the flag forced off.
+
+Reports are compared as the CLI renders them.  ``reference_verify_body`` is
+the JSON body that ``WitnessReport.to_json_dict`` built before the CLI took
+over rendering; ``cli._verify_body`` must render every report, a violation
+of each witness kind included, exactly as it does.
 """
 
 import dataclasses
@@ -14,17 +19,68 @@ from fractions import Fraction
 
 import pytest
 
+from cardvote.cli import _verify_body
 from cardvote.core import ZERO, CandidateDistribution, Profile, welfare_vector
 from cardvote.errors import BudgetError
 from cardvote.mechanisms import Mechanism, parse_mechanism
 from cardvote.properties import (
     DEFAULT_BUDGET,
+    OrdinalWitness,
+    SymmetryWitness,
     TruthfulnessWitness,
     WitnessReport,
     _GridScan,
     check_anonymous,
+    check_neutral,
+    check_ordinal,
     check_truthful,
 )
+
+
+def _profile_json(profile: Profile) -> list[list[str]]:
+    return [[str(v) for v in p.values] for p in profile.prefs]
+
+
+def reference_verify_body(report: WitnessReport) -> dict:
+    out = {
+        "check": report.check,
+        "mechanism": report.mechanism,
+        "verdict": "holds" if report.holds else "violated",
+        "search_space": {
+            "m": report.search_space.m,
+            "n": report.search_space.n,
+            "k": report.search_space.k,
+            "tie_free": report.search_space.tie_free,
+            "preference_count": report.search_space.preference_count,
+            "profile_count": report.search_space.profile_count,
+        },
+    }
+    w = report.witness
+    if isinstance(w, TruthfulnessWitness):
+        out["witness"] = {
+            "profile": _profile_json(w.profile),
+            "voter": w.voter,
+            "misreport": [str(v) for v in w.misreport.values],
+            "honest_utility": str(w.honest_utility),
+            "misreport_utility": str(w.misreport_utility),
+            "gain": str(w.gain),
+        }
+    elif isinstance(w, OrdinalWitness):
+        out["witness"] = {
+            "profile_a": _profile_json(w.profile_a),
+            "profile_b": _profile_json(w.profile_b),
+            "dist_a": [str(p) for p in w.dist_a.probs],
+            "dist_b": [str(p) for p in w.dist_b.probs],
+        }
+    elif isinstance(w, SymmetryWitness):
+        out["witness"] = {
+            "profile": _profile_json(w.profile),
+            "permutation": list(w.permutation),
+            "expected": None if w.expected is None
+            else [str(p) for p in w.expected.probs],
+            "actual": [str(p) for p in w.actual.probs],
+        }
+    return out
 
 
 def reference_check_truthful(
@@ -149,14 +205,14 @@ def _shared_evaluations(spec: str, flag: str) -> Mechanism:
 def _reference_report(spec: str, m: int, n: int, k: int, tie_free: bool) -> dict:
     # The reference never reads the flag, so both flag cases share one run.
     mech = _shared_evaluations(spec, "forced_off")
-    return reference_check_truthful(mech, m, n, k, tie_free).to_json_dict()
+    return reference_verify_body(reference_check_truthful(mech, m, n, k, tie_free))
 
 
 def _assert_matches_reference(spec, m, n, k, tie_free, flag):
     expected = _reference_report(spec, m, n, k, tie_free)
     assert expected["verdict"] == _expected_verdict(spec, m)
     mech = _shared_evaluations(spec, flag)
-    assert check_truthful(mech, m, n, k, tie_free).to_json_dict() == expected
+    assert _verify_body(check_truthful(mech, m, n, k, tie_free)) == expected
 
 
 @pytest.mark.parametrize("spec,m,n,k,tie_free", CASES)
@@ -190,3 +246,31 @@ def test_flagged_specs_are_anonymous(spec, m, n, k):
 def test_unflagged_scheme_is_not_anonymous():
     # The test-defined scheme really needs the full scan.
     assert not check_anonymous(rv_voter_one_twice(), 3, 2, 2).holds
+
+
+CHECKS = {
+    "truthful": check_truthful,
+    "ordinal": check_ordinal,
+    "neutral": check_neutral,
+    "anonymous": check_anonymous,
+}
+
+
+@pytest.mark.parametrize(
+    "check,spec,m,n,k,verdict",
+    [
+        ("truthful", "jstar", 3, 2, 3, "holds"),
+        ("ordinal", "j1:1", 3, 2, 2, "holds"),
+        ("neutral", "sym:rv", 3, 2, 2, "holds"),
+        ("anonymous", "jstar", 3, 2, 2, "holds"),
+        ("truthful", "rv", 3, 2, 2, "violated"),
+        ("ordinal", "mix:1/2*rv+1/2*j1:1", 3, 2, 4, "violated"),
+        ("neutral", "jstar", 3, 2, 2, "violated"),
+        ("anonymous", "rv-voter-1-twice", 3, 2, 2, "violated"),
+    ],
+)
+def test_verify_body_matches_reference(check, spec, m, n, k, verdict):
+    report = CHECKS[check](_build(spec), m, n, k)
+    expected = reference_verify_body(report)
+    assert expected["verdict"] == verdict
+    assert _verify_body(report) == expected
