@@ -484,7 +484,9 @@ def all_q_ratios(profile: Profile) -> tuple[dict[int, Fraction], dict[int, Fract
     exactly while q <= beats[a][b]; starting from every pair decided by a coin
     flip, such a pair adds W[a] - W[b] to the half-pair numerator at every
     quota up to beats[a][b], which one difference array over q accumulates.
-    Each ratio is built as one ``Fraction`` at the end.
+    The orders are strict, so beats[a][b] + beats[b][a] == n and each
+    unordered pair is read once, from its lower index's row.  Each ratio is
+    built as one ``Fraction`` at the end.
     """
     m, n = profile.m, profile.n
     weights = profile.totals[1]
@@ -500,11 +502,14 @@ def all_q_ratios(profile: Profile) -> tuple[dict[int, Fraction], dict[int, Fract
         j1[q] = Fraction(acc, n * q * top)
 
     quotas = j2q_quota_range(n)
+    lowest = quotas.start
     gain = [0] * (n + 2)
-    for row, w_a in zip(beats, weights):
-        for votes, w_b in zip(row, weights):
-            if votes >= quotas.start:
+    for a, (row, w_a) in enumerate(zip(beats, weights), start=1):
+        for votes, w_b in zip(row[a:], weights[a:]):
+            if votes >= lowest:
                 gain[votes] += w_a - w_b
+            elif n - votes >= lowest:
+                gain[n - votes] += w_b - w_a
     numer = (m - 1) * sum(weights)
     halves = m * (m - 1) * top
     swept = []

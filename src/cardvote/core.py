@@ -22,8 +22,9 @@ Each voter's strict order (value descending, ties to the lower index) is
 computed once and cached as :attr:`Preference.order`; every ordinal reader
 uses it, and the two integer ballot tables are built from it: the place
 table, cached per profile as :attr:`Profile.places`, and
-:func:`pairwise_beats`.  Every path from `Fraction`s to integers goes
-through :func:`scaled`.
+:func:`pairwise_beats`, which counts voters in chunks of at most 255 with
+one byte per pair.  Every path from `Fraction`s to integers goes through
+:func:`scaled`.
 
 All types are logically immutable after construction (the cached views only
 restate the stored integers) and all operations are pure, so concurrent
@@ -180,9 +181,8 @@ class Preference:
     def order(self) -> tuple[int, ...]:
         """All candidates, value descending; the stable reverse sort keeps value
         ties in ascending index order."""
-        keys = self.nums
         return tuple(
-            j + 1 for j in sorted(range(len(keys)), key=keys.__getitem__, reverse=True)
+            sorted(range(1, self.m + 1), key=((0,) + self.nums).__getitem__, reverse=True)
         )
 
     def is_normalized(self) -> bool:
@@ -386,32 +386,38 @@ def descending_order(pref: Preference) -> tuple[int, ...]:
     return pref.order
 
 
+# Voters per pairwise_beats chunk: the largest count one byte holds.
+_BEATS_CHUNK = 255
+
+
 def pairwise_beats(profile: Profile) -> list[list[int]]:
     """beats[a][b]: number of voters whose order puts candidate a+1 above
     b+1, so a value tie counts for the lower index.
 
-    Each candidate's row is counted as one packed int: field b (little-endian,
-    ``width`` bytes, wide enough for n) holds beats[a][b].  Walking a voter's
-    order from last to first, the mask of candidates already passed is exactly
-    the set the current candidate beats, so each voter costs m big-int
-    additions; every row is unpacked once at the end.
+    The voters are counted in chunks of at most 255, so every count fits one
+    byte.  Within a chunk each candidate's row is one packed int whose byte b
+    (little-endian) holds the chunk's beats[a][b]: walking a voter's order
+    from last to first, the mask of candidates already passed is exactly the
+    set the current candidate beats, so each voter costs m big-int
+    additions.  Each row is unpacked by one ``to_bytes``; the first chunk's
+    bytes become the table and every later chunk is added to it in place.
     """
-    m = profile.m
-    width = max(1, (profile.n.bit_length() + 7) // 8)
-    bits = [0] + [1 << (8 * width * c) for c in range(m)]
-    rows = [0] * (m + 1)
-    for pref in profile.prefs:
-        below = 0
-        for cand in reversed(pref.order):
-            rows[cand] += below
-            below |= bits[cand]
-    size = m * width
-    beats = []
-    for packed in rows[1:]:
-        data = packed.to_bytes(size, "little")
-        beats.append(
-            [int.from_bytes(data[i:i + width], "little") for i in range(0, size, width)]
-        )
+    m, prefs = profile.m, profile.prefs
+    bits = [0] + [1 << (8 * c) for c in range(m)]
+
+    def chunk_rows(start: int):
+        rows = [0] * (m + 1)
+        for pref in prefs[start:start + _BEATS_CHUNK]:
+            below = 0
+            for cand in reversed(pref.order):
+                rows[cand] += below
+                below |= bits[cand]
+        return (packed.to_bytes(m, "little") for packed in rows[1:])
+
+    beats = [list(data) for data in chunk_rows(0)]
+    for start in range(_BEATS_CHUNK, len(prefs), _BEATS_CHUNK):
+        for row, data in zip(beats, chunk_rows(start)):
+            row[:] = map(operator.add, row, data)
     return beats
 
 

@@ -9,7 +9,8 @@ from a per-voter position table.  ``Preference.order``, the ``j1q``/``j2q``
 evaluators and ``bounds.all_q_ratios`` must agree with them exactly, for
 every q, on profiles with value ties.
 
-The packed ``pairwise_beats``, the integer-numerator ``welfare_vector``, the
+The chunked one-byte ``pairwise_beats`` (also against its previous
+packed-width body), the integer-numerator ``welfare_vector``, the
 ``j_star`` and the quota sweep in ``all_q_ratios`` are checked
 against the plain loops they replaced: a per-pair increment over every
 voter's order, a `Fraction` sum, the even mixture of two reference top-q
@@ -76,6 +77,28 @@ def reference_pairwise_beats(profile: Profile) -> list[list[int]]:
             row = beats[cand]
             for other in order[place + 1:]:
                 row[other] += 1
+    return beats
+
+
+def packed_width_pairwise_beats(profile: Profile) -> list[list[int]]:
+    # The previous packed body: one pass over every voter with fields wide
+    # enough for n (two bytes from n = 256), each unpacked by int.from_bytes.
+    m = profile.m
+    width = max(1, (profile.n.bit_length() + 7) // 8)
+    bits = [0] + [1 << (8 * width * c) for c in range(m)]
+    rows = [0] * (m + 1)
+    for pref in profile.prefs:
+        below = 0
+        for cand in reversed(pref.order):
+            rows[cand] += below
+            below |= bits[cand]
+    size = m * width
+    beats = []
+    for packed in rows[1:]:
+        data = packed.to_bytes(size, "little")
+        beats.append(
+            [int.from_bytes(data[i:i + width], "little") for i in range(0, size, width)]
+        )
     return beats
 
 
@@ -266,12 +289,16 @@ def tie_free_profiles(draw):
     return rand_grid_profile(m, n, k, draw(st.integers(0, 10 ** 6)))
 
 
-# Voter counts on both sides of the packed field width: one byte holds
-# counts up to 255, two bytes from n = 256.
+# Voter counts on both sides of each chunk boundary: every chunk of at most
+# 255 voters is counted in one-byte fields, so these take one, two or three
+# chunks.
+CHUNK_EDGES = (254, 255, 256, 509, 510, 511, 765, 766)
+
+
 @st.composite
 def wide_profiles(draw):
     m = draw(st.integers(2, 5))
-    n = draw(st.sampled_from([255, 256, 257]))
+    n = draw(st.sampled_from(CHUNK_EDGES))
     k = draw(st.integers(1, 4))
     return rand_grid_profile(m, n, k, draw(st.integers(0, 10 ** 6)), tie_free=False)
 
@@ -288,12 +315,14 @@ class TestPackedTables:
     @settings(max_examples=20, deadline=None)
     @given(wide_profiles())
     def test_pairwise_beats_across_field_widths(self, profile):
-        assert pairwise_beats(profile) == reference_pairwise_beats(profile)
+        expected = reference_pairwise_beats(profile)
+        assert pairwise_beats(profile) == expected
+        assert packed_width_pairwise_beats(profile) == expected
 
     def test_unanimous_counts_fill_the_field(self):
-        # Every count is 0 or n, so a field that carries into its neighbour
-        # (n = 256 in one byte) would corrupt the next candidate's entry.
-        for n in (255, 256, 257):
+        # Every count is 0 or n, so a chunk of 256 voters in one-byte fields
+        # would carry into the next candidate's entry.
+        for n in CHUNK_EDGES:
             profile = Profile.of([Preference.relaxed([1, Fraction(1, 2), 0])] * n)
             assert pairwise_beats(profile) == [[0, n, n], [0, 0, n], [0, 0, 0]]
 

@@ -8,8 +8,9 @@ README quickstart (with ``experiment negative`` shortened to m=27,64,125 and
 the reduced profile extracted from ``r.json`` for ``project``); the second
 evaluates the pairwise and top-q schemes on a grid profile with value ties
 and runs two more property checks.  The full ``experiment negative`` sweep
-the benchmark runs (m up to 343) has its own digest, and so does the seeded
-stream of acceptance criterion 8.
+the benchmark runs (m up to 343) has its own digest, and so do a repeated
+sweep with more than 255 voters and the seeded stream of acceptance
+criterion 8.
 
 A mismatch means a report changed by at least one byte: regenerate the
 digests only for a change that is meant to alter report contents.
@@ -97,6 +98,17 @@ def test_full_negative_sweep_is_byte_identical():
     assert result.exit_code == 0, result.output
     assert hashlib.sha256(result.output.encode()).hexdigest() == (
         "f897cb8cf798579555c76bc3f38dd08f4b0f5f0f8a6320d3d52336281f049b9e"
+    )
+
+
+def test_repeated_negative_sweep_is_byte_identical():
+    # n = 440 and 1400 voters: the pairwise table is counted in 2 and 6
+    # chunks of at most 255 voters.
+    command = "experiment negative --m 8,27 --repeat 40"
+    result = CliRunner().invoke(main, command.split(), catch_exceptions=False)
+    assert result.exit_code == 0, result.output
+    assert hashlib.sha256(result.output.encode()).hexdigest() == (
+        "fed3691e1e5280d3213040e645fe403f7c060868b129712fafeb76565ca09e7f"
     )
 
 
