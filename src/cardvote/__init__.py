@@ -10,7 +10,6 @@ from .core import (
     WelfareReport,
     normalize,
     ratio,
-    rank,
     rv_winner,
     top_q_set,
     welfare,

@@ -55,11 +55,6 @@ def _switches(image: set[int], k: int) -> int:
     return sum(1 for j in range(k) if (j in image) != (j + 1 in image))
 
 
-def switch_count(pref: Preference, k: int) -> int:
-    """Number of in/out switches of the image indicator along the grid."""
-    return _switches(set(grid_steps(pref, k)), k)
-
-
 def rounded(pref: Preference) -> tuple[int, ...]:
     """0/1 rounding at threshold 1/2 (strictly above 1/2 rounds to 1), read
     from the integer form: num/den > 1/2 exactly when 2*num > den."""
@@ -447,8 +442,8 @@ def min_ratio_search(
 ) -> MinRatioResult:
     """Smallest exact welfare ratio among the visited family members, with
     lexicographic tie-break on the profile's value table."""
-    if not 0 <= budget <= sys.maxsize:
-        raise PreconditionError(f"budget must lie in 0..{sys.maxsize}, got {budget}")
+    if not 1 <= budget <= sys.maxsize:
+        raise PreconditionError(f"budget must lie in 1..{sys.maxsize}, got {budget}")
     best = None
     visited = 0
     for profile in itertools.islice(family, budget):

@@ -338,16 +338,25 @@ _CHECKS = {
 }
 
 
+def _witness_field(value):
+    """One witness field as JSON data, by its type: every exact value is
+    written by ``str``, a profile as one row per voter."""
+    if isinstance(value, core.Profile):
+        return [_witness_field(pref) for pref in value.prefs]
+    if isinstance(value, core.Preference):
+        return [str(v) for v in value.values]
+    if isinstance(value, core.CandidateDistribution):
+        return [str(p) for p in value.probs]
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, tuple):
+        return list(value)
+    return value
+
+
 def _verify_body(report: properties.WitnessReport) -> dict:
     """The body of a ``verify`` report: the verdict, the search space and a
-    violation's witness, every exact value written by ``str``."""
-
-    def strs(values) -> list[str]:
-        return [str(v) for v in values]
-
-    def profile(p: core.Profile) -> list[list[str]]:
-        return [strs(pref.values) for pref in p.prefs]
-
+    violation's witness, field by field, with a truthfulness witness's gain."""
     body = {
         "check": report.check,
         "mechanism": report.mechanism,
@@ -355,29 +364,11 @@ def _verify_body(report: properties.WitnessReport) -> dict:
         "search_space": dataclasses.asdict(report.search_space),
     }
     w = report.witness
-    if isinstance(w, properties.TruthfulnessWitness):
-        body["witness"] = {
-            "profile": profile(w.profile),
-            "voter": w.voter,
-            "misreport": strs(w.misreport.values),
-            "honest_utility": str(w.honest_utility),
-            "misreport_utility": str(w.misreport_utility),
-            "gain": str(w.gain),
-        }
-    elif isinstance(w, properties.OrdinalWitness):
-        body["witness"] = {
-            "profile_a": profile(w.profile_a),
-            "profile_b": profile(w.profile_b),
-            "dist_a": strs(w.dist_a.probs),
-            "dist_b": strs(w.dist_b.probs),
-        }
-    elif isinstance(w, properties.SymmetryWitness):
-        body["witness"] = {
-            "profile": profile(w.profile),
-            "permutation": list(w.permutation),
-            "expected": strs(w.expected.probs),
-            "actual": strs(w.actual.probs),
-        }
+    if w is not None:
+        body["witness"] = {f.name: _witness_field(getattr(w, f.name))
+                           for f in dataclasses.fields(w)}
+        if isinstance(w, properties.TruthfulnessWitness):
+            body["witness"]["gain"] = str(w.gain)
     return body
 
 

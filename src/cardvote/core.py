@@ -364,16 +364,6 @@ def ratio(mechanism, profile: Profile) -> Fraction:
     return _expected(profile, evaluate(profile))[1]
 
 
-def rank(pref: Preference, j: int) -> int:
-    """Position of candidate j in the voter's descending order: the number of
-    candidates valued at least as much.  Requires a tie-free preference."""
-    if not 1 <= j <= pref.m:
-        raise IndexError(f"candidate {j} out of range 1..{pref.m}")
-    if not pref.is_tie_free():
-        raise PreconditionError("rank is only defined for tie-free preferences")
-    return pref.order.index(j) + 1
-
-
 def top_q_set(pref: Preference, q: int) -> tuple[int, ...]:
     """The q best candidates under :attr:`Preference.order`, in that order."""
     if not 1 <= q <= pref.m:

@@ -221,18 +221,21 @@ def _compose(pref: Preference, tau: tuple[int, ...]) -> Preference:
     return Preference(pref.den, tuple(pref.nums[t - 1] for t in tau))
 
 
-def symmetrize(mech: Mechanism, m: int, n: int, budget: int = 10_000_000) -> Mechanism:
+SYMMETRIZE_BUDGET = 10_000_000
+
+
+def symmetrize(mech: Mechanism, m: int, n: int) -> Mechanism:
     """Average the mechanism over all voter and candidate relabelings.
 
     The output treats voters interchangeably and candidate names as
     meaningless by construction.  All n!*m! relabelings are enumerated
-    exactly (no sampling), so the construction is guarded by a budget.  An
+    exactly (no sampling), at most ``SYMMETRIZE_BUDGET`` of them.  An
     anonymous mechanism gives every voter relabeling the same distribution,
     so its average is taken over the m! candidate relabelings alone.
     """
     total = math.factorial(n) * math.factorial(m)
-    if total > budget:
-        raise BudgetError(total, budget, "relabeling enumeration")
+    if total > SYMMETRIZE_BUDGET:
+        raise BudgetError(total, SYMMETRIZE_BUDGET, "relabeling enumeration")
     voter_perms = [tuple(range(n))] if mech.anonymous else list(itertools.permutations(range(n)))
     # Winner w of an election relabeled by tau is candidate tau(w) in the
     # original labeling, so original candidate c reads the winner back[c].

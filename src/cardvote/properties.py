@@ -161,34 +161,30 @@ class WitnessReport:
 
 
 class _GridScan:
-    """Shared enumeration state: the preference list and a distribution cache
-    keyed by profiles encoded as preference-index tuples.  The grid's size
-    comes from its closed form, so a check compares its work with the budget
-    before its first read of ``prefs`` enumerates the grid."""
+    """Shared enumeration state: the search space, the preference list and a
+    distribution cache keyed by profiles encoded as preference-index tuples.
+    The grid's size comes from its closed form, so a check compares its work
+    with the budget before its first read of ``prefs`` enumerates the grid."""
 
     def __init__(self, mech, m: int, n: int, k: int, tie_free: bool):
         if n < 1:
             raise PreconditionError(f"need at least one voter, got n={n}")
         self.mech = mech
-        self.pref_count = grid_pref_count(m, k, tie_free)
-        self.m, self.n, self.k, self.tie_free = m, n, k, tie_free
+        pref_count = grid_pref_count(m, k, tie_free)
+        self.space = SearchSpace(m, n, k, tie_free, pref_count, pref_count ** n)
         self._dist: dict[tuple[int, ...], CandidateDistribution] = {}
         self._prefs: list[Preference] | None = None
 
     @property
     def prefs(self) -> list[Preference]:
         if self._prefs is None:
-            self._prefs = list(enumerate_Rk_prefs(self.m, self.k, self.tie_free))
+            s = self.space
+            self._prefs = list(enumerate_Rk_prefs(s.m, s.k, s.tie_free))
         return self._prefs
 
-    @property
-    def profile_count(self) -> int:
-        return self.pref_count ** self.n
-
-    def space(self) -> SearchSpace:
-        return SearchSpace(
-            self.m, self.n, self.k, self.tie_free, self.pref_count, self.profile_count
-        )
+    def report(self, check: str, witness: object | None = None) -> WitnessReport:
+        """The report of ``check`` on this grid: it holds unless given a witness."""
+        return WitnessReport(check, self.mech.name, witness is None, self.space, witness)
 
     def profile(self, key: tuple[int, ...]) -> Profile:
         return Profile(tuple(self.prefs[i] for i in key))
@@ -201,7 +197,7 @@ class _GridScan:
         return found
 
     def keys(self) -> Iterator[tuple[int, ...]]:
-        return itertools.product(range(self.pref_count), repeat=self.n)
+        return itertools.product(range(self.space.preference_count), repeat=self.space.n)
 
 
 def check_truthful(
@@ -234,9 +230,9 @@ def check_truthful(
     work instead of P^n*n*P for P grid preferences.
     """
     scan = _GridScan(mech, m, n, k, tie_free)
-    pref_count = scan.pref_count
+    pref_count = scan.space.preference_count
     anonymous = mech.anonymous
-    key_count = math.comb(pref_count + n - 1, n) if anonymous else scan.profile_count
+    key_count = math.comb(pref_count + n - 1, n) if anonymous else scan.space.profile_count
     work = key_count * n * pref_count
     if work > budget:
         raise BudgetError(work, budget, "truthfulness scan")
@@ -270,9 +266,8 @@ def check_truthful(
             if flags is None:
                 flags = groups[group] = can_gain(*group)
             if flags[key[voter]]:
-                witness = _first_truthfulness_witness(scan, key, voter)
-                return WitnessReport("truthful", mech.name, False, scan.space(), witness)
-    return WitnessReport("truthful", mech.name, True, scan.space())
+                return scan.report("truthful", _first_truthfulness_witness(scan, key, voter))
+    return scan.report("truthful")
 
 
 def _first_truthfulness_witness(
@@ -311,25 +306,22 @@ def check_ordinal(
     budget: int = DEFAULT_BUDGET,
 ) -> WitnessReport:
     """Profiles whose voters induce identical weak orders must receive
-    identical distributions.  Profiles are grouped by their per-voter order
-    pattern; each is compared against the first member of its class."""
+    identical distributions.  Each profile is compared against the first
+    member of its class, which the lexicographic scan has already evaluated."""
     scan = _GridScan(mech, m, n, k, tie_free)
-    if scan.profile_count > budget:
-        raise BudgetError(scan.profile_count, budget, "ordinal scan")
-    patterns = [_order_pattern(p) for p in scan.prefs]
-    seen: dict[tuple, tuple[tuple[int, ...], CandidateDistribution]] = {}
+    if scan.space.profile_count > budget:
+        raise BudgetError(scan.space.profile_count, budget, "ordinal scan")
+    # head[i]: the first grid preference with preference i's weak order.
+    firsts: dict[tuple[int, ...], int] = {}
+    head = [firsts.setdefault(_order_pattern(p), i) for i, p in enumerate(scan.prefs)]
     for key in scan.keys():
-        signature = tuple(patterns[i] for i in key)
         dist = scan.dist(key)
-        first = seen.get(signature)
-        if first is None:
-            seen[signature] = (key, dist)
-        elif first[1] != dist:
-            witness = OrdinalWitness(
-                scan.profile(first[0]), scan.profile(key), first[1], dist
-            )
-            return WitnessReport("ordinal", mech.name, False, scan.space(), witness)
-    return WitnessReport("ordinal", mech.name, True, scan.space())
+        first = tuple(head[i] for i in key)
+        first_dist = scan.dist(first)
+        if first_dist != dist:
+            witness = OrdinalWitness(scan.profile(first), scan.profile(key), first_dist, dist)
+            return scan.report("ordinal", witness)
+    return scan.report("ordinal")
 
 
 def check_neutral(
@@ -344,7 +336,7 @@ def check_neutral(
     way: for every permutation tau, the distribution on the relabeled profile
     at candidate j must equal the original distribution at tau(j)."""
     scan = _GridScan(mech, m, n, k, tie_free)
-    work = scan.profile_count * math.factorial(m)
+    work = scan.space.profile_count * math.factorial(m)
     if work > budget:
         raise BudgetError(work, budget, "neutrality scan")
     # relabel[i]: the index of grid preference i relabeled by tau, found by
@@ -363,10 +355,8 @@ def check_neutral(
             )
             if actual != expected:
                 witness = SymmetryWitness(scan.profile(key), tau, expected, actual)
-                return WitnessReport(
-                    "neutral", mech.name, False, scan.space(), witness
-                )
-    return WitnessReport("neutral", mech.name, True, scan.space())
+                return scan.report("neutral", witness)
+    return scan.report("neutral")
 
 
 def check_anonymous(
@@ -379,7 +369,7 @@ def check_anonymous(
 ) -> WitnessReport:
     """Permuting voters must leave the output distribution unchanged."""
     scan = _GridScan(mech, m, n, k, tie_free)
-    work = scan.profile_count * math.factorial(n)
+    work = scan.space.profile_count * math.factorial(n)
     if work > budget:
         raise BudgetError(work, budget, "anonymity scan")
     perms = list(itertools.permutations(range(n)))
@@ -389,13 +379,7 @@ def check_anonymous(
             permuted_key = tuple(key[sigma[i]] for i in range(n))
             actual = scan.dist(permuted_key)
             if actual != base:
-                witness = SymmetryWitness(
-                    scan.profile(key),
-                    tuple(s + 1 for s in sigma),
-                    base,
-                    actual,
-                )
-                return WitnessReport(
-                    "anonymous", mech.name, False, scan.space(), witness
-                )
-    return WitnessReport("anonymous", mech.name, True, scan.space())
+                permutation = tuple(s + 1 for s in sigma)
+                witness = SymmetryWitness(scan.profile(key), permutation, base, actual)
+                return scan.report("anonymous", witness)
+    return scan.report("anonymous")

@@ -20,7 +20,6 @@ from cardvote.bounds import (
     reduce_to_Ck,
     reduce_to_Ck_trace,
     rounded,
-    switch_count,
 )
 from cardvote.core import (
     Preference,
@@ -91,7 +90,7 @@ class TestClassify:
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_switches_even_and_at_least_two_exhaustively(self, k):
         for p in enumerate_Rk_prefs(3, k, tie_free=True):
-            s = switch_count(p, k)
+            s = classify(p, k).switches
             assert s % 2 == 0 and s >= 2
 
     def test_rank_table(self):
@@ -340,6 +339,10 @@ class TestMinRatioSearch:
     def test_empty_family(self):
         with pytest.raises(PreconditionError):
             min_ratio_search(range_voting(), [])
+
+    def test_zero_budget_names_the_budget(self):
+        with pytest.raises(PreconditionError, match=r"budget must lie in 1\.\..*, got 0"):
+            min_ratio_search(range_voting(), [gen_negative(8)], 0)
 
 
 class TestAllQRatios:

@@ -133,6 +133,8 @@ class TestBadInput:
             "experiment cyclic --m 0",
             "experiment cyclic --m 3,0",
             "experiment minratio --mech rv --m 2 --n 1 --k 2 --budget -1",
+            "experiment minratio --mech rv --m 2 --n 1 --k 2 --budget 0",
+            "experiment minratio --mech rv --profile {grid} --budget 0",
             "experiment minratio --mech rv --m 2 --n 1 --k 2 --budget 99999999999999999999",
             # A profile file and grid flags describe two different runs.
             "experiment minratio --mech rv --profile {grid} --m 2 --n 1 --k 2",

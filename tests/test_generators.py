@@ -90,9 +90,7 @@ class TestGenNegative:
         u = gen_negative(27)
         for p in u.prefs[26:]:
             block_size = sum(1 for v in p.values if v > F(1, 2) and v != F(728, 729))
-            from cardvote.core import rank
-
-            assert rank(p, 27) == block_size + 1
+            assert p.order.index(27) + 1 == block_size + 1
 
 
 class TestGenDk:

@@ -1211,7 +1211,7 @@ class TestOneWelfareForm:
         m, n, k = shape
         mech = data.draw(mechanisms_for(m, n))
         scan = _GridScan(mech, m, n, k, tie_free=False)
-        key = tuple(data.draw(st.lists(st.integers(0, scan.pref_count - 1),
+        key = tuple(data.draw(st.lists(st.integers(0, scan.space.preference_count - 1),
                                        min_size=n, max_size=n)))
         voter = data.draw(st.integers(0, n - 1))
         assert witness_or_none(scan, key, voter) == reference_first_truthfulness_witness(

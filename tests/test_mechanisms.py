@@ -264,7 +264,17 @@ class TestSymmetrize:
 
     def test_budget_guard(self):
         with pytest.raises(BudgetError):
-            symmetrize(j1q(1), 10, 10, budget=1000)
+            symmetrize(j1q(1), 10, 10)
+
+    def test_reads_ties_that_the_strict_order_drops(self):
+        # Both voters have the strict order (1, 2, 3), yet sym:j1:1 splits
+        # the tie of [1, 1, 0]: sym: of an order-reading scheme does not
+        # read strict orders alone, so a strict-order proof would not cover it.
+        sym = parse_mechanism("sym:j1:1")
+        tied, strict = profile((1, 1, 0)), profile((1, "1/2", 0))
+        assert tied.prefs[0].order == strict.prefs[0].order == (1, 2, 3)
+        assert sym.evaluate(tied).probs == (F(1, 2), F(1, 2), 0)
+        assert sym.evaluate(strict).probs == (1, 0, 0)
 
     def test_profile_shape_enforced(self):
         sym = symmetrize(j1q(1), 2, 2)

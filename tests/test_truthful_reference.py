@@ -1,16 +1,23 @@
-"""Differential test of the grouped integer truthfulness scan against a
-simple exact reference.
+"""Differential tests of the verify path against simple exact references.
 
-The reference below tests every (profile, voter, misreport) with `Fraction`
-expected utilities in the documented enumeration order and returns the first
-strict gain.  ``check_truthful`` must produce the same report, witness
-included, on every case, both on the orbit walk that a mechanism flagged
-``anonymous`` takes and on the full scan with the flag forced off.
+``reference_check_truthful`` tests every (profile, voter, misreport) with
+`Fraction` expected utilities in the documented enumeration order and
+returns the first strict gain.  ``check_truthful`` must produce the same
+report, witness included, on every case, both on the orbit walk that a
+mechanism flagged ``anonymous`` takes and on the full scan with the flag
+forced off.
 
-Reports are compared as the CLI renders them.  ``reference_verify_body`` is
-the JSON body that ``WitnessReport.to_json_dict`` built before the CLI took
-over rendering; ``cli._verify_body`` must render every report, a violation
-of each witness kind included, exactly as it does.
+``reference_check_ordinal`` remembers, per tuple of the voters' weak
+orders, the first profile seen with it.  ``check_ordinal`` compares each
+profile with the first of its class built from per-preference class heads;
+it must return the same report and evaluate the same profiles in the same
+order.
+
+Reports are compared as the CLI renders them.  ``reference_verify_body``
+writes one hand-written branch per witness class, as ``cli._verify_body``
+did before it rendered witnesses field by field; ``cli._verify_body`` must
+render every report, a violation of each witness kind included, exactly as
+it does.
 """
 
 import dataclasses
@@ -18,6 +25,7 @@ import functools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cardvote.cli import _verify_body
 from cardvote.core import ZERO, CandidateDistribution, Profile, welfare_vector
@@ -30,6 +38,7 @@ from cardvote.properties import (
     TruthfulnessWitness,
     WitnessReport,
     _GridScan,
+    _order_pattern,
     check_anonymous,
     check_neutral,
     check_ordinal,
@@ -88,7 +97,7 @@ def reference_check_truthful(
 ) -> WitnessReport:
     scan = _GridScan(mech, m, n, k, tie_free)
     pref_count = len(scan.prefs)
-    work = scan.profile_count * n * pref_count
+    work = scan.space.profile_count * n * pref_count
     if work > budget:
         raise BudgetError(work, budget, "truthfulness scan")
 
@@ -123,9 +132,31 @@ def reference_check_truthful(
                         gained,
                     )
                     return WitnessReport(
-                        "truthful", mech.name, False, scan.space(), witness
+                        "truthful", mech.name, False, scan.space, witness
                     )
-    return WitnessReport("truthful", mech.name, True, scan.space())
+    return WitnessReport("truthful", mech.name, True, scan.space)
+
+
+def reference_check_ordinal(
+    mech, m, n, k, tie_free=False, budget=DEFAULT_BUDGET
+) -> WitnessReport:
+    scan = _GridScan(mech, m, n, k, tie_free)
+    if scan.space.profile_count > budget:
+        raise BudgetError(scan.space.profile_count, budget, "ordinal scan")
+    patterns = [_order_pattern(p) for p in scan.prefs]
+    seen: dict[tuple, tuple[tuple[int, ...], CandidateDistribution]] = {}
+    for key in scan.keys():
+        signature = tuple(patterns[i] for i in key)
+        dist = scan.dist(key)
+        first = seen.get(signature)
+        if first is None:
+            seen[signature] = (key, dist)
+        elif first[1] != dist:
+            witness = OrdinalWitness(
+                scan.profile(first[0]), scan.profile(key), first[1], dist
+            )
+            return WitnessReport("ordinal", mech.name, False, scan.space, witness)
+    return WitnessReport("ordinal", mech.name, True, scan.space)
 
 
 SPECS = [
@@ -274,3 +305,61 @@ def test_verify_body_matches_reference(check, spec, m, n, k, verdict):
     expected = reference_verify_body(report)
     assert expected["verdict"] == verdict
     assert _verify_body(report) == expected
+
+
+# m <= 3, n <= 3 and k <= 3, with a tie-free grid only where it exists.
+SMALL_SHAPES = [
+    (m, n, k, tie_free)
+    for m in (2, 3)
+    for n in (1, 2, 3)
+    for k in (1, 2, 3)
+    for tie_free in (False, True)
+    if not tie_free or k >= m - 1
+]
+
+# A violating mix, a cardinal scheme, a hand-built scheme that is not
+# anonymous, and one that holds on every ordinal grid.
+SCAN_SPECS = ["mix:1/2*rv+1/2*j1:1", "rv", "rv-voter-1-twice", "j1:1"]
+
+
+def _logged(spec: str) -> tuple[Mechanism, list[Profile]]:
+    mech = _build(spec)
+    log: list[Profile] = []
+
+    def evaluate(profile: Profile) -> CandidateDistribution:
+        log.append(profile)
+        return mech.evaluate(profile)
+
+    return dataclasses.replace(mech, evaluate=evaluate), log
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_SHAPES), st.sampled_from(SCAN_SPECS))
+@example((3, 3, 3, False), "j1:1")
+@example((3, 3, 3, False), "mix:1/2*rv+1/2*j1:1")
+def test_ordinal_matches_reference(shape, spec):
+    # Same report, witness included, and the same evaluations in the same
+    # order, so an evaluator error is raised at the same profile.
+    m, n, k, tie_free = shape
+    mech, log = _logged(spec)
+    ref_mech, ref_log = _logged(spec)
+    report = check_ordinal(mech, m, n, k, tie_free)
+    assert report == reference_check_ordinal(ref_mech, m, n, k, tie_free)
+    assert log == ref_log
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SMALL_SHAPES), st.sampled_from(SCAN_SPECS),
+       st.sampled_from(sorted(CHECKS)))
+@example((3, 3, 3, False), "j1:1", "truthful")
+def test_verify_body_matches_reference_on_small_shapes(shape, spec, check):
+    m, n, k, tie_free = shape
+    report = CHECKS[check](_build(spec), m, n, k, tie_free)
+    assert _verify_body(report) == reference_verify_body(report)
+
+
+def test_small_shapes_reach_every_witness_kind():
+    # The drawn cases above meet a violation of each check.
+    cases = [("truthful", "rv"), ("ordinal", "mix:1/2*rv+1/2*j1:1"), ("neutral", "j1:1"),
+             ("anonymous", "rv-voter-1-twice")]
+    assert not any(CHECKS[check](_build(spec), 3, 2, 3).holds for check, spec in cases)
