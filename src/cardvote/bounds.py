@@ -9,7 +9,9 @@ classes), computes the closed-form lower bound, and runs the worst-case
 experiments.
 
 Everything is exact; every slide of the first reduction is logged, as one
-integer record per slid run, so monotonicity can be re-checked step by step.
+integer record per slid run.  Every slide of a run moves the functional with
+the sign of the run's d_numer*denom - numer*d_denom, so monotonicity is
+re-checked once per run.
 """
 
 from __future__ import annotations
@@ -51,10 +53,6 @@ def _image_runs(step_set: set[int]) -> list[tuple[int, int]]:
     return runs
 
 
-def _switches(image: set[int], k: int) -> int:
-    return sum(1 for j in range(k) if (j in image) != (j + 1 in image))
-
-
 def rounded(pref: Preference) -> tuple[int, ...]:
     """0/1 rounding at threshold 1/2 (strictly above 1/2 rounds to 1), read
     from the integer form: num/den > 1/2 exactly when 2*num > den."""
@@ -66,12 +64,12 @@ def rounded(pref: Preference) -> tuple[int, ...]:
 class ClassifiedPref:
     """A grid preference together with its derived structure.
 
-    ``switches`` counts image-membership switches along the grid; it is even
-    and at least 2 for every normalized grid preference with k >= m.  A value
-    of exactly 2 means the image is one bottom run starting at 0 plus one
-    top run ending at 1 (the two-block class).  ``dk_class`` is "a", "b" or
-    "c" when the preference falls into one of the structured worst-case
-    classes, else None.
+    ``switches`` counts image-membership switches along the grid, 2*runs - 2
+    as the image holds 0 and k; it is even and at least 2 for every
+    normalized grid preference with k >= m.  A value of exactly 2 means the
+    image is one bottom run starting at 0 plus one top run ending at 1 (the
+    two-block class).  ``dk_class`` is "a", "b" or "c" when the preference
+    falls into one of the structured worst-case classes, else None.
     """
 
     pref: Preference
@@ -125,7 +123,7 @@ def classify(pref: Preference, k: int) -> ClassifiedPref:
     ub = rounded(pref)
     return ClassifiedPref(
         pref=pref,
-        switches=_switches(image, k),
+        switches=2 * len(_image_runs(image)) - 2,
         ubar=ub,
         count=sum(ub),
         ranks=tuple(ranks),
@@ -138,16 +136,8 @@ def classify(pref: Preference, k: int) -> ClassifiedPref:
 # raw functional coincides with the welfare ratio of the stacked-lottery
 # scheme.
 
-# One stacked-lottery mechanism per candidate count, built on first use.  The
-# module-global j_star is looked up on each miss, so a wrapper installed over
-# it (the benchmark tracer's) still builds the cached mechanism.
-@functools.lru_cache(maxsize=64)
-def _jstar(m: int):
-    return j_star(m)
-
-
 def _jstar_dist(profile: Profile) -> CandidateDistribution:
-    return _jstar(profile.m).evaluate(profile)
+    return j_star(profile.m).evaluate(profile)
 
 
 def _g(dist: CandidateDistribution, profile: Profile) -> Fraction:
@@ -236,21 +226,15 @@ class ReductionTrace:
     @property
     def anomalies(self) -> tuple[int, ...]:
         """Indices of steps where the benchmark functional increased; the
-        sliding argument predicts there are none.  Every slide is re-checked
-        on its own, from the runs' integers: the common positive factor
-        ``den`` cancels, so step i rose exactly when
-        after_numer * before_denom > before_numer * after_denom."""
-        found = []
-        index = 0
-        for r in self.runs:
-            numer, denom, d_numer, d_denom = r.numer, r.denom, r.d_numer, r.d_denom
-            for i in range(index, index + r.gap):
-                next_numer, next_denom = numer + d_numer, denom + d_denom
-                if next_numer * denom > numer * next_denom:
-                    found.append(i)
-                numer, denom = next_numer, next_denom
-            index += r.gap
-        return tuple(found)
+        sliding argument predicts there are none.  With dn, dd a run's
+        ``d_numer``, ``d_denom`` and ``den`` cancelled, its slide i rose when
+        (numer + (i+1)*dn) * (denom + i*dd) > (numer + i*dn) * (denom + (i+1)*dd),
+        and the sides differ by dn*denom - numer*dd for every i: so each run
+        is tested once, and either all of its slides rose or none did."""
+        starts = itertools.accumulate((r.gap for r in self.runs), initial=0)
+        return tuple(i for r, start in zip(self.runs, starts)
+                     if r.d_numer * r.denom > r.numer * r.d_denom
+                     for i in range(start, start + r.gap))
 
 
 def reduce_to_Ck_trace(profile: Profile, k: int) -> ReductionTrace:
@@ -528,9 +512,6 @@ def upper_bound_experiment(ms: Sequence[int], repeat: int = 1) -> list[NegativeR
 
 @dataclass(frozen=True)
 class LowerRow:
-    m: int
-    n: int
-    k: int
     seed: int
     a: int
     b: int
@@ -564,5 +545,5 @@ def lower_bound_experiment(
             bound = lower_bound_formula(a, b, c, n, m)
             for seed in seeds:
                 profile = gen_Dk(DkParams(m=m, k=k, a=a, b=b, c=c), seed)
-                rows.append(LowerRow(m, n, k, seed, a, b, c, gbar_value(profile), bound))
+                rows.append(LowerRow(seed, a, b, c, gbar_value(profile), bound))
     return rows

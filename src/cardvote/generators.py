@@ -32,14 +32,9 @@ class NegativeConstructionParams:
     """
 
     m: int
-    repeat: int
     favorite_block_size: int
     block_count: int
     base_n: int
-
-    @property
-    def n(self) -> int:
-        return self.base_n * self.repeat
 
     @property
     def ladder_denominator(self) -> int:
@@ -57,7 +52,7 @@ def negative_params(m: int, repeat: int = 1) -> NegativeConstructionParams:
         raise RuntimeError(f"block layout overflows: {k} * {g} > m = {m}")
     if (m - 1 + g) * repeat > sys.maxsize:
         raise PreconditionError(f"repeat={repeat} gives more voters than a tuple can index")
-    return NegativeConstructionParams(m, repeat, k, g, m - 1 + g)
+    return NegativeConstructionParams(m, k, g, m - 1 + g)
 
 
 def _nearly_equal_blocks(last: int, parts: int) -> list[list[int]]:
@@ -85,36 +80,20 @@ def gen_negative(m: int, repeat: int = 1) -> Profile:
     at most one block voter.
     """
     params = negative_params(m, repeat)
-    den = params.ladder_denominator
-    blocks = _nearly_equal_blocks(
-        min(params.favorite_block_size * params.block_count, m - 1),
-        params.block_count,
-    )
-    # Utilities as steps of 1/den.  Every voter reads its steps from these
-    # shared ints, so the profile holds each distinct step once.
+    den, k, g = params.ladder_denominator, params.favorite_block_size, params.block_count
+    blocks = _nearly_equal_blocks(min(k * g, m - 1), g)
+    # Utilities as steps of 1/den.  A voter is its top steps with slices of one
+    # ladder around them (descending for voter i, ascending for a block
+    # voter's non-favorites), so the profile holds each distinct step int once.
     ladder = list(range(m))
-    near_top = [den - s for s in range(params.favorite_block_size)]
+    near_top = [den - s for s in range(k)]
     one, pivot = near_top[0], den - m * m  # exactly 1 and 1 - 1/m^2
-    prefs: list[Preference] = []
-    for i in range(1, m):
-        steps = [0] * m
-        steps[i - 1] = one
-        step = m - 2
-        for j in range(1, m):
-            if j != i:
-                steps[j - 1] = ladder[step]
-                step -= 1
-        prefs.append(Preference.from_steps(steps, den))
+    below = ladder[m - 2:0:-1]
+    prefs = [Preference.from_steps(below[:i - 1] + [one] + below[i - 1:] + [0], den)
+             for i in range(1, m)]
     for block in blocks:
-        steps = [0] * m
-        for s, j in enumerate(block):
-            steps[j - 1] = near_top[s]
-        steps[m - 1] = pivot
-        step = 0
-        for j in range(1, m):
-            if j not in block:
-                steps[j - 1] = ladder[step]
-                step += 1
+        below, lo = ladder[:m - 1 - len(block)], block[0] - 1
+        steps = below[:lo] + near_top[:len(block)] + below[lo:] + [pivot]
         prefs.append(Preference.from_steps(steps, den))
     return Profile(tuple(prefs * repeat))
 
@@ -150,15 +129,14 @@ class DkParams:
                 "need a + c >= 1 so the rounded-welfare denominator is positive"
             )
 
-    @property
-    def n(self) -> int:
-        return self.a + self.b + self.c
-
 
 def two_block_preference(order: Sequence[int], top_size: int, k: int) -> Preference:
     """Tie-free grid preference whose image is a top run of grid values ending
-    at 1 (the first ``top_size`` of ``order``) plus a bottom run starting at 0."""
+    at 1 (the first ``top_size`` of ``order``) plus a bottom run starting at 0.
+    Below k = m the top run reaches down into the bottom one, so k < m raises."""
     m = len(order)
+    if k < m:
+        raise PreconditionError(f"two blocks need k >= m, got k={k}, m={m}")
     steps = [0] * m
     for pos, cand in enumerate(order):
         steps[cand - 1] = k - pos if pos < top_size else m - 1 - pos

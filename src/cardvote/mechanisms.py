@@ -15,6 +15,7 @@ the stacked lottery read the profile's one place table, and
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import random
@@ -203,16 +204,22 @@ def mix(parts: Sequence[tuple]) -> Mechanism:
                      anonymous=all(mech.anonymous for _, mech in weighted))
 
 
+@functools.lru_cache(maxsize=64)
 def j_star(m: int) -> Mechanism:
     """Equal mixture of the random-favorite scheme and the top-floor(m^(1/3))
-    lottery; the cube root is exact integer arithmetic (m=27 gives 3, never 2)."""
+    lottery; the cube root is exact integer arithmetic (m=27 gives 3, never 2).
+    Built once per m, it evaluates profiles with m candidates only."""
     if m < 2:
         raise PreconditionError("need at least 2 candidates")
-    t = max(1, integer_cbrt(m))
-    if t == 1:  # m < 8: both halves are the random-favorite lottery
-        return Mechanism("jstar", j1q(1).evaluate, anonymous=True)
-    mech = mix([(Fraction(1, 2), j1q(1)), (Fraction(1, 2), j1q(t))])
-    return Mechanism("jstar", mech.evaluate, anonymous=True)
+    t = max(1, integer_cbrt(m))  # 1 for m < 8: both halves are the random-favorite lottery
+    inner = j1q(1) if t == 1 else mix([(Fraction(1, 2), j1q(1)), (Fraction(1, 2), j1q(t))])
+
+    def evaluate(profile: Profile) -> CandidateDistribution:
+        if len(profile.places) != m:  # one row per candidate; inner reads it anyway
+            raise PreconditionError(f"stacked lottery fixed at m={m}; got m={profile.m}")
+        return inner.evaluate(profile)
+
+    return Mechanism("jstar", evaluate, anonymous=True)
 
 
 def _compose(pref: Preference, tau: tuple[int, ...]) -> Preference:

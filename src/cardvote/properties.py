@@ -155,9 +155,12 @@ class SymmetryWitness:
 class WitnessReport:
     check: str
     mechanism: str
-    holds: bool
     search_space: SearchSpace
     witness: object | None = None
+
+    @property
+    def holds(self) -> bool:
+        return self.witness is None
 
 
 class _GridScan:
@@ -184,7 +187,7 @@ class _GridScan:
 
     def report(self, check: str, witness: object | None = None) -> WitnessReport:
         """The report of ``check`` on this grid: it holds unless given a witness."""
-        return WitnessReport(check, self.mech.name, witness is None, self.space, witness)
+        return WitnessReport(check, self.mech.name, self.space, witness)
 
     def profile(self, key: tuple[int, ...]) -> Profile:
         return Profile(tuple(self.prefs[i] for i in key))

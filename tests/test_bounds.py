@@ -7,7 +7,6 @@ import pytest
 
 from cardvote.bounds import (
     _g,
-    _jstar,
     _jstar_dist,
     all_q_ratios,
     classify,
@@ -89,9 +88,11 @@ class TestClassify:
 
     @pytest.mark.parametrize("k", [3, 4, 5])
     def test_switches_even_and_at_least_two_exhaustively(self, k):
-        for p in enumerate_Rk_prefs(3, k, tie_free=True):
-            s = classify(p, k).switches
-            assert s % 2 == 0 and s >= 2
+        for m in range(3, min(k, 4) + 1):
+            for p in enumerate_Rk_prefs(m, k, tie_free=True):
+                s = classify(p, k).switches
+                assert s % 2 == 0 and s >= 2
+                assert s == _hand_switch_count(p, k)
 
     def test_rank_table(self):
         info = classify(pref(0, "1/4", "1/2", 1), 4)
@@ -156,14 +157,15 @@ class TestBenchmarkFunctionals:
         assert gap <= 2 * F(m - 1, k) * 4  # loose structural sanity bound
 
     def test_stacked_lottery_built_once_per_m(self):
-        # The cached mechanism gives the distributions a fresh j_star gives.
+        # The cached mechanism gives the distributions a freshly built one gives.
         for m, k in ((3, 3), (8, 64), (27, 108)):
             for seed in range(3):
                 u = rand_grid_profile(m, 4, k, seed)
-                assert _jstar_dist(u) == j_star(m).evaluate(u)
-        before = _jstar.cache_info().misses
+                assert _jstar_dist(u) == j_star.__wrapped__(m).evaluate(u)
+                assert j_star(m) is j_star(m)
+        before = j_star.cache_info().misses
         _jstar_dist(rand_grid_profile(8, 2, 64, 9))
-        assert _jstar.cache_info().misses == before
+        assert j_star.cache_info().misses == before
 
     def test_zero_denominators(self):
         u = Profile.of([pref(0, 1), pref(0, 1)])

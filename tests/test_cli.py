@@ -538,9 +538,25 @@ class TestReportWriter:
         refused.assert_not_called()
 
 
+def per_slide_anomalies(runs) -> tuple[int, ...]:
+    """Reference: every slide re-checked on its own by cross-multiplying the
+    integers before and after it."""
+    found, index = [], 0
+    for r in runs:
+        numer, denom = r.numer, r.denom
+        for i in range(index, index + r.gap):
+            next_numer, next_denom = numer + r.d_numer, denom + r.d_denom
+            if next_numer * denom > numer * next_denom:
+                found.append(i)
+            numer, denom = next_numer, next_denom
+        index += r.gap
+    return tuple(found)
+
+
 class TestRunAnomalies:
-    """``ReductionTrace.anomalies`` re-checks every slide from the runs'
-    integers; the reference compares the derived steps' `Fraction`s."""
+    """``ReductionTrace.anomalies`` tests each run once from its integers;
+    the references compare the derived steps' `Fraction`s and re-check every
+    slide's integers on its own."""
 
     @given(st.lists(slide_runs(), max_size=8).map(tuple))
     @example(INTEGER_RUNS)
@@ -551,6 +567,7 @@ class TestRunAnomalies:
         assert trace.anomalies == tuple(
             i for i, s in enumerate(trace.steps) if s.g_after > s.g_before
         )
+        assert trace.anomalies == per_slide_anomalies(runs)
 
     def test_rising_runs_are_flagged(self):
         trace = ReductionTrace(BASE, INTEGER_RUNS, Fraction(3), Fraction(2, 3))

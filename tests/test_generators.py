@@ -142,6 +142,16 @@ class TestGenDk:
         with pytest.raises(PreconditionError):
             DkParams(m=8, k=64, a=-1, b=8, c=1)
 
+    @pytest.mark.parametrize("m", [8, 27])
+    def test_two_block_preference_needs_k_at_least_m(self, m):
+        # At k = m-1 the two blocks would merge into one run; below that
+        # the top run overlaps the bottom one.
+        order = list(range(1, m + 1))
+        for k in (m - 2, m - 1):
+            with pytest.raises(PreconditionError, match=f"k={k}, m={m}"):
+                two_block_preference(order, 2, k)
+        assert classify(two_block_preference(order, 2, m), m).in_Ck
+
     def test_seed_reproducible(self):
         params = DkParams(m=8, k=64, a=2, b=3, c=1)
         assert gen_Dk(params, 11) == gen_Dk(params, 11)

@@ -788,6 +788,8 @@ def assert_same_preference(got: Preference, expected: Preference) -> None:
 
 def reference_two_block_preference(order, top_size: int, k: int) -> Preference:
     m = len(order)
+    if k < m:  # the two blocks would touch or overlap
+        raise PreconditionError(f"two blocks need k >= m, got k={k}, m={m}")
     values = [Fraction(0)] * m
     for pos, cand in enumerate(order):
         if pos < top_size:
@@ -991,7 +993,7 @@ def any_preferences(draw) -> Preference:
 class TestOneIntegerForm:
     @pytest.mark.parametrize("repeat", [1, 2, 3])
     def test_gen_negative_matches_fraction_body(self, repeat):
-        for m in range(8, 65):
+        for m in range(8, 131):
             got = gen_negative(m, repeat)
             expected = reference_gen_negative(m, repeat)
             assert got == expected
@@ -1002,9 +1004,10 @@ class TestOneIntegerForm:
 
     def test_gen_negative_voters_share_their_step_ints(self):
         # One int object per distinct step keeps the big profiles small.
-        profile = gen_negative(64)
-        nums = [num for p in profile.prefs for num in p.nums]
-        assert len({id(num) for num in nums}) == len(set(nums))
+        for m in (64, 343, 512):
+            profile = gen_negative(m)
+            nums = [num for p in profile.prefs for num in p.nums]
+            assert len({id(num) for num in nums}) == len(set(nums))
 
     @given(mixed_denominator_profiles())
     @settings(max_examples=300)

@@ -222,6 +222,15 @@ class TestJStar:
         assert dist.probs[:4] == (F(2, 3), F(1, 6), F(1, 6), F(0))
         assert all(p == 0 for p in dist.probs[3:])
 
+    @pytest.mark.parametrize("m, other", [(27, 8), (8, 27), (3, 7), (7, 3)])
+    def test_other_candidate_count_raises(self, m, other):
+        # j_star(27) on 8 candidates would mix in the top-3 lottery, which
+        # j_star(8) does not; below m = 8 it would pass for the right scheme.
+        u = Profile.of([Preference.from_steps(list(range(other)), other - 1)])
+        with pytest.raises(PreconditionError, match=f"fixed at m={m}; got m={other}"):
+            j_star(m).evaluate(u)
+        assert j_star(other).evaluate(u) == j_star.__wrapped__(other).evaluate(u)
+
 
 def normalize_to_pref(values):
     from cardvote.core import normalize

@@ -11,7 +11,7 @@ product, and ``bounds`` reads neither ``.probs`` nor ``welfare_vector``
 functionals read the integer form, so this guard failed there).  Only the
 ``cli`` renders reports: ``properties`` reads neither the ``.probs`` nor the
 ``.values`` view and calls no ``str`` (it did both while its reports
-rendered their own JSON)."""
+rendered their own JSON).  The one memoizing cache is ``mechanisms.j_star``'s."""
 
 import ast
 from pathlib import Path
@@ -191,3 +191,29 @@ def test_properties_render_nothing():
               and node.func.id == "str"):
             found.append(f"{node.lineno} str")
     assert found == []
+
+
+# Each memoizing cache in the package, as "module:function".  The stacked
+# lottery is built once per candidate count by ``mechanisms.j_star`` itself
+# (``bounds`` kept a second cache in front of it, which this guard rejects).
+# A new cache joins this set together with the workload that needs it.
+CACHED_FUNCTIONS = {"mechanisms.py:j_star"}
+
+
+def test_one_memoizing_cache():
+    """Every ``functools.lru_cache`` or ``functools.cache`` in the package,
+    named by the function it decorates (or by its line if it decorates
+    none), is in ``CACHED_FUNCTIONS``, and each listed one is still there."""
+    found = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        owner = {}
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for decorator in func.decorator_list:
+                    owner.update((id(sub), func.name) for sub in ast.walk(decorator))
+        for node in ast.walk(tree):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name in ("lru_cache", "cache"):
+                found.add(f"{path.name}:{owner.get(id(node), node.lineno)}")
+    assert found == CACHED_FUNCTIONS

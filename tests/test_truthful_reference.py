@@ -131,10 +131,8 @@ def reference_check_truthful(
                         honest,
                         gained,
                     )
-                    return WitnessReport(
-                        "truthful", mech.name, False, scan.space, witness
-                    )
-    return WitnessReport("truthful", mech.name, True, scan.space)
+                    return WitnessReport("truthful", mech.name, scan.space, witness)
+    return WitnessReport("truthful", mech.name, scan.space)
 
 
 def reference_check_ordinal(
@@ -155,8 +153,8 @@ def reference_check_ordinal(
             witness = OrdinalWitness(
                 scan.profile(first[0]), scan.profile(key), first[1], dist
             )
-            return WitnessReport("ordinal", mech.name, False, scan.space, witness)
-    return WitnessReport("ordinal", mech.name, True, scan.space)
+            return WitnessReport("ordinal", mech.name, scan.space, witness)
+    return WitnessReport("ordinal", mech.name, scan.space)
 
 
 SPECS = [
