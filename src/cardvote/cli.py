@@ -194,21 +194,17 @@ def _profile_body(profile: core.Profile, fmt: str) -> str:
     return json.dumps(core.profile_to_json_dict(profile), sort_keys=True) + "\n"
 
 
-def _wrap(fn):
-    """Convert package errors into clean CLI failures (exit 1)."""
+class _Main(click.Group):
+    """Root group: every command's ``CardvoteError`` exits 1 with ``Error: ...``."""
 
-    def run(*args, **kwargs):
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except CardvoteError as e:
             raise click.ClickException(str(e)) from e
 
-    run.__name__ = fn.__name__
-    run.__doc__ = fn.__doc__
-    return run
 
-
-@click.group()
+@click.group(cls=_Main)
 def main():
     """Exact evaluation of truthful cardinal voting schemes."""
 
@@ -217,7 +213,6 @@ def main():
 @click.option("--mech", "spec", required=True, help="Mechanism spec, e.g. jstar or mix:1/2*j1:1+1/2*j1:2")
 @click.option("--profile", "profile_path", required=True, type=click.Path(exists=True))
 @click.option("--out", default=None, type=click.Path())
-@_wrap
 def eval_cmd(spec: str, profile_path: str, out: str | None):
     """Evaluate a mechanism on a profile: distribution, welfares, ratio."""
     mech = mechanisms.parse_mechanism(spec)
@@ -247,7 +242,6 @@ def eval_cmd(spec: str, profile_path: str, out: str | None):
 @click.option("--mech", "spec", required=True)
 @click.option("--profile", "profile_path", required=True, type=click.Path(exists=True))
 @click.option("--out", default=None, type=click.Path())
-@_wrap
 def ratio_cmd(spec: str, profile_path: str, out: str | None):
     """Welfare ratio of a mechanism on a profile."""
     mech = mechanisms.parse_mechanism(spec)
@@ -274,7 +268,6 @@ def gen():
 @click.option("--repeat", default=1, type=int, show_default=True)
 @click.option("--format", "fmt", default="json", type=click.Choice(["json", "csv"]))
 @click.option("--out", default=None, type=click.Path())
-@_wrap
 def gen_negative_cmd(m: int, repeat: int, fmt: str, out: str | None):
     """Adversarial profile capping top-q and pairwise-quota schemes."""
     _emit(_profile_body(generators.gen_negative(m, repeat), fmt), out)
@@ -290,7 +283,6 @@ def gen_negative_cmd(m: int, repeat: int, fmt: str, out: str | None):
 @click.option("--seed", default=0, type=int, show_default=True)
 @click.option("--format", "fmt", default="json", type=click.Choice(["json", "csv"]))
 @click.option("--out", default=None, type=click.Path())
-@_wrap
 def gen_dk_cmd(m, k, a, b, c, n, seed, fmt, out):
     """Seeded profile with voters in the three structured two-block classes."""
     if n is not None and n != a + b + c:
@@ -305,7 +297,6 @@ def gen_dk_cmd(m, k, a, b, c, n, seed, fmt, out):
 @click.option("--eps", required=True, help="Exact rational, e.g. 1/1000.")
 @click.option("--format", "fmt", default="json", type=click.Choice(["json", "csv"]))
 @click.option("--out", default=None, type=click.Path())
-@_wrap
 def gen_cyclic_cmd(m, star, eps, fmt, out):
     """Cyclic-order profile with a single large utility at the starred voter."""
     _emit(_profile_body(generators.gen_cyclic(m, star, _rational(eps, "--eps")), fmt), out)
@@ -319,7 +310,6 @@ def gen_cyclic_cmd(m, star, eps, fmt, out):
 @click.option("--ties/--tie-free", "ties", default=False, show_default=True)
 @click.option("--format", "fmt", default="json", type=click.Choice(["json", "csv"]))
 @click.option("--out", default=None, type=click.Path())
-@_wrap
 def gen_grid_cmd(m, n, k, seed, ties, fmt, out):
     """Uniformly sampled normalized grid profile."""
     profile = generators.rand_grid_profile(m, n, k, seed, tie_free=not ties)
@@ -387,7 +377,6 @@ def _verify_command(name: str):
     @click.option("--budget", default=properties.DEFAULT_BUDGET, type=int, show_default=True)
     @click.option("--out", default=None, type=click.Path())
     @click.pass_context
-    @_wrap
     def run(ctx, spec, m, n, k, tie_free, budget, out):
         mech = mechanisms.parse_mechanism(spec)
         report = _CHECKS[name](mech, m, n, k, tie_free=tie_free, budget=budget)
@@ -428,7 +417,6 @@ def _int_list(text: str) -> list[int]:
 @click.option("--m", "ms_text", required=True, help="Comma-separated m values, e.g. 27,64,125.")
 @click.option("--repeat", default=1, type=int, show_default=True)
 @click.option("--out", default=None, type=click.Path())
-@_wrap
 def experiment_negative(ms_text: str, repeat: int, out: str | None):
     """Ratios of every top-q and pairwise-quota scheme on adversarial profiles."""
     ms = _int_list(ms_text)
@@ -457,7 +445,6 @@ def experiment_negative(ms_text: str, repeat: int, out: str | None):
 @click.option("--grid-step", "step", required=True, type=int)
 @click.option("--seeds", default="0,1,2,3,4", show_default=True)
 @click.option("--out", default=None, type=click.Path())
-@_wrap
 def experiment_lower(m, n, k, step, seeds, out):
     """Rounded benchmark values of structured profiles against the bound."""
     seed_list = _int_list(seeds)
@@ -486,7 +473,6 @@ def experiment_lower(m, n, k, step, seeds, out):
 @click.option("--m", "ms_text", required=True, help="Comma-separated m values (n = m).")
 @click.option("--eps", default=None, help="Exact rational; defaults to 1/m^3 per m.")
 @click.option("--out", default=None, type=click.Path())
-@_wrap
 def experiment_cyclic(ms_text: str, eps: str | None, out: str | None):
     """Ratio of the stacked-lottery scheme on every starred cyclic profile."""
     rows = []
@@ -537,7 +523,6 @@ def _grid_family(m: int, n: int, k: int, tie_free: bool, first: int):
 @click.option("--profile", "profile_path", type=click.Path(exists=True), default=None)
 @click.option("--budget", default=1_000_000, type=int, show_default=True)
 @click.option("--out", default=None, type=click.Path())
-@_wrap
 def experiment_minratio(spec, m, n, k, tie_free, profile_path, budget, out):
     """Minimal exact ratio over a grid family or a single profile file."""
     mech = mechanisms.parse_mechanism(spec)
@@ -575,7 +560,6 @@ def experiment_minratio(spec, m, n, k, tie_free, profile_path, budget, out):
 @click.option("--profile", "profile_path", required=True, type=click.Path(exists=True))
 @click.option("--k", required=True, type=int)
 @click.option("--out", default=None, type=click.Path())
-@_wrap
 def reduce_cmd(profile_path: str, k: int, out: str | None):
     """Slide interior image blocks until every voter is two-block."""
     trace = bounds.reduce_to_Ck_trace(_load_profile(profile_path), k)
@@ -592,7 +576,6 @@ def reduce_cmd(profile_path: str, k: int, out: str | None):
 @click.option("--profile", "profile_path", required=True, type=click.Path(exists=True))
 @click.option("--k", required=True, type=int)
 @click.option("--out", default=None, type=click.Path())
-@_wrap
 def project_cmd(profile_path: str, k: int, out: str | None):
     """Project two-block voters onto the structured classes."""
     trace = bounds.project_to_Dk_trace(_load_profile(profile_path), k)
@@ -638,7 +621,6 @@ def fit_slope(points: list[tuple[int, Fraction]]) -> tuple[float, float]:
               show_default=True,
               help="Collapse multiple rows per m before fitting.")
 @click.option("--out", default=None, type=click.Path())
-@_wrap
 def fit_cmd(data_path: str, aggregate: str, out: str | None):
     """Log-log slope of ratio against m."""
     raw: list[tuple[int, Fraction]] = []

@@ -34,7 +34,6 @@ class NegativeConstructionParams:
     m: int
     favorite_block_size: int
     block_count: int
-    base_n: int
 
     @property
     def ladder_denominator(self) -> int:
@@ -52,7 +51,7 @@ def negative_params(m: int, repeat: int = 1) -> NegativeConstructionParams:
         raise RuntimeError(f"block layout overflows: {k} * {g} > m = {m}")
     if (m - 1 + g) * repeat > sys.maxsize:
         raise PreconditionError(f"repeat={repeat} gives more voters than a tuple can index")
-    return NegativeConstructionParams(m, k, g, m - 1 + g)
+    return NegativeConstructionParams(m, k, g)
 
 
 def _nearly_equal_blocks(last: int, parts: int) -> list[list[int]]:

@@ -7,15 +7,14 @@ shared freely across threads.  Randomness only enters through
 :func:`sample`, behind an explicit seed.
 
 The top-q and pairwise-quota schemes count from the integer ballot tables of
-``core`` through :func:`top_q_counts` and :func:`pair_units`; both halves of
-the stacked lottery read the profile's one place table, and
-``bounds.all_q_ratios`` sweeps the same tables over every quota at once.
+``core`` through :func:`top_q_counts` and :func:`pair_units`; the stacked
+lottery :func:`j_star` is one integer formula over the profile's place table,
+and ``bounds.all_q_ratios`` sweeps the same tables over every quota at once.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
 import math
 import random
@@ -131,8 +130,8 @@ def j1q(q: int) -> Mechanism:
         raise PreconditionError(f"q must be >= 1, got {q}")
 
     def evaluate(profile: Profile) -> CandidateDistribution:
-        if q > profile.m:
-            raise OutOfRangeError(f"q={q} exceeds candidate count {profile.m}")
+        if q > len(profile.places):
+            raise OutOfRangeError(f"q={q} exceeds candidate count {len(profile.places)}")
         return CandidateDistribution.over(profile.n * q, top_q_counts(profile.places, q))
 
     return Mechanism(f"j1:{q}", evaluate, anonymous=True)
@@ -204,20 +203,21 @@ def mix(parts: Sequence[tuple]) -> Mechanism:
                      anonymous=all(mech.anonymous for _, mech in weighted))
 
 
-@functools.lru_cache(maxsize=64)
 def j_star(m: int) -> Mechanism:
-    """Equal mixture of the random-favorite scheme and the top-floor(m^(1/3))
-    lottery; the cube root is exact integer arithmetic (m=27 gives 3, never 2).
-    Built once per m, it evaluates profiles with m candidates only."""
+    """The stacked lottery: with probability 1/2 a random voter's favorite,
+    otherwise a uniform pick among a random voter's top t = floor(m^(1/3))
+    (exact: m=27 gives 3, never 2).  Candidate c+1 wins with probability
+    (t*places[c][0] + sum(places[c][:t])) / (2*n*t), the random-favorite
+    lottery at t = 1 (m < 8).  It evaluates profiles with m candidates only."""
     if m < 2:
         raise PreconditionError("need at least 2 candidates")
-    t = max(1, integer_cbrt(m))  # 1 for m < 8: both halves are the random-favorite lottery
-    inner = j1q(1) if t == 1 else mix([(Fraction(1, 2), j1q(1)), (Fraction(1, 2), j1q(t))])
+    t = integer_cbrt(m)
 
     def evaluate(profile: Profile) -> CandidateDistribution:
-        if len(profile.places) != m:  # one row per candidate; inner reads it anyway
+        if len(profile.places) != m:  # one row per candidate
             raise PreconditionError(f"stacked lottery fixed at m={m}; got m={profile.m}")
-        return inner.evaluate(profile)
+        return CandidateDistribution.over(
+            2 * profile.n * t, [t * row[0] + sum(row[:t]) for row in profile.places])
 
     return Mechanism("jstar", evaluate, anonymous=True)
 
@@ -314,7 +314,8 @@ _SIMPLE = re.compile(r"^(rv|jstar|j1:\d+|j2:\d+|const:\d+)$")
 
 
 def _split_mix_parts(body: str) -> list[str]:
-    parts, depth, start = [], 0, 0
+    # A component ends at a depth-0 '+' after its '*': weights hold "1e+0".
+    parts, depth, start, starred = [], 0, 0, False
     for i, ch in enumerate(body):
         if ch == "(":
             depth += 1
@@ -322,9 +323,11 @@ def _split_mix_parts(body: str) -> list[str]:
             depth -= 1
             if depth < 0:
                 raise MechanismSpecError(f"unbalanced ')' in {body!r}")
-        elif ch == "+" and depth == 0:
+        elif depth == 0 and ch == "*":
+            starred = True
+        elif depth == 0 and ch == "+" and starred:
             parts.append(body[start:i])
-            start = i + 1
+            start, starred = i + 1, False
     if depth != 0:
         raise MechanismSpecError(f"unbalanced '(' in {body!r}")
     parts.append(body[start:])
@@ -332,8 +335,9 @@ def _split_mix_parts(body: str) -> list[str]:
 
 
 def _deferred(name: str, build: Callable[[int, int], Mechanism]) -> Mechanism:
-    # The mechanism for each profile shape (m, n) is built once.  Both
-    # deferred schemes, jstar and sym:, are anonymous at every shape.
+    # Each profile shape (m, n) builds its mechanism once, outside the
+    # evaluator, so sym: enumerates relabelings once and the bench tracer wraps
+    # one jstar per shape.  Both deferred schemes are anonymous at every shape.
     built: dict[tuple[int, int], Mechanism] = {}
 
     def evaluate(profile: Profile) -> CandidateDistribution:

@@ -13,9 +13,9 @@ SCRIPT = """
 import cardvote, cardvote.cli
 import tracer
 t = tracer.install(cardvote)
-mech = cardvote.mechanisms.j_star(8)
 profile = cardvote.generators.gen_negative(8)
-cardvote.core.ratio(mech, profile)
+for mech in (cardvote.mechanisms.j_star(8), cardvote.mechanisms.j1q(2)):
+    cardvote.core.ratio(mech, profile)
 cardvote.bounds.all_q_ratios(profile)
 layers = {span[1] for span in t.spans}
 assert {"mechanisms.jstar", "mechanisms.j1q", "core.welfare",

@@ -156,17 +156,6 @@ class TestBenchmarkFunctionals:
         gap = abs(_g(_jstar_dist(u), u) - gbar_value(u))
         assert gap <= 2 * F(m - 1, k) * 4  # loose structural sanity bound
 
-    def test_stacked_lottery_built_once_per_m(self):
-        # The cached mechanism gives the distributions a freshly built one gives.
-        for m, k in ((3, 3), (8, 64), (27, 108)):
-            for seed in range(3):
-                u = rand_grid_profile(m, 4, k, seed)
-                assert _jstar_dist(u) == j_star.__wrapped__(m).evaluate(u)
-                assert j_star(m) is j_star(m)
-        before = j_star.cache_info().misses
-        _jstar_dist(rand_grid_profile(8, 2, 64, 9))
-        assert j_star.cache_info().misses == before
-
     def test_zero_denominators(self):
         u = Profile.of([pref(0, 1), pref(0, 1)])
         with pytest.raises(UndefinedRatioError):

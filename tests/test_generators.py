@@ -33,7 +33,6 @@ class TestNegativeParams:
         params = negative_params(m)
         assert params.favorite_block_size == k
         assert params.block_count == g
-        assert params.base_n == m - 1 + g
 
     def test_m_too_small(self):
         with pytest.raises(PreconditionError):

@@ -43,7 +43,7 @@ atoms = st.one_of(
 )
 weights = st.one_of(
     st.sampled_from(["1", "0", "1/2", "1/3", "2/3", "-1/2", "1/0", "x", "", "0.5", "5e-1",
-                     "1e-5000", "1e"]),
+                     "1e-5000", "1e", "1e+0", "0.5e+0"]),
     st.fractions(-1, 2, max_denominator=6).map(str),
 )
 

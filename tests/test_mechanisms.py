@@ -13,7 +13,9 @@ from cardvote.errors import (
     PreconditionError,
     WeightError,
 )
+from cardvote.generators import rand_grid_profile
 from cardvote.mechanisms import (
+    Mechanism,
     constant_winner,
     integer_cbrt,
     j1q,
@@ -229,7 +231,46 @@ class TestJStar:
         u = Profile.of([Preference.from_steps(list(range(other)), other - 1)])
         with pytest.raises(PreconditionError, match=f"fixed at m={m}; got m={other}"):
             j_star(m).evaluate(u)
-        assert j_star(other).evaluate(u) == j_star.__wrapped__(other).evaluate(u)
+        assert j_star(other).evaluate(u) == mixture_j_star(other).evaluate(u)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.integers(2, 30), st.integers(63, 65)), st.integers(1, 5),
+           st.integers(1, 70), st.integers(0, 2**32), st.integers(2, 65))
+    def test_matches_mixture_reference(self, m, n, k, seed, other):
+        # Small k gives value ties, which both break toward the lower index.
+        u = rand_grid_profile(m, n, k, seed, tie_free=False)
+        assert j_star(m).evaluate(u) == mixture_j_star(m).evaluate(u)
+        if other != m:
+            with pytest.raises(PreconditionError) as got:
+                j_star(other).evaluate(u)
+            with pytest.raises(PreconditionError) as expected:
+                mixture_j_star(other).evaluate(u)
+            assert str(got.value) == str(expected.value)
+
+    @pytest.mark.parametrize("m", [1, 0, -8])
+    def test_too_few_candidates_matches_mixture_reference(self, m):
+        with pytest.raises(PreconditionError) as got:
+            j_star(m)
+        with pytest.raises(PreconditionError) as expected:
+            mixture_j_star(m)
+        assert str(got.value) == str(expected.value)
+
+
+def mixture_j_star(m: int) -> Mechanism:
+    """Reference stacked lottery composed from mechanisms: the even mixture of
+    ``j1q(1)`` and ``j1q(t)``, t = max(1, floor(m^(1/3))), or ``j1q(1)``
+    alone when t = 1, fixed at m candidates."""
+    if m < 2:
+        raise PreconditionError("need at least 2 candidates")
+    t = max(1, integer_cbrt(m))
+    inner = j1q(1) if t == 1 else mix([(F(1, 2), j1q(1)), (F(1, 2), j1q(t))])
+
+    def evaluate(profile: Profile):
+        if len(profile.places) != m:
+            raise PreconditionError(f"stacked lottery fixed at m={m}; got m={profile.m}")
+        return inner.evaluate(profile)
+
+    return Mechanism("jstar", evaluate, anonymous=True)
 
 
 def normalize_to_pref(values):
@@ -331,6 +372,16 @@ class TestParser:
         ])
         assert mech.evaluate(u) == direct.evaluate(u)
 
+    @pytest.mark.parametrize("spec, same", [
+        ("mix:1e+0*rv", "mix:1*rv"),
+        ("mix:0.5e+0*rv+1/2*j1:1", "mix:1/2*rv+1/2*j1:1"),
+    ])
+    def test_exponent_sign_in_weight_is_not_a_separator(self, spec, same):
+        u = profile((1, "1/2", 0), (0, 1, "1/2"))
+        mech, expected = parse_mechanism(spec), parse_mechanism(same)
+        assert mech.name == expected.name
+        assert mech.evaluate(u) == expected.evaluate(u)
+
     def test_sym_spec(self):
         u = profile((1, 0))
         mech = parse_mechanism("sym:const:1")
@@ -359,3 +410,16 @@ class TestParser:
         for u in (pairs, other_pairs, pairs, triple, triple):
             assert mech.evaluate(u) == symmetrize(j2q(2), u.m, u.n).evaluate(u)
         assert shapes == [(3, 2), (3, 3)]
+
+        # jstar is deferred the same way: one stacked lottery per (m, n).
+        built = []
+
+        def counting_j_star(m):
+            built.append(m)
+            return j_star(m)
+
+        monkeypatch.setattr(mechanisms, "j_star", counting_j_star)
+        mech = parse_mechanism("jstar")
+        for u in (pairs, other_pairs, pairs, triple, triple):
+            assert mech.evaluate(u) == j_star(u.m).evaluate(u)
+        assert built == [3, 3]

@@ -11,7 +11,7 @@ product, and ``bounds`` reads neither ``.probs`` nor ``welfare_vector``
 functionals read the integer form, so this guard failed there).  Only the
 ``cli`` renders reports: ``properties`` reads neither the ``.probs`` nor the
 ``.values`` view and calls no ``str`` (it did both while its reports
-rendered their own JSON).  The one memoizing cache is ``mechanisms.j_star``'s."""
+rendered their own JSON).  The package keeps no memoizing cache."""
 
 import ast
 from pathlib import Path
@@ -193,11 +193,11 @@ def test_properties_render_nothing():
     assert found == []
 
 
-# Each memoizing cache in the package, as "module:function".  The stacked
-# lottery is built once per candidate count by ``mechanisms.j_star`` itself
-# (``bounds`` kept a second cache in front of it, which this guard rejects).
+# Each memoizing cache in the package, as "module:function": none.  The
+# stacked lottery is one integer formula built in microseconds, and the
+# parser's jstar and sym: specs build their mechanism once per profile shape.
 # A new cache joins this set together with the workload that needs it.
-CACHED_FUNCTIONS = {"mechanisms.py:j_star"}
+CACHED_FUNCTIONS: set[str] = set()
 
 
 def test_one_memoizing_cache():
