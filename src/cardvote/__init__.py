@@ -42,11 +42,9 @@ from .properties import (
 )
 from .generators import (
     DkParams,
-    NegativeConstructionParams,
     gen_Dk,
     gen_cyclic,
     gen_negative,
-    negative_params,
     rand_grid_profile,
     two_block_preference,
 )

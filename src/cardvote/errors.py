@@ -29,9 +29,10 @@ class WeightError(CardvoteError):
 
 
 class BudgetError(CardvoteError):
-    """Raised when an enumeration would exceed its configured budget."""
+    """Raised when an enumeration would exceed its configured budget;
+    ``needed`` is its step count, or the text of a lower bound on it."""
 
-    def __init__(self, needed: int, budget: int, what: str = "enumeration"):
+    def __init__(self, needed: int | str, budget: int, what: str = "enumeration"):
         self.needed = needed
         self.budget = budget
         try:

@@ -19,41 +19,6 @@ from .errors import PreconditionError
 from .mechanisms import integer_cbrt
 
 
-@dataclass(frozen=True)
-class NegativeConstructionParams:
-    """Shape of the adversarial profile that caps every top-q lottery and
-    pairwise-quota scheme at O(m^(-2/3)).
-
-    ``favorite_block_size`` is floor(m^(1/3)) and ``block_count`` is
-    floor(m^(2/3)); the base profile has m-1+block_count voters and is
-    duplicated ``repeat`` times.  Tiny filler utilities live on a ladder with
-    denominator m^4, well below the 1/m^2 cap, so that no filler mass can
-    push a non-special candidate's welfare past 2 + 1/m.
-    """
-
-    m: int
-    favorite_block_size: int
-    block_count: int
-
-    @property
-    def ladder_denominator(self) -> int:
-        return self.m ** 4
-
-
-def negative_params(m: int, repeat: int = 1) -> NegativeConstructionParams:
-    if m < 8:
-        raise PreconditionError(f"construction needs m >= 8, got {m}")
-    if repeat < 1:
-        raise PreconditionError(f"repeat must be >= 1, got {repeat}")
-    k = integer_cbrt(m)
-    g = integer_cbrt(m * m)
-    if k * g > m:
-        raise RuntimeError(f"block layout overflows: {k} * {g} > m = {m}")
-    if (m - 1 + g) * repeat > sys.maxsize:
-        raise PreconditionError(f"repeat={repeat} gives more voters than a tuple can index")
-    return NegativeConstructionParams(m, k, g)
-
-
 def _nearly_equal_blocks(last: int, parts: int) -> list[list[int]]:
     """Partition {1..last} into ``parts`` contiguous blocks whose sizes differ
     by at most one."""
@@ -70,16 +35,27 @@ def gen_negative(m: int, repeat: int = 1) -> Profile:
     """Adversarial profile: candidate m carries almost all welfare but sits
     just below every block voter's favorites.
 
-    Voters 1..m-1 rate their own index 1, candidate m exactly 0, and all
-    other candidates with distinct values far below 1/m^2.  The remaining
-    block_count voters each rate one block of favorites just below 1, rate
-    candidate m exactly 1 - 1/m^2, and everything else far below 1/m^2.  The
-    blocks partition {1, ..., min(k*g, m-1)} into block_count nearly-equal
-    parts of size at most k, so each non-special candidate is a favorite of
-    at most one block voter.
+    With k = floor(m^(1/3)) and g = floor(m^(2/3)), the base profile has
+    m-1+g voters and is duplicated ``repeat`` times.  Voters 1..m-1 rate their
+    own index 1, candidate m exactly 0, and all other candidates with
+    distinct values far below 1/m^2.  The g block voters each rate one block
+    of favorites just below 1, rate candidate m exactly 1 - 1/m^2, and
+    everything else far below 1/m^2.  The blocks partition {1, ...,
+    min(k*g, m-1)} into g nearly-equal parts of size at most k, so each
+    non-special candidate is a favorite of at most one block voter.  Tiny
+    filler utilities live on a ladder with denominator m^4, well below the
+    1/m^2 cap, so that no filler mass can push a non-special candidate's
+    welfare past 2 + 1/m.
     """
-    params = negative_params(m, repeat)
-    den, k, g = params.ladder_denominator, params.favorite_block_size, params.block_count
+    if m < 8:
+        raise PreconditionError(f"construction needs m >= 8, got {m}")
+    if repeat < 1:
+        raise PreconditionError(f"repeat must be >= 1, got {repeat}")
+    k, g, den = integer_cbrt(m), integer_cbrt(m * m), m ** 4
+    if k * g > m:
+        raise RuntimeError(f"block layout overflows: {k} * {g} > m = {m}")
+    if (m - 1 + g) * repeat > sys.maxsize:
+        raise PreconditionError(f"repeat={repeat} gives more voters than a tuple can index")
     blocks = _nearly_equal_blocks(min(k * g, m - 1), g)
     # Utilities as steps of 1/den.  A voter is its top steps with slices of one
     # ladder around them (descending for voter i, ascending for a block

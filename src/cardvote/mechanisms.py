@@ -199,7 +199,10 @@ def mix(parts: Sequence[tuple]) -> Mechanism:
         dists = ((w, mech.evaluate(profile)) for w, mech in weighted if w)
         return _weighted_sum(profile.m, ((w, d.den, d.nums) for w, d in dists))
 
-    return Mechanism("mix:" + "+".join(f"{w}*{mech.name}" for w, mech in weighted), evaluate,
+    # Only a mixture's name holds "+": parenthesized, a nested one parses back.
+    name = "+".join(f"{w}*({mech.name})" if "+" in mech.name else f"{w}*{mech.name}"
+                    for w, mech in weighted)
+    return Mechanism("mix:" + name, evaluate,
                      anonymous=all(mech.anonymous for _, mech in weighted))
 
 
@@ -240,7 +243,7 @@ def symmetrize(mech: Mechanism, m: int, n: int) -> Mechanism:
     anonymous mechanism gives every voter relabeling the same distribution,
     so its average is taken over the m! candidate relabelings alone.
     """
-    total = math.factorial(n) * math.factorial(m)
+    total = math.factorial(m) * (1 if mech.anonymous else math.factorial(n))
     if total > SYMMETRIZE_BUDGET:
         raise BudgetError(total, SYMMETRIZE_BUDGET, "relabeling enumeration")
     voter_perms = [tuple(range(n))] if mech.anonymous else list(itertools.permutations(range(n)))

@@ -5,8 +5,9 @@ Every checker enumerates a finite grid family of normalized preferences and
 either certifies the property over that family or returns a concrete,
 replayable counterexample.  A "holds" verdict is always relative to the
 enumerated grid, never a universal claim; the report records the search
-space.  Reports and witnesses are plain data; ``cardvote.cli`` renders
-them.
+space.  Each scan checks its work against its budget once, before it builds
+the grid or any count past it.  Reports and witnesses are plain data;
+``cardvote.cli`` renders them.
 
 Enumeration order is fixed so that the first witness is reproducible:
 preferences are ordered lexicographically by their value tuple (candidate 1
@@ -43,7 +44,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .core import CandidateDistribution, Preference, Profile, grid_steps
 from .errors import BudgetError, PreconditionError
@@ -164,26 +165,32 @@ class WitnessReport:
 
 
 class _GridScan:
-    """Shared enumeration state: the search space, the preference list and a
-    distribution cache keyed by profiles encoded as preference-index tuples.
-    The grid's size comes from its closed form, so a check compares its work
-    with the budget before its first read of ``prefs`` enumerates the grid."""
+    """The one budget gate of every grid scan, and its shared state: the
+    search space, the preference list and a distribution cache keyed by
+    profiles encoded as preference-index tuples.  The constructor checks the
+    budget once, before it builds the grid or any count past it: P**n keys
+    for P grid preferences (with ``orbits``, C(P+n-1, n) sorted keys, one per
+    voter-permutation orbit), each costing ``work(P)`` steps, must fit
+    ``budget``, else ``BudgetError`` names ``what``."""
 
-    def __init__(self, mech, m: int, n: int, k: int, tie_free: bool):
+    def __init__(self, mech, m: int, n: int, k: int, tie_free: bool,
+                 budget: int, what: str, work: Callable[[int], int], orbits: bool = False):
         if n < 1:
             raise PreconditionError(f"need at least one voter, got n={n}")
-        self.mech = mech
         pref_count = grid_pref_count(m, k, tie_free)
+        # Every walk visits at least 2**least keys.  Past 2**65536 a count
+        # prints as "at least 2**X" anyway, so refuse from the bound alone.
+        least = min(n, pref_count - 1) if orbits else n
+        if least > 65536 and budget.bit_length() <= least:  # budget < 2**least
+            raise BudgetError(f"at least 2**{least}", budget, what)
+        walk = math.comb(pref_count + n - 1, n) if orbits else pref_count ** n
+        steps = walk * work(pref_count)
+        if steps > budget:
+            raise BudgetError(steps, budget, what)
+        self.mech, self.orbits = mech, orbits
         self.space = SearchSpace(m, n, k, tie_free, pref_count, pref_count ** n)
+        self.prefs = list(enumerate_Rk_prefs(m, k, tie_free))
         self._dist: dict[tuple[int, ...], CandidateDistribution] = {}
-        self._prefs: list[Preference] | None = None
-
-    @property
-    def prefs(self) -> list[Preference]:
-        if self._prefs is None:
-            s = self.space
-            self._prefs = list(enumerate_Rk_prefs(s.m, s.k, s.tie_free))
-        return self._prefs
 
     def report(self, check: str, witness: object | None = None) -> WitnessReport:
         """The report of ``check`` on this grid: it holds unless given a witness."""
@@ -200,7 +207,10 @@ class _GridScan:
         return found
 
     def keys(self) -> Iterator[tuple[int, ...]]:
-        return itertools.product(range(self.space.preference_count), repeat=self.space.n)
+        indices = range(self.space.preference_count)
+        if self.orbits:
+            return itertools.combinations_with_replacement(indices, self.space.n)
+        return itertools.product(indices, repeat=self.space.n)
 
 
 def check_truthful(
@@ -232,13 +242,10 @@ def check_truthful(
     reports (see the module docstring); its budget counts C(P+n-1, n)*n*P
     work instead of P^n*n*P for P grid preferences.
     """
-    scan = _GridScan(mech, m, n, k, tie_free)
-    pref_count = scan.space.preference_count
     anonymous = mech.anonymous
-    key_count = math.comb(pref_count + n - 1, n) if anonymous else scan.space.profile_count
-    work = key_count * n * pref_count
-    if work > budget:
-        raise BudgetError(work, budget, "truthfulness scan")
+    scan = _GridScan(mech, m, n, k, tie_free, budget, "truthfulness scan",
+                     lambda p: n * p, orbits=anonymous)
+    pref_count = scan.space.preference_count
 
     # Utilities scaled by k: grid value s/k becomes the integer s.
     steps = [grid_steps(p, k) for p in scan.prefs]
@@ -257,12 +264,8 @@ def check_truthful(
                              for den, v in distinct))
         return tuple(flags)
 
-    # Both walks copy range(pref_count) into a tuple, so they start only
-    # after the budget check.
-    keys = (itertools.combinations_with_replacement(range(pref_count), n)
-            if anonymous else scan.keys())
     groups: dict[tuple[int, tuple[int, ...]], tuple[bool, ...]] = {}
-    for key in keys:
+    for key in scan.keys():
         for voter in range(n):
             group = (0 if anonymous else voter, key[:voter] + key[voter + 1:])
             flags = groups.get(group)
@@ -311,9 +314,7 @@ def check_ordinal(
     """Profiles whose voters induce identical weak orders must receive
     identical distributions.  Each profile is compared against the first
     member of its class, which the lexicographic scan has already evaluated."""
-    scan = _GridScan(mech, m, n, k, tie_free)
-    if scan.space.profile_count > budget:
-        raise BudgetError(scan.space.profile_count, budget, "ordinal scan")
+    scan = _GridScan(mech, m, n, k, tie_free, budget, "ordinal scan", lambda _: 1)
     # head[i]: the first grid preference with preference i's weak order.
     firsts: dict[tuple[int, ...], int] = {}
     head = [firsts.setdefault(_order_pattern(p), i) for i, p in enumerate(scan.prefs)]
@@ -338,10 +339,8 @@ def check_neutral(
     """Relabeling candidates must relabel the output distribution the same
     way: for every permutation tau, the distribution on the relabeled profile
     at candidate j must equal the original distribution at tau(j)."""
-    scan = _GridScan(mech, m, n, k, tie_free)
-    work = scan.space.profile_count * math.factorial(m)
-    if work > budget:
-        raise BudgetError(work, budget, "neutrality scan")
+    scan = _GridScan(mech, m, n, k, tie_free, budget, "neutrality scan",
+                     lambda _: math.factorial(m))
     # relabel[i]: the index of grid preference i relabeled by tau, found by
     # its grid steps.  The identity is trivially fine.
     perms = list(itertools.permutations(range(1, m + 1)))
@@ -371,10 +370,8 @@ def check_anonymous(
     budget: int = DEFAULT_BUDGET,
 ) -> WitnessReport:
     """Permuting voters must leave the output distribution unchanged."""
-    scan = _GridScan(mech, m, n, k, tie_free)
-    work = scan.space.profile_count * math.factorial(n)
-    if work > budget:
-        raise BudgetError(work, budget, "anonymity scan")
+    scan = _GridScan(mech, m, n, k, tie_free, budget, "anonymity scan",
+                     lambda _: math.factorial(n))
     perms = list(itertools.permutations(range(n)))
     for key in scan.keys():
         base = scan.dist(key)

@@ -67,6 +67,15 @@ class TestEvalAndRatio:
         result = invoke(runner, "eval", "--mech", "j2:2", "--profile", str(profile_path))
         assert json.loads(result.output)["quota_in_range"] is True
 
+    def test_symmetrized_anonymous_scheme_on_eleven_voters(self, runner, tmp_path):
+        # j1:1 is anonymous, so sym: averages 3! relabelings, not 3! * 11!.
+        profile_path = tmp_path / "u.json"
+        invoke(runner, "gen", "grid", "--m", "3", "--n", "11", "--k", "4",
+               "--seed", "1", "--out", str(profile_path))
+        result = invoke(runner, "eval", "--mech", "sym:j1:1", "--profile", str(profile_path))
+        assert result.exit_code == 0
+        assert sum(F(p) for p in json.loads(result.output)["distribution"]["exact"]) == 1
+
     def test_csv_profile_round_trip(self, runner, tmp_path):
         csv_path = tmp_path / "u.csv"
         invoke(runner, "gen", "grid", "--m", "3", "--n", "2", "--k", "6",

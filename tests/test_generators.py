@@ -14,7 +14,6 @@ from cardvote.generators import (
     gen_Dk,
     gen_cyclic,
     gen_negative,
-    negative_params,
     rand_grid_profile,
     two_block_preference,
 )
@@ -30,17 +29,20 @@ class TestNegativeParams:
         "m,k,g", [(8, 2, 4), (27, 3, 9), (64, 4, 16), (125, 5, 25), (216, 6, 36)]
     )
     def test_derived_sizes(self, m, k, g):
-        params = negative_params(m)
-        assert params.favorite_block_size == k
-        assert params.block_count == g
+        u = gen_negative(m)
+        assert u.n == m - 1 + g
+        # The g block voters rate their favorites above 1 - 1/m^2; the
+        # largest block holds k of them.
+        threshold = 1 - F(1, m * m)
+        assert max(sum(v > threshold for v in p.values) for p in u.prefs[m - 1:]) == k
 
     def test_m_too_small(self):
-        with pytest.raises(PreconditionError):
-            negative_params(7)
+        with pytest.raises(PreconditionError, match="m >= 8, got 7"):
+            gen_negative(7)
 
     def test_bad_repeat(self):
-        with pytest.raises(PreconditionError):
-            negative_params(27, repeat=0)
+        with pytest.raises(PreconditionError, match="repeat must be >= 1, got 0"):
+            gen_negative(27, repeat=0)
 
 
 class TestGenNegative:
@@ -58,7 +60,7 @@ class TestGenNegative:
     def test_m27_welfare_gap_factor(self):
         u = gen_negative(27)
         totals = welfare_vector(u)
-        g = negative_params(27).block_count
+        g = integer_cbrt(27 * 27)
         floor_factor = g * F(728, 729) / (F(2) + F(1, 27))
         for j in range(26):
             assert totals[26] / totals[j] >= floor_factor
@@ -71,7 +73,7 @@ class TestGenNegative:
 
     def test_block_sizes_bounded(self):
         for m in (8, 10, 27, 30):
-            params = negative_params(m)
+            k, g = integer_cbrt(m), integer_cbrt(m * m)
             u = gen_negative(m)
             # Block voters are the last block_count voters; their favorite
             # sets partition {1..min(k*g, m-1)}.
@@ -79,10 +81,9 @@ class TestGenNegative:
             threshold = 1 - F(1, m * m)
             for p in u.prefs[m - 1:]:
                 block = [j + 1 for j, v in enumerate(p.values) if v > threshold]
-                assert 1 <= len(block) <= params.favorite_block_size
+                assert 1 <= len(block) <= k
                 covered.extend(block)
-            expected = list(range(1, min(
-                params.favorite_block_size * params.block_count, m - 1) + 1))
+            expected = list(range(1, min(k * g, m - 1) + 1))
             assert sorted(covered) == expected
 
     def test_pivot_is_every_block_voters_next_choice(self):

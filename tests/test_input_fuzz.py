@@ -9,7 +9,8 @@ text that CSV cells, mixture weights, ``--eps`` and ``fit`` rows share goes
 through ``core.parse_rational``, which refuses values too long to print.
 A parsed spec flagged ``anonymous`` must also give every voter order of a
 random grid profile the same distribution, since the truthfulness scan
-trusts the flag.
+trusts the flag.  Every parsed spec's name, which each report echoes, parses
+back to the same scheme.
 """
 
 import itertools
@@ -70,6 +71,14 @@ specs = st.one_of(
 TINY = Profile.of([Preference.relaxed([1, Fraction(1, 2)])])
 
 
+def _outcome(mech):
+    """The distribution on ``TINY``, or the type of the error that refuses it."""
+    try:
+        return mech.evaluate(TINY)
+    except CardvoteError as e:
+        return type(e)
+
+
 class TestMechanismSpecs:
     @settings(max_examples=400, deadline=None)
     @given(specs)
@@ -80,6 +89,19 @@ class TestMechanismSpecs:
         except CardvoteError:
             return
         assert sum(dist.probs) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(grammar_specs)
+    @example("mix:1/2*(mix:1/2*rv+1/2*j1:1)+1/2*j1:2")
+    def test_names_parse_back(self, spec):
+        # Every report echoes the name, so it must name the same scheme.
+        try:
+            mech = parse_mechanism(spec)
+        except CardvoteError:
+            return
+        again = parse_mechanism(mech.name)
+        assert again.name == mech.name
+        assert _outcome(again) == _outcome(mech)
 
     @pytest.mark.parametrize("spec", [
         "sym:" * (MAX_NESTING + 1) + "rv",

@@ -88,19 +88,25 @@ from cardvote.core import (
     welfare_report,
     welfare_vector,
 )
-from cardvote.errors import CardvoteError, GridError, PreconditionError, UndefinedRatioError
+from cardvote.errors import (
+    BudgetError,
+    CardvoteError,
+    GridError,
+    PreconditionError,
+    UndefinedRatioError,
+)
 from cardvote.generators import (
     DkParams,
     _nearly_equal_blocks,
     gen_Dk,
     gen_negative,
-    negative_params,
     rand_grid_profile,
     two_block_preference,
 )
 from cardvote.mechanisms import (
     Mechanism,
     constant_winner,
+    integer_cbrt,
     j1q,
     j2q,
     j_star,
@@ -110,6 +116,7 @@ from cardvote.mechanisms import (
     symmetrize,
 )
 from cardvote.properties import (
+    DEFAULT_BUDGET,
     _first_truthfulness_witness,
     TruthfulnessWitness,
     _GridScan,
@@ -771,6 +778,15 @@ class TestSymmetrize:
             dictator, profile
         )
 
+    def test_budget_counts_voter_relabelings_only_when_enumerated(self):
+        # At (3, 11) an anonymous scheme averages 3! = 6 relabelings; a
+        # dictatorship would need all 3! * 11! = 239,500,800.  On a tie-free
+        # profile every relabeling of j1:1 elects the same favorites.
+        profile = rand_grid_profile(3, 11, 4, 1)
+        assert symmetrize(j1q(1), 3, 11).evaluate(profile) == j1q(1).evaluate(profile)
+        with pytest.raises(BudgetError, match="needs 239500800 steps"):
+            symmetrize(voter_one_favorite(), 3, 11)
+
 
 # ---------------------------------------------------------------------------
 # Grid-native preferences
@@ -901,15 +917,12 @@ class TestGridNativePreferences:
 # One integer form per preference
 
 def reference_gen_negative(m: int, repeat: int = 1) -> Profile:
-    params = negative_params(m, repeat)
-    den = params.ladder_denominator
-    blocks = _nearly_equal_blocks(
-        min(params.favorite_block_size * params.block_count, m - 1),
-        params.block_count,
-    )
+    k, g = integer_cbrt(m), integer_cbrt(m * m)
+    den = m ** 4
+    blocks = _nearly_equal_blocks(min(k * g, m - 1), g)
     zero, one = Fraction(0), Fraction(1)
     ladder = [Fraction(step, den) for step in range(m)]
-    near_top = [Fraction(den - s, den) for s in range(params.favorite_block_size)]
+    near_top = [Fraction(den - s, den) for s in range(k)]
     prefs = []
     for i in range(1, m):
         values = [zero] * m
@@ -1213,7 +1226,8 @@ class TestOneWelfareForm:
     def test_witness_utilities_match_fraction_replay(self, shape, data):
         m, n, k = shape
         mech = data.draw(mechanisms_for(m, n))
-        scan = _GridScan(mech, m, n, k, tie_free=False)
+        scan = _GridScan(mech, m, n, k, False, DEFAULT_BUDGET, "truthfulness scan",
+                         lambda p: n * p)
         key = tuple(data.draw(st.lists(st.integers(0, scan.space.preference_count - 1),
                                        min_size=n, max_size=n)))
         voter = data.draw(st.integers(0, n - 1))
@@ -1223,7 +1237,8 @@ class TestOneWelfareForm:
     def test_witness_found_for_range_voting(self):
         # rv is manipulable at (3, 2, 2), so the replays above meet real
         # witnesses, not only profiles where no misreport gains.
-        scan = _GridScan(range_voting(), 3, 2, 2, tie_free=False)
+        scan = _GridScan(range_voting(), 3, 2, 2, False, DEFAULT_BUDGET, "truthfulness scan",
+                         lambda p: 2 * p)
         found = 0
         for key in itertools.islice(scan.keys(), 200):
             for voter in range(2):

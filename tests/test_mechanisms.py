@@ -313,8 +313,9 @@ class TestSymmetrize:
                 assert moved.probs[j] == base.probs[tau[j] - 1]
 
     def test_budget_guard(self):
-        with pytest.raises(BudgetError):
-            symmetrize(j1q(1), 10, 10)
+        # j1:1 is anonymous, so only the 11! candidate relabelings count.
+        with pytest.raises(BudgetError, match="39916800"):
+            symmetrize(j1q(1), 11, 2)
 
     def test_reads_ties_that_the_strict_order_drops(self):
         # Both voters have the strict order (1, 2, 3), yet sym:j1:1 splits

@@ -11,7 +11,8 @@ product, and ``bounds`` reads neither ``.probs`` nor ``welfare_vector``
 functionals read the integer form, so this guard failed there).  Only the
 ``cli`` renders reports: ``properties`` reads neither the ``.probs`` nor the
 ``.values`` view and calls no ``str`` (it did both while its reports
-rendered their own JSON).  The package keeps no memoizing cache."""
+rendered their own JSON).  The package keeps no memoizing cache, and the
+grid scans have one budget gate."""
 
 import ast
 from pathlib import Path
@@ -217,3 +218,21 @@ def test_one_memoizing_cache():
             if name in ("lru_cache", "cache"):
                 found.add(f"{path.name}:{owner.get(id(node), node.lineno)}")
     assert found == CACHED_FUNCTIONS
+
+
+def test_one_budget_gate_for_the_grid_scans():
+    """Every grid scan's budget is checked in one place: in ``properties``,
+    ``BudgetError`` is raised only inside ``_GridScan.__init__``, which
+    counts the walk before it builds the grid (each check once raised its
+    own copy, after the scan had built P**n)."""
+    path = next(p for p in SOURCES if p.name == "properties.py")
+    tree = ast.parse(path.read_text(), str(path))
+    gate = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef) and node.name == "_GridScan")
+    init = next(node for node in gate.body
+                if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    inside = {id(node) for node in ast.walk(init)}
+    raised = [node for node in ast.walk(tree) if isinstance(node, ast.Raise)
+              and any(isinstance(sub, ast.Name) and sub.id == "BudgetError"
+                      for sub in ast.walk(node))]
+    assert raised and all(id(node) in inside for node in raised)

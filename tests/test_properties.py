@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -83,6 +84,31 @@ class TestEnumeration:
         monkeypatch.setattr("cardvote.properties.enumerate_Rk_prefs", refuse)
         with pytest.raises(BudgetError):
             check(range_voting(), 14, 1, 3)
+
+    @pytest.mark.parametrize("anonymous", [True, False])
+    @pytest.mark.parametrize(
+        "check", [check_truthful, check_ordinal, check_neutral, check_anonymous]
+    )
+    def test_millions_of_voters_are_refused_before_any_count(self, check, anonymous):
+        # 12 preferences at (m, k) = (3, 2): 12**(10**7) alone takes seconds
+        # and megabytes to build, and 2**(10**7) a megabyte.  Every walk
+        # visits at least 2**n keys (the orbit walk 2**min(n, 11)), so the
+        # gate refuses from n alone, or counts C(12+n-1, n) sorted keys.
+        mech = Mechanism("rv", range_voting().evaluate, anonymous=anonymous)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError) as refused:
+                check(mech, 3, 10**7, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        if not (anonymous and check is check_truthful):
+            assert "needs at least 2**10000000 steps" in str(refused.value)
+
+    def test_printable_counts_are_exact(self):
+        with pytest.raises(BudgetError, match=f"ordinal scan needs {12 ** 30} steps"):
+            check_ordinal(range_voting(), 3, 30, 2)
 
     def test_every_member_is_normalized_grid(self):
         for p in enumerate_Rk_prefs(3, 4):

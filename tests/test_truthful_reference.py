@@ -95,7 +95,7 @@ def reference_verify_body(report: WitnessReport) -> dict:
 def reference_check_truthful(
     mech, m, n, k, tie_free=False, budget=DEFAULT_BUDGET
 ) -> WitnessReport:
-    scan = _GridScan(mech, m, n, k, tie_free)
+    scan = _GridScan(mech, m, n, k, tie_free, budget, "truthfulness scan", lambda p: n * p)
     pref_count = len(scan.prefs)
     work = scan.space.profile_count * n * pref_count
     if work > budget:
@@ -138,7 +138,7 @@ def reference_check_truthful(
 def reference_check_ordinal(
     mech, m, n, k, tie_free=False, budget=DEFAULT_BUDGET
 ) -> WitnessReport:
-    scan = _GridScan(mech, m, n, k, tie_free)
+    scan = _GridScan(mech, m, n, k, tie_free, budget, "ordinal scan", lambda _: 1)
     if scan.space.profile_count > budget:
         raise BudgetError(scan.space.profile_count, budget, "ordinal scan")
     patterns = [_order_pattern(p) for p in scan.prefs]
