@@ -55,13 +55,12 @@ def _json_report(
 
 def _json_text(report: dict, records: dict[str, str]) -> str:
     """``json.dumps({**report, **records}, indent=2, sort_keys=True) + "\n"``,
-    written one top-level key at a time.  ``records`` holds arrays already
-    rendered by ``_array``; every other value goes through ``json.dumps`` and
-    is indented one level.  With ``indent`` set, ``json.dumps`` runs CPython's
-    pure-Python encoder, so whole profiles and the long step and move arrays
-    of ``reduce`` and ``project`` are written from fixed templates instead:
-    ``_steps_array`` writes every step of ``reduce``, its g values included,
-    from the integers of the trace's slide runs."""
+    written one top-level key at a time.  ``records`` holds values already
+    rendered; every other value goes through ``json.dumps`` and is indented
+    one level.  With ``indent`` set, ``json.dumps`` runs CPython's pure-Python
+    encoder, too slow only where a report holds thousands of values, so only
+    whole profiles (``_PAIR``) and ``reduce``'s steps (``_STEP``, g values
+    from the integers of the trace's slide runs) are written from templates."""
     texts = {key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
              for key, value in report.items()}
     texts.update(records)
@@ -75,9 +74,10 @@ def _array(items, pad: str) -> str:
     return f"[\n  {pad}{text}\n{pad}]" if text else "[]"
 
 
-# One reduce step and one project move, keys sorted, at the depth of an
-# element of a top-level array.  A step's direction and voter are filled in
-# once per run, which leaves the slots of g_after, g_before and the run.
+# One reduce step, keys sorted, at the depth of an element of a top-level
+# array.  A chain writes tens of thousands, so steps and profile pairs are
+# the only templates.  Direction and voter are filled in once per run, which
+# leaves the slots of g_after, g_before and the run.
 _STEP = """{
       "direction": %s,
       "g_after": %%s,
@@ -86,14 +86,6 @@ _STEP = """{
         %%d,
         %%d
       ],
-      "voter": %d
-    }"""
-
-_MOVE = """{
-      "after": %s,
-      "before": %s,
-      "kept": %s,
-      "target_class": %s,
       "voter": %d
     }"""
 
@@ -127,21 +119,6 @@ def _steps_array(runs) -> str:
                 hi += shift
 
     return _array(rendered(), "  ")
-
-
-def _values_array(pref: core.Preference) -> str:
-    return _array((_quote(str(v)) for v in pref.values), "      ")
-
-
-def _moves_array(moves) -> str:
-    return _array(
-        (
-            _MOVE % (_values_array(mv.after), _values_array(mv.before), json.dumps(mv.kept),
-                     json.dumps(mv.target_class), mv.voter)
-            for mv in moves
-        ),
-        "  ",
-    )
 
 
 # One utility of a profile, [numerator, denominator], at the depth of a pair
@@ -328,11 +305,11 @@ _CHECKS = {
 }
 
 
-def _witness_field(value):
-    """One witness field as JSON data, by its type: every exact value is
+def _field(value):
+    """One record field as JSON data, by its type: every exact value is
     written by ``str``, a profile as one row per voter."""
     if isinstance(value, core.Profile):
-        return [_witness_field(pref) for pref in value.prefs]
+        return [_field(pref) for pref in value.prefs]
     if isinstance(value, core.Preference):
         return [str(v) for v in value.values]
     if isinstance(value, core.CandidateDistribution):
@@ -344,6 +321,11 @@ def _witness_field(value):
     return value
 
 
+def _record(obj) -> dict:
+    """A dataclass record (search space, witness, move) as JSON data."""
+    return {f.name: _field(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+
+
 def _verify_body(report: properties.WitnessReport) -> dict:
     """The body of a ``verify`` report: the verdict, the search space and a
     violation's witness, field by field, with a truthfulness witness's gain."""
@@ -351,12 +333,11 @@ def _verify_body(report: properties.WitnessReport) -> dict:
         "check": report.check,
         "mechanism": report.mechanism,
         "verdict": "holds" if report.holds else "violated",
-        "search_space": dataclasses.asdict(report.search_space),
+        "search_space": _record(report.search_space),
     }
     w = report.witness
     if w is not None:
-        body["witness"] = {f.name: _witness_field(getattr(w, f.name))
-                           for f in dataclasses.fields(w)}
+        body["witness"] = _record(w)
         if isinstance(w, properties.TruthfulnessWitness):
             body["witness"]["gain"] = str(w.gain)
     return body
@@ -581,9 +562,9 @@ def project_cmd(profile_path: str, k: int, out: str | None):
     trace = bounds.project_to_Dk_trace(_load_profile(profile_path), k)
     _json_report(
         {"subcommand": "project", "profile": profile_path, "k": k},
-        {},
+        {"moves": [_record(mv) for mv in trace.moves]},
         out,
-        {"result": _profile_record(trace.result), "moves": _moves_array(trace.moves)},
+        {"result": _profile_record(trace.result)},
     )
 
 

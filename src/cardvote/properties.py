@@ -19,9 +19,9 @@ the minimum-lexicographic witness recovered by reduction; the implementation
 here is single-threaded.
 
 The truthfulness scan decides in integer arithmetic whether a voter can gain
-at all: utilities as grid steps, each distribution as its own integer
-numerators over its denominator (``CandidateDistribution.den``/``.nums``),
-two utilities compared by cross-multiplying, once per (voter, other voters'
+at all: each preference and each distribution as its own integer
+numerators over its denominator (``.den``/``.nums``), two utilities
+compared by cross-multiplying, once per (voter, other voters'
 reports) group.  The ordinal, neutral and anonymous scans compare
 distributions as those integer tuples.  Only a group that admits a
 gain is replayed with exact `Fraction` utilities, misreport by misreport, to
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .core import CandidateDistribution, Preference, Profile, grid_steps
+from .core import CandidateDistribution, Preference, Profile
 from .errors import BudgetError, PreconditionError
 
 DEFAULT_BUDGET = 10_000_000
@@ -78,17 +78,19 @@ def grid_pref_count(m: int, k: int, tie_free: bool = False) -> int:
     """Size of the :func:`enumerate_Rk_prefs` family, without enumerating it.
     Tie-free, two candidates take 0 and 1 and the other m-2 take distinct
     interior values out of k-1."""
+    _check_grid_shape(m, k, tie_free)
+    if tie_free:
+        return m * (m - 1) * math.perm(k - 1, m - 2)
+    return grid_count_with_ties(m, k)
+
+
+def _check_grid_shape(m: int, k: int, tie_free: bool) -> None:
     if k < 1:
         raise PreconditionError(f"grid resolution k must be >= 1, got {k}")
     if m < 2:
         raise PreconditionError(f"need at least 2 candidates, got m={m}")
     if tie_free and k < m - 1:
-        raise PreconditionError(
-            f"k={k} cannot host {m} distinct grid values in [0, 1]"
-        )
-    if tie_free:
-        return m * (m - 1) * math.perm(k - 1, m - 2)
-    return grid_count_with_ties(m, k)
+        raise PreconditionError(f"k={k} cannot host {m} distinct grid values in [0, 1]")
 
 
 def ordinal_equivalent(u: Preference, v: Preference) -> bool:
@@ -171,18 +173,29 @@ class _GridScan:
     budget once, before it builds the grid or any count past it: P**n keys
     for P grid preferences (with ``orbits``, C(P+n-1, n) sorted keys, one per
     voter-permutation orbit), each costing ``work(P)`` steps, must fit
-    ``budget``, else ``BudgetError`` names ``what``."""
+    ``budget``, else ``BudgetError`` names ``what``.
+
+    A count past 2**65536 prints as "at least 2**X", so a lower bound past it
+    and above the budget refuses first.  Before P is counted: every walk
+    visits P >= 2**(m-1) keys (the family holds the 2**m - 2 vectors over
+    {0, k}, or P >= m! tie-free).  After, with b = P.bit_length() - 1:
+    P**n >= 2**(n*b), and C(P+n-1, n) >= 2**min(n, P-1) and >= (P/n)**n >=
+    2**(n*(b - n.bit_length()))."""
 
     def __init__(self, mech, m: int, n: int, k: int, tie_free: bool,
                  budget: int, what: str, work: Callable[[int], int], orbits: bool = False):
         if n < 1:
             raise PreconditionError(f"need at least one voter, got n={n}")
+        _check_grid_shape(m, k, tie_free)
+
+        def refuse_past(least: int) -> None:
+            if least > 65536 and budget.bit_length() <= least:  # budget < 2**least
+                raise BudgetError(f"at least 2**{least}", budget, what)
+
+        refuse_past(m - 1)
         pref_count = grid_pref_count(m, k, tie_free)
-        # Every walk visits at least 2**least keys.  Past 2**65536 a count
-        # prints as "at least 2**X" anyway, so refuse from the bound alone.
-        least = min(n, pref_count - 1) if orbits else n
-        if least > 65536 and budget.bit_length() <= least:  # budget < 2**least
-            raise BudgetError(f"at least 2**{least}", budget, what)
+        b = pref_count.bit_length() - 1
+        refuse_past(max(min(n, pref_count - 1), n * (b - n.bit_length())) if orbits else n * b)
         walk = math.comb(pref_count + n - 1, n) if orbits else pref_count ** n
         steps = walk * work(pref_count)
         if steps > budget:
@@ -247,18 +260,15 @@ def check_truthful(
                      lambda p: n * p, orbits=anonymous)
     pref_count = scan.space.preference_count
 
-    # Utilities scaled by k: grid value s/k becomes the integer s.
-    steps = [grid_steps(p, k) for p in scan.prefs]
-
     def can_gain(voter: int, others: tuple[int, ...]) -> tuple[bool, ...]:
-        # Entry h: some report gives honest type h strictly more than its own,
-        # (s.v)/den > (s.own)/own.den compared as (s.v)*own.den > (s.own)*den.
+        # Entry h: some report gives honest type h (numerators s) strictly more
+        # than its own, (s.v)/den > (s.own)/own.den as (s.v)*own.den > (s.own)*den.
         reported = (others[:voter] + (r,) + others[voter:] for r in range(pref_count))
         outcomes = [scan.dist(tuple(sorted(key)) if anonymous else key) for key in reported]
         distinct = {(d.den, d.nums) for d in outcomes}
         flags = []
         for honest_idx, own in enumerate(outcomes):
-            s = steps[honest_idx]
+            s = scan.prefs[honest_idx].nums
             honest = sum(map(operator.mul, s, own.nums))
             flags.append(any(sum(map(operator.mul, s, v)) * own.den > honest * den
                              for den, v in distinct))
@@ -342,11 +352,10 @@ def check_neutral(
     scan = _GridScan(mech, m, n, k, tie_free, budget, "neutrality scan",
                      lambda _: math.factorial(m))
     # relabel[i]: the index of grid preference i relabeled by tau, found by
-    # its grid steps.  The identity is trivially fine.
+    # its numerators, which fix a normalized preference.  The identity is fine.
     perms = list(itertools.permutations(range(1, m + 1)))
-    steps = [tuple(grid_steps(p, k)) for p in scan.prefs]
-    index = {s: i for i, s in enumerate(steps)}
-    relabelings = [(tau, [index[tuple(s[t - 1] for t in tau)] for s in steps])
+    index = {p.nums: i for i, p in enumerate(scan.prefs)}
+    relabelings = [(tau, [index[tuple(p.nums[t - 1] for t in tau)] for p in scan.prefs])
                    for tau in perms[1:]]
     for key in scan.keys():
         base = scan.dist(key)

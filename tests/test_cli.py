@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 from unittest import mock
 
@@ -15,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from cardvote import bounds, mechanisms
 from cardvote.bounds import ProjectionMove, ProjectionTrace, ReductionTrace, SlideRun
-from cardvote.cli import _json_text, _profile_record, fit_slope, main
+from cardvote.cli import _array, _json_text, _profile_record, fit_slope, main
 from cardvote.core import Preference, Profile, profile_to_json_dict
 from cardvote.errors import CardvoteError, DataError
 from cardvote.generators import rand_grid_profile
@@ -341,8 +342,8 @@ class TestReduceProject:
 
 
 # ---------------------------------------------------------------------------
-# The report writer: reduce steps and project moves from templates, every
-# other value through json.dumps, against one json.dumps of the whole report.
+# The report writer: reduce steps and profiles from templates, every other
+# value through json.dumps, against one json.dumps of the whole report.
 
 def dumped(report: dict) -> str:
     return json.dumps(report, indent=2, sort_keys=True) + "\n"
@@ -385,6 +386,40 @@ def project_reference(trace: ProjectionTrace, path: str, k: int) -> str:
             for mv in trace.moves
         ],
     })
+
+
+# The move writer ``project`` used before its moves went through json.dumps
+# as records: one fixed template per move.
+_MOVE = """{
+      "after": %s,
+      "before": %s,
+      "kept": %s,
+      "target_class": %s,
+      "voter": %d
+    }"""
+
+
+def _values_array(pref: Preference) -> str:
+    return _array((_quote(str(v)) for v in pref.values), "      ")
+
+
+def _moves_array(moves) -> str:
+    return _array(
+        (
+            _MOVE % (_values_array(mv.after), _values_array(mv.before), json.dumps(mv.kept),
+                     json.dumps(mv.target_class), mv.voter)
+            for mv in moves
+        ),
+        "  ",
+    )
+
+
+def template_project_report(trace: ProjectionTrace, path: str, k: int) -> str:
+    """The ``project`` report with its moves written from ``_MOVE``."""
+    return _json_text(
+        {"config": {"subcommand": "project", "profile": path, "k": k}},
+        {"result": _profile_record(trace.result), "moves": _moves_array(trace.moves)},
+    )
 
 
 @st.composite
@@ -483,6 +518,7 @@ class TestReportWriter:
             )
         assert result.exit_code == 0
         assert result.output == project_reference(trace, profile_file, k)
+        assert result.output == template_project_report(trace, profile_file, k)
 
     @given(st.dictionaries(st.text(), json_values, min_size=1, max_size=4))
     @settings(max_examples=150, deadline=None)
@@ -528,9 +564,9 @@ class TestReportWriter:
         assert reduced == reduce_reference(trace, str(path), 64)
         path.write_text(json.dumps(json.loads(reduced)["result"]))
         projected = invoke(CliRunner(), "project", "--profile", str(path), "--k", "64").output
-        assert projected == project_reference(
-            bounds.project_to_Dk_trace(trace.result, 64), str(path), 64
-        )
+        projection = bounds.project_to_Dk_trace(trace.result, 64)
+        assert projected == project_reference(projection, str(path), 64)
+        assert projected == template_project_report(projection, str(path), 64)
 
     def test_reduce_builds_no_steps(self, tmp_path):
         # The report is written from the trace's runs: with SlideStep unusable

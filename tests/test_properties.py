@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -39,6 +40,23 @@ def pref(*values) -> Preference:
     return Preference.normalized([F(v) for v in values])
 
 
+def refusal(check, anonymous: bool, m: int, n: int, k: int):
+    """The ``BudgetError`` of ``check`` on range voting at (m, n, k), with
+    the seconds and the peak traced bytes it took to raise."""
+    mech = Mechanism("rv", range_voting().evaluate, anonymous=anonymous)
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(BudgetError) as refused:
+            check(mech, m, n, k)
+        return refused.value, time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+ALL_CHECKS = [check_truthful, check_ordinal, check_neutral, check_anonymous]
+
+
 class TestEnumeration:
     def test_m2_k1_is_the_two_point_family(self):
         got = {p.values for p in enumerate_Rk_prefs(2, 1)}
@@ -72,9 +90,7 @@ class TestEnumeration:
                     family = list(enumerate_Rk_prefs(m, k, tie_free))
                     assert grid_pref_count(m, k, tie_free) == len(family), (m, k, tie_free)
 
-    @pytest.mark.parametrize(
-        "check", [check_truthful, check_ordinal, check_neutral, check_anonymous]
-    )
+    @pytest.mark.parametrize("check", ALL_CHECKS)
     def test_budget_is_checked_before_enumerating(self, monkeypatch, check):
         # 4^14 - 2*3^14 + 2^14 preferences: enumerating them would take
         # minutes, and every check's work exceeds the default budget.
@@ -86,25 +102,47 @@ class TestEnumeration:
             check(range_voting(), 14, 1, 3)
 
     @pytest.mark.parametrize("anonymous", [True, False])
-    @pytest.mark.parametrize(
-        "check", [check_truthful, check_ordinal, check_neutral, check_anonymous]
-    )
+    @pytest.mark.parametrize("check", ALL_CHECKS)
     def test_millions_of_voters_are_refused_before_any_count(self, check, anonymous):
         # 12 preferences at (m, k) = (3, 2): 12**(10**7) alone takes seconds
         # and megabytes to build, and 2**(10**7) a megabyte.  Every walk
-        # visits at least 2**n keys (the orbit walk 2**min(n, 11)), so the
-        # gate refuses from n alone, or counts C(12+n-1, n) sorted keys.
-        mech = Mechanism("rv", range_voting().evaluate, anonymous=anonymous)
-        tracemalloc.start()
-        try:
-            with pytest.raises(BudgetError) as refused:
-                check(mech, 3, 10**7, 2)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # visits at least 12**n >= 2**(3n) keys, so the gate refuses from
+        # that bound; the orbit walk's bounds 2**min(n, 11) and (12/n)**n are
+        # small, so it counts C(12+n-1, n) sorted keys.
+        error, _, peak = refusal(check, anonymous, 3, 10**7, 2)
         assert peak < 2**20
         if not (anonymous and check is check_truthful):
-            assert "needs at least 2**10000000 steps" in str(refused.value)
+            assert "needs at least 2**30000000 steps" in str(error)
+
+    @pytest.mark.parametrize("anonymous", [True, False])
+    @pytest.mark.parametrize("check", ALL_CHECKS)
+    @pytest.mark.parametrize("m,n,k,least,orbit_least", [
+        (3 * 10**6, 1, 1, 2999999, 2999999),
+        (3 * 10**6, 1, 2, 2999999, 2999999),
+        (3, 60000, 10**300, 60000 * 999, 60000 * (999 - 16)),
+    ], ids=["huge_m_k1", "huge_m_k2", "huge_k"])
+    def test_huge_m_or_k_is_refused_before_any_count(self, check, anonymous, m, n, k, least,
+                                                     orbit_least):
+        # At m = 3*10**6 the grid holds P >= 2**(m-1) preferences, a bound
+        # read before P (3**m at k = 2) or m! is built.  At k = 10**300,
+        # P = 6k, a 1000-bit number: P**n >= 2**(n*999), and the orbit walk
+        # C(P+n-1, n) >= (P/n)**n >= 2**(n*(999 - 16)) for the 16-bit n.
+        # Each exact count takes seconds.
+        error, seconds, peak = refusal(check, anonymous, m, n, k)
+        assert seconds < 0.1 and peak < 2**20
+        if anonymous and check is check_truthful:
+            least = orbit_least
+        assert f"needs at least 2**{least} steps" in str(error)
+
+    @pytest.mark.parametrize("check", ALL_CHECKS)
+    @pytest.mark.parametrize("m,n,k,tie_free", [
+        (1, 10**7, 2, False),
+        (3 * 10**6, 1, 0, False),
+        (3 * 10**6, 1, 2, True),
+    ], ids=["one_candidate", "zero_k", "tie_free_k_below_m"])
+    def test_shape_errors_come_before_the_budget(self, check, m, n, k, tie_free):
+        with pytest.raises(PreconditionError):
+            check(range_voting(), m, n, k, tie_free=tie_free)
 
     def test_printable_counts_are_exact(self):
         with pytest.raises(BudgetError, match=f"ordinal scan needs {12 ** 30} steps"):
