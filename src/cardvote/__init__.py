@@ -8,7 +8,6 @@ from .core import (
     Preference,
     Profile,
     WelfareReport,
-    normalize,
     ratio,
     rv_winner,
     top_q_set,

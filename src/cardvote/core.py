@@ -14,9 +14,10 @@ Candidates and voters are 1-indexed in the public API.
 A preference holds ``(den, nums)``, utility ``nums[i] / den`` for candidate
 i+1, and :attr:`Preference.values` is its `Fraction` view for reports,
 witness replay and tie-breaks.  :meth:`Preference.from_steps` builds a grid
-voter in integers alone.  The order, the tie check, :func:`grid_steps`,
-the bounds module's rounding and :attr:`Profile.totals`, the one welfare
-form (:func:`welfare_vector` is its `Fraction` view), read the integers.
+voter in integers alone, and :func:`check_grid_shape` is the one check of a
+grid family's (m, k).  The order, the tie check, :func:`grid_steps`, the
+bounds module's rounding and :attr:`Profile.totals`, the one welfare form
+(:func:`welfare_vector` is its `Fraction` view), read the integers.
 
 Each voter's strict order (value descending, ties to the lower index) is
 computed once and cached as :attr:`Preference.order`; every ordinal reader
@@ -91,12 +92,22 @@ def scaled(values: Sequence[Fraction]) -> tuple[int, tuple[int, ...]]:
     return den, tuple(v.numerator * (den // v.denominator) for v in values)
 
 
+def check_grid_shape(m: int, k: int, tie_free: bool) -> None:
+    """The one check of a grid family's shape: k an int >= 1, m >= 2, and
+    tie-free, k >= m-1 so that the m values 0..k can be distinct."""
+    if type(k) is not int or k < 1:
+        raise PreconditionError(f"grid resolution k must be an int >= 1, got {k!r}")
+    if m < 2:
+        raise PreconditionError(f"need at least 2 candidates, got m={m}")
+    if tie_free and k < m - 1:
+        raise PreconditionError(f"k={k} cannot host {m} distinct grid values in [0, 1]")
+
+
 def grid_steps(pref: Preference, k: int) -> list[int]:
     """Each utility as a count of 1/k grid steps; GridError when one is not a
     multiple of 1/k.  Every utility is one exactly when the least common
     denominator divides k."""
-    if type(k) is not int or k < 1:
-        raise PreconditionError(f"grid resolution k must be an int >= 1, got {k!r}")
+    check_grid_shape(pref.m, k, False)
     den, nums = pref.den, pref.nums
     if k % den:
         bad = next(i for i, num in enumerate(nums) if num * k % den)
@@ -151,11 +162,8 @@ class Preference:
         candidate i+1, validated in integers: every step an int in 0..k,
         minimum 0, maximum k.  The steps are kept as given when already in
         lowest terms, so voters built from shared step ints share them."""
-        if type(k) is not int or k < 1:
-            raise PreconditionError(f"grid resolution k must be an int >= 1, got {k!r}")
         steps = tuple(steps)
-        if len(steps) < 2:
-            raise PreconditionError("need at least 2 candidates")
+        check_grid_shape(len(steps), k, False)
         if set(map(type, steps)) != {int}:  # no bools, floats or int subclasses
             raise PreconditionError(f"grid steps must be ints, got {steps}")
         lo, hi = min(steps), max(steps)
@@ -288,23 +296,6 @@ class CandidateDistribution:
     @cached_property
     def probs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(num, self.den) for num in self.nums)
-
-
-def normalize(raw: Sequence) -> Preference:
-    """Affinely rescale a utility vector so its minimum is 0 and maximum 1.
-
-    The candidate ordering (ties included) is preserved exactly.  Raises
-    NormalizationError for constant input, where no affine map can reach both
-    endpoints.
-    """
-    vals = [exact(v) for v in raw]
-    if len(vals) < 2:
-        raise PreconditionError("need at least 2 candidates")
-    lo, hi = min(vals), max(vals)
-    if lo == hi:
-        raise NormalizationError("constant utility vector cannot be normalized")
-    span = hi - lo
-    return Preference.normalized((v - lo) / span for v in vals)
 
 
 def welfare(profile: Profile, j: int) -> Fraction:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Preference, Profile, exact
+from .core import Preference, Profile, check_grid_shape, exact
 from .errors import PreconditionError
 from .mechanisms import integer_cbrt
 
@@ -183,12 +183,7 @@ def rand_grid_profile(
     m: int, n: int, k: int, seed: int, tie_free: bool = True
 ) -> Profile:
     """Basic uniform sampler of normalized grid profiles for property tests."""
-    if m < 2:
-        raise PreconditionError(f"need at least 2 candidates, got m={m}")
-    if k < 1:
-        raise PreconditionError(f"grid resolution k must be >= 1, got {k}")
-    if tie_free and k < m - 1:
-        raise PreconditionError(f"k={k} cannot host {m} distinct grid values")
+    check_grid_shape(m, k, tie_free)
     if tie_free and k - 1 > sys.maxsize:  # random.sample cannot index range(1, k)
         raise PreconditionError(f"tie-free sampling needs k <= {sys.maxsize + 1}, got {k}")
     rng = random.Random(seed)

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .core import CandidateDistribution, Preference, Profile
+from .core import CandidateDistribution, Preference, Profile, check_grid_shape
 from .errors import BudgetError, PreconditionError
 
 DEFAULT_BUDGET = 10_000_000
@@ -57,40 +57,29 @@ def enumerate_Rk_prefs(m: int, k: int, tie_free: bool = False) -> Iterator[Prefe
 
     The family contains each function from candidates to {0, 1/k, ..., 1}
     whose image includes both 0 and 1; with ``tie_free`` the values must also
-    be pairwise distinct (the R_k family).  The ties-allowed count is
-    (k+1)^m - 2*k^m + (k-1)^m by inclusion-exclusion.
+    be pairwise distinct (the R_k family).  It walks the step vectors that
+    hold both 0 and k in lexicographic order: with ties, the (k+1)^m of
+    ``product``; tie-free, only ``permutations(range(k + 1), m)``, exactly
+    the product's vectors with distinct entries and in the same order, as
+    their input is sorted (at k = m-1, only the family's m! members).
     """
-    grid_pref_count(m, k, tie_free)  # validates the arguments
-    for steps in itertools.product(range(k + 1), repeat=m):
-        if 0 not in steps or k not in steps:
-            continue
-        if tie_free and len(set(steps)) != m:
-            continue
-        yield Preference.from_steps(steps, k)
-
-
-def grid_count_with_ties(m: int, k: int) -> int:
-    """Closed form for the ties-allowed family size."""
-    return (k + 1) ** m - 2 * k ** m + (k - 1) ** m
+    check_grid_shape(m, k, tie_free)
+    walk = (itertools.permutations(range(k + 1), m) if tie_free
+            else itertools.product(range(k + 1), repeat=m))
+    for steps in walk:
+        if 0 in steps and k in steps:
+            yield Preference.from_steps(steps, k)
 
 
 def grid_pref_count(m: int, k: int, tie_free: bool = False) -> int:
     """Size of the :func:`enumerate_Rk_prefs` family, without enumerating it.
-    Tie-free, two candidates take 0 and 1 and the other m-2 take distinct
-    interior values out of k-1."""
-    _check_grid_shape(m, k, tie_free)
+    With ties, (k+1)^m - 2*k^m + (k-1)^m by inclusion-exclusion; tie-free,
+    two candidates take 0 and 1 and the other m-2 take distinct interior
+    values out of k-1."""
+    check_grid_shape(m, k, tie_free)
     if tie_free:
         return m * (m - 1) * math.perm(k - 1, m - 2)
-    return grid_count_with_ties(m, k)
-
-
-def _check_grid_shape(m: int, k: int, tie_free: bool) -> None:
-    if k < 1:
-        raise PreconditionError(f"grid resolution k must be >= 1, got {k}")
-    if m < 2:
-        raise PreconditionError(f"need at least 2 candidates, got m={m}")
-    if tie_free and k < m - 1:
-        raise PreconditionError(f"k={k} cannot host {m} distinct grid values in [0, 1]")
+    return (k + 1) ** m - 2 * k ** m + (k - 1) ** m
 
 
 def ordinal_equivalent(u: Preference, v: Preference) -> bool:
@@ -178,7 +167,9 @@ class _GridScan:
     A count past 2**65536 prints as "at least 2**X", so a lower bound past it
     and above the budget refuses first.  Before P is counted: every walk
     visits P >= 2**(m-1) keys (the family holds the 2**m - 2 vectors over
-    {0, k}, or P >= m! tie-free).  After, with b = P.bit_length() - 1:
+    {0, k}, or P >= m! tie-free) and P >= base**(m-2) (candidates 1 and 2
+    take 0 and k, each other one any of base = k+1 steps, or tie-free at
+    least base = k-m+2 unused ones).  After, with b = P.bit_length() - 1:
     P**n >= 2**(n*b), and C(P+n-1, n) >= 2**min(n, P-1) and >= (P/n)**n >=
     2**(n*(b - n.bit_length()))."""
 
@@ -186,13 +177,14 @@ class _GridScan:
                  budget: int, what: str, work: Callable[[int], int], orbits: bool = False):
         if n < 1:
             raise PreconditionError(f"need at least one voter, got n={n}")
-        _check_grid_shape(m, k, tie_free)
+        check_grid_shape(m, k, tie_free)
 
         def refuse_past(least: int) -> None:
             if least > 65536 and budget.bit_length() <= least:  # budget < 2**least
                 raise BudgetError(f"at least 2**{least}", budget, what)
 
-        refuse_past(m - 1)
+        base = k - m + 2 if tie_free else k + 1
+        refuse_past(max(m - 1, (m - 2) * (base.bit_length() - 1)))
         pref_count = grid_pref_count(m, k, tie_free)
         b = pref_count.bit_length() - 1
         refuse_past(max(min(n, pref_count - 1), n * (b - n.bit_length())) if orbits else n * b)

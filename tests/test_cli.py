@@ -701,6 +701,23 @@ class TestLazyProduct:
         first = next(enumerate_Rk_prefs(3000, 2))
         assert report["argmin_profile"] == profile_to_json_dict(Profile((first, first)))
 
+    def test_minratio_on_a_tie_free_grid_returns(self):
+        # 11! tie-free grid preferences at k = m-1: the product filter walked
+        # billions of step vectors before the first, and one profile answers
+        # --budget 1.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-m", "cardvote.cli", "experiment", "minratio", "--mech", "jstar",
+             "--m", "11", "--n", "1", "--k", "10", "--tie-free", "--budget", "1"],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["visited"] == 1
+        first = Preference.from_steps(range(11), 10)
+        assert report["argmin_profile"] == profile_to_json_dict(Profile((first,)))
+
 
 class TestDeterminism:
     def test_identical_reruns_byte_identical(self, runner, tmp_path):

@@ -12,7 +12,6 @@ from cardvote.core import (
     Profile,
     exact,
     grid_steps,
-    normalize,
     pairwise_beats,
     profile_from_csv_text,
     profile_from_json_dict,
@@ -45,34 +44,6 @@ def profile(*rows) -> Profile:
 
 
 small_fractions = st.fractions(min_value=0, max_value=1, max_denominator=16)
-
-
-class TestNormalize:
-    def test_affine_map(self):
-        assert normalize(["0.2", "0.6", "0.4"]).values == (F(0), F(1), F(1, 2))
-
-    def test_identity_on_normalized(self):
-        assert normalize([0, 1]).values == (F(0), F(1))
-
-    def test_constant_input_rejected(self):
-        with pytest.raises(NormalizationError):
-            normalize([1, 1, 1])
-
-    def test_floats_rejected(self):
-        with pytest.raises(TypeError):
-            normalize([0.2, 0.6, 0.4])
-
-    @given(st.lists(st.fractions(min_value=-5, max_value=5, max_denominator=12),
-                    min_size=2, max_size=6))
-    def test_order_preserved_exactly(self, raw):
-        if min(raw) == max(raw):
-            return
-        result = normalize(raw)
-        assert result.is_normalized()
-        for a in range(len(raw)):
-            for b in range(len(raw)):
-                assert (raw[a] < raw[b]) == (result.values[a] < result.values[b])
-                assert (raw[a] == raw[b]) == (result.values[a] == result.values[b])
 
 
 class TestPreference:

@@ -80,7 +80,6 @@ from cardvote.core import (
     Profile,
     WelfareReport,
     grid_steps,
-    normalize,
     ratio,
     rv_winner,
     scaled,
@@ -997,9 +996,11 @@ def any_preferences(draw) -> Preference:
     if build != "relaxed":
         values[:2] = [ZERO, ONE]
         values = [values[i] for i in draw(st.permutations(range(m)))]
-    if build == "normalize":  # an affine image of a normalized vector
+    if build == "normalize":  # an affine image of a normalized vector, mapped back
         shift, scale = draw(st.fractions(-3, 3, max_denominator=5)), draw(st.integers(1, 7))
-        return normalize([shift + scale * v for v in values])
+        image = [shift + scale * v for v in values]
+        lo, hi = min(image), max(image)
+        return Preference.normalized((v - lo) / (hi - lo) for v in image)
     return getattr(Preference, build)(values)
 
 

@@ -1,6 +1,7 @@
 """Mechanism evaluators, combinators, and the spec mini-language."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -274,9 +275,9 @@ def mixture_j_star(m: int) -> Mechanism:
 
 
 def normalize_to_pref(values):
-    from cardvote.core import normalize
-
-    return normalize(values)
+    """The normalized preference affinely equivalent to ``values``."""
+    lo, hi = min(values), max(values)
+    return Preference.normalized((v - lo) / (hi - lo) for v in values)
 
 
 class TestSymmetrize:
@@ -316,6 +317,14 @@ class TestSymmetrize:
         # j1:1 is anonymous, so only the 11! candidate relabelings count.
         with pytest.raises(BudgetError, match="39916800"):
             symmetrize(j1q(1), 11, 2)
+
+    def test_huge_m_is_refused_before_the_count(self):
+        # m! >= 2**(m-1) refuses m = 3*10**5 before its 1.5-million-digit
+        # factorial, about a second's work, is built.
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match=r"needs at least 2\*\*299999 steps"):
+            symmetrize(range_voting(), 3 * 10**5, 1)
+        assert time.perf_counter() - start < 0.1
 
     def test_reads_ties_that_the_strict_order_drops(self):
         # Both voters have the strict order (1, 2, 3), yet sym:j1:1 splits

@@ -11,8 +11,8 @@ product, and ``bounds`` reads neither ``.probs`` nor ``welfare_vector``
 functionals read the integer form, so this guard failed there).  Only the
 ``cli`` renders reports: ``properties`` reads neither the ``.probs`` nor the
 ``.values`` view and calls no ``str`` (it did both while its reports
-rendered their own JSON).  The package keeps no memoizing cache, and the
-grid scans have one budget gate."""
+rendered their own JSON).  The package keeps no memoizing cache, the
+grid scans have one budget gate, and a grid family's shape has one check."""
 
 import ast
 from pathlib import Path
@@ -236,3 +236,26 @@ def test_one_budget_gate_for_the_grid_scans():
               and any(isinstance(sub, ast.Name) and sub.id == "BudgetError"
                       for sub in ast.walk(node))]
     assert raised and all(id(node) in inside for node in raised)
+
+
+SHAPE_MESSAGES = ("grid resolution k must be", "cannot host")
+
+
+def test_one_shape_check_for_the_grid_family():
+    """A grid family's (m, k) is checked in one place: across the package,
+    an error naming the grid resolution k or a tie-free k that "cannot
+    host" m values is raised only inside ``core.check_grid_shape`` (``core``,
+    ``properties`` and ``generators`` once each raised their own copy)."""
+    raised, inside = [], set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        for func in ast.walk(tree):
+            if (path.name == "core.py" and isinstance(func, ast.FunctionDef)
+                    and func.name == "check_grid_shape"):
+                inside |= set(ast.walk(func))
+        raised += [(path.name, node) for node in ast.walk(tree) if isinstance(node, ast.Raise)
+                   and any(isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+                           and any(text in sub.value for text in SHAPE_MESSAGES)
+                           for sub in ast.walk(node))]
+    outside = [f"{name}:{node.lineno}" for name, node in raised if node not in inside]
+    assert len(raised) == len(SHAPE_MESSAGES) and outside == []

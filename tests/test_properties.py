@@ -7,6 +7,7 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cardvote.cli import _verify_body
 from cardvote.core import Preference, Profile, CandidateDistribution, scaled
@@ -28,7 +29,6 @@ from cardvote.properties import (
     check_ordinal,
     check_truthful,
     enumerate_Rk_prefs,
-    grid_count_with_ties,
     grid_pref_count,
     ordinal_equivalent,
 )
@@ -40,7 +40,7 @@ def pref(*values) -> Preference:
     return Preference.normalized([F(v) for v in values])
 
 
-def refusal(check, anonymous: bool, m: int, n: int, k: int):
+def refusal(check, anonymous: bool, m: int, n: int, k: int, tie_free: bool = False):
     """The ``BudgetError`` of ``check`` on range voting at (m, n, k), with
     the seconds and the peak traced bytes it took to raise."""
     mech = Mechanism("rv", range_voting().evaluate, anonymous=anonymous)
@@ -48,13 +48,26 @@ def refusal(check, anonymous: bool, m: int, n: int, k: int):
     try:
         start = time.perf_counter()
         with pytest.raises(BudgetError) as refused:
-            check(mech, m, n, k)
+            check(mech, m, n, k, tie_free=tie_free)
         return refused.value, time.perf_counter() - start, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 ALL_CHECKS = [check_truthful, check_ordinal, check_neutral, check_anonymous]
+
+
+def reference_enumerate(m: int, k: int, tie_free: bool = False):
+    """The grid family as first built: every one of the (k+1)^m step vectors,
+    kept when it holds 0 and k (and, tie-free, when its entries are
+    distinct)."""
+    grid_pref_count(m, k, tie_free)  # validates the arguments
+    for steps in itertools.product(range(k + 1), repeat=m):
+        if 0 not in steps or k not in steps:
+            continue
+        if tie_free and len(set(steps)) != m:
+            continue
+        yield Preference.from_steps(steps, k)
 
 
 class TestEnumeration:
@@ -73,15 +86,15 @@ class TestEnumeration:
         got = list(enumerate_Rk_prefs(3, 2))
         assert direct == 12
         assert len(got) == 12
-        assert grid_count_with_ties(3, 2) == 12
+        assert grid_pref_count(3, 2) == 12
 
     def test_m3_k3_count(self):
         assert len(list(enumerate_Rk_prefs(3, 3))) == 18
-        assert grid_count_with_ties(3, 3) == 4**3 - 2 * 3**3 + 2**3
+        assert grid_pref_count(3, 3) == 4**3 - 2 * 3**3 + 2**3
 
     @pytest.mark.parametrize("m,k", [(2, 2), (3, 2), (3, 4), (4, 2)])
     def test_formula_matches_enumeration(self, m, k):
-        assert len(list(enumerate_Rk_prefs(m, k))) == grid_count_with_ties(m, k)
+        assert len(list(enumerate_Rk_prefs(m, k))) == grid_pref_count(m, k)
 
     def test_pref_count_closed_form_matches_enumeration(self):
         for m in range(2, 6):
@@ -116,19 +129,23 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("anonymous", [True, False])
     @pytest.mark.parametrize("check", ALL_CHECKS)
-    @pytest.mark.parametrize("m,n,k,least,orbit_least", [
-        (3 * 10**6, 1, 1, 2999999, 2999999),
-        (3 * 10**6, 1, 2, 2999999, 2999999),
-        (3, 60000, 10**300, 60000 * 999, 60000 * (999 - 16)),
-    ], ids=["huge_m_k1", "huge_m_k2", "huge_k"])
-    def test_huge_m_or_k_is_refused_before_any_count(self, check, anonymous, m, n, k, least,
-                                                     orbit_least):
+    @pytest.mark.parametrize("m,n,k,tie_free,least,orbit_least", [
+        (3 * 10**6, 1, 1, False, 2999999, 2999999),
+        (3 * 10**6, 1, 2, False, 2999999, 2999999),
+        (3, 60000, 10**300, False, 60000 * 999, 60000 * (999 - 16)),
+        (60000, 1, 10**300, False, 59998 * 996, 59998 * 996),
+        (60000, 1, 10**300, True, 59998 * 996, 59998 * 996),
+    ], ids=["huge_m_k1", "huge_m_k2", "huge_k", "huge_m_and_k", "huge_m_and_k_tie_free"])
+    def test_huge_m_or_k_is_refused_before_any_count(self, check, anonymous, m, n, k, tie_free,
+                                                     least, orbit_least):
         # At m = 3*10**6 the grid holds P >= 2**(m-1) preferences, a bound
         # read before P (3**m at k = 2) or m! is built.  At k = 10**300,
         # P = 6k, a 1000-bit number: P**n >= 2**(n*999), and the orbit walk
         # C(P+n-1, n) >= (P/n)**n >= 2**(n*(999 - 16)) for the 16-bit n.
-        # Each exact count takes seconds.
-        error, seconds, peak = refusal(check, anonymous, m, n, k)
+        # At (60000, 1, 10**300), P >= base**(m-2) for the 997-bit base = k+1,
+        # or k-m+2 tie-free, read before P ((k+1)**m or math.perm(k-1, m-2))
+        # is built.  Each exact count takes seconds.
+        error, seconds, peak = refusal(check, anonymous, m, n, k, tie_free)
         assert seconds < 0.1 and peak < 2**20
         if anonymous and check is check_truthful:
             least = orbit_least
@@ -165,6 +182,21 @@ class TestEnumeration:
     def test_lexicographic_order(self):
         family = [p.values for p in enumerate_Rk_prefs(2, 2)]
         assert family == sorted(family)
+
+    @settings(deadline=None)
+    @given(st.integers(2, 5), st.integers(1, 6), st.booleans())
+    def test_walk_matches_the_product_filter(self, m, k, tie_free):
+        assume(not tie_free or k >= m - 1)
+        expected = list(reference_enumerate(m, k, tie_free))
+        assert list(enumerate_Rk_prefs(m, k, tie_free)) == expected
+
+    def test_first_tie_free_preference_is_immediate(self):
+        # The product filter walked the 2,853,116,705 step vectors below
+        # (0, 1, ..., 10) before it kept one; the permutation walk starts there.
+        start = time.perf_counter()
+        first = next(enumerate_Rk_prefs(11, 10, tie_free=True))
+        assert time.perf_counter() - start < 1
+        assert first == Preference.from_steps(range(11), 10)
 
 
 class TestOrdinalEquivalent:
