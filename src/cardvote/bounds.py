@@ -16,7 +16,6 @@ re-checked once per run.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import operator
 import sys
@@ -28,6 +27,7 @@ from .core import (
     CandidateDistribution,
     Preference,
     Profile,
+    cached_view,
     grid_steps,
     pairwise_beats,
     ratio as ratio_of,
@@ -204,7 +204,7 @@ class ReductionTrace:
     g_initial: Fraction
     g_final: Fraction
 
-    @functools.cached_property
+    @cached_view
     def steps(self) -> tuple[SlideStep, ...]:
         """One step per slide, in order, each with its run position and the
         functional before and after; within a run each ``g_after`` is passed

@@ -489,8 +489,9 @@ def experiment_cyclic(ms_text: str, eps: str | None, out: str | None):
 def _grid_family(m: int, n: int, k: int, tie_free: bool, first: int):
     """The grid profiles in enumeration order.  The first B profiles of
     ``product(prefs, repeat=n)`` use only the first B grid preferences, so
-    only ``first`` = min(P, B) are listed, once ``min_ratio_search`` reads
-    the first profile: after it has checked the budget B."""
+    at most ``first`` = B are listed (fewer when the family runs out), once
+    ``min_ratio_search`` reads the first profile: after it has checked the
+    budget B.  The family size P is never counted."""
     prefs = list(itertools.islice(properties.enumerate_Rk_prefs(m, k, tie_free), first))
     yield from map(core.Profile, itertools.product(prefs, repeat=n))
 
@@ -514,8 +515,8 @@ def experiment_minratio(spec, m, n, k, tie_free, profile_path, budget, out):
     elif None not in (m, n, k):
         if n < 1:
             raise PreconditionError(f"need at least one voter, got n={n}")
-        count = properties.grid_pref_count(m, k, tie_free)  # rejects bad m, k before the budget
-        family = _grid_family(m, n, k, tie_free, min(count, budget))
+        core.check_grid_shape(m, k, tie_free)  # rejects bad m, k before the budget
+        family = _grid_family(m, n, k, tie_free, budget)
     else:
         raise click.ClickException("provide either --profile or all of --m/--n/--k")
     result = bounds.min_ratio_search(mech, family, budget)

@@ -27,9 +27,15 @@ table, cached per profile as :attr:`Profile.places`, and
 one byte per pair.  Every path from `Fraction`s to integers goes through
 :func:`scaled`.
 
-All types are logically immutable after construction (the cached views only
-restate the stored integers) and all operations are pure, so concurrent
-evaluation needs no synchronization.
+All types are logically immutable after construction and all operations are
+pure, so concurrent evaluation needs no synchronization.  The cached views
+(:attr:`Preference.values` and :attr:`~Preference.order`,
+:attr:`Profile.places` and :attr:`~Profile.totals`,
+:attr:`CandidateDistribution.probs`) are :class:`cached_view` descriptors:
+each is computed on first read and stored in the instance ``__dict__``, with
+no lock, and enters neither ``==`` nor ``hash``.  A view is a pure function
+of the stored integers, so two threads that race on a first read store equal
+values.
 """
 
 from __future__ import annotations
@@ -41,13 +47,35 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DataError, GridError, NormalizationError, PreconditionError, UndefinedRatioError
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+class cached_view:
+    """A read-only attribute computed by ``func`` on first read and stored in
+    the instance ``__dict__``, where every later read finds it without
+    calling this descriptor.  Unlike ``functools.cached_property`` (which on
+    Python 3.11 takes a lock on each first read) it takes no lock: ``func``
+    must be a pure function of the instance's stored fields, so a racing
+    second computation only stores an equal value."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
 
 def exact(value) -> Fraction:
     """Coerce to Fraction, rejecting floats (they are rarely the rational the
@@ -180,12 +208,12 @@ class Preference:
     def m(self) -> int:
         return len(self.nums)
 
-    @cached_property
+    @cached_view
     def values(self) -> tuple[Fraction, ...]:
         """The utilities as `Fraction`s, for reports, replay and tie-breaks."""
         return tuple(Fraction(num, self.den) for num in self.nums)
 
-    @cached_property
+    @cached_view
     def order(self) -> tuple[int, ...]:
         """All candidates, value descending; the stable reverse sort keeps value
         ties in ascending index order."""
@@ -209,9 +237,9 @@ class Profile:
     def __post_init__(self):
         if not self.prefs:
             raise PreconditionError("profile needs at least one voter")
-        m = self.prefs[0].m
+        m = len(self.prefs[0].nums)
         for p in self.prefs:
-            if p.m != m:
+            if len(p.nums) != m:
                 raise PreconditionError("all voters must rate the same candidates")
 
     @classmethod
@@ -240,7 +268,7 @@ class Profile:
     def is_normalized(self) -> bool:
         return all(p.is_normalized() for p in self.prefs)
 
-    @cached_property
+    @cached_view
     def places(self) -> list[list[int]]:
         """places[c][p]: number of voters whose order puts candidate c+1 at
         place p+1.  Built once per profile, so every evaluator reading one
@@ -252,7 +280,7 @@ class Profile:
                 places[cand - 1][place] += 1
         return places
 
-    @cached_property
+    @cached_view
     def totals(self) -> tuple[int, tuple[int, ...]]:
         """(den, nums): candidate c+1's total utility is ``nums[c] / den``,
         with den the lcm of the voters' ``den``.  Built once per profile."""
@@ -286,6 +314,8 @@ class CandidateDistribution:
     def over(cls, den: int, nums: Sequence[int]) -> "CandidateDistribution":
         """The distribution nums[j] / den, reduced to lowest terms."""
         g = math.gcd(den, *nums)
+        if g == 1:
+            return cls(den, tuple(nums))
         return cls(den // g, tuple(num // g for num in nums))
 
     @classmethod
@@ -293,7 +323,7 @@ class CandidateDistribution:
         """Degenerate distribution on candidate j (1-indexed)."""
         return cls(1, tuple(int(c == j) for c in range(1, m + 1)))
 
-    @cached_property
+    @cached_view
     def probs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(num, self.den) for num in self.nums)
 

@@ -57,18 +57,64 @@ def enumerate_Rk_prefs(m: int, k: int, tie_free: bool = False) -> Iterator[Prefe
 
     The family contains each function from candidates to {0, 1/k, ..., 1}
     whose image includes both 0 and 1; with ``tie_free`` the values must also
-    be pairwise distinct (the R_k family).  It walks the step vectors that
-    hold both 0 and k in lexicographic order: with ties, the (k+1)^m of
-    ``product``; tie-free, only ``permutations(range(k + 1), m)``, exactly
-    the product's vectors with distinct entries and in the same order, as
-    their input is sorted (at k = m-1, only the family's m! members).
+    be pairwise distinct (the R_k family).  The step vectors come in
+    lexicographic order (candidate 1 most significant, steps ascending) from
+    a backtracking walk that extends a prefix by a step only while the
+    positions left can still place 0 and k and, tie-free, only by an unused
+    step.  Every such prefix extends to a member (k+1 >= m steps leave
+    enough unused ones), so the walk visits at most m prefixes per
+    preference at any k; tie-free, a prefix also skips the used steps below
+    each step it offers.
     """
     check_grid_shape(m, k, tie_free)
-    walk = (itertools.permutations(range(k + 1), m) if tie_free
-            else itertools.product(range(k + 1), repeat=m))
-    for steps in walk:
-        if 0 in steps and k in steps:
-            yield Preference.from_steps(steps, k)
+    for steps in _grid_step_vectors(m, k, tie_free):
+        yield Preference.from_steps(steps, k)
+
+
+def _grid_step_vectors(m: int, k: int, tie_free: bool) -> Iterator[tuple[int, ...]]:
+    """The step vectors of :func:`enumerate_Rk_prefs`, by an explicit-stack
+    backtrack (a recursive one would nest m generators): ``levels[d]``
+    offers the steps for position d after ``prefix``, ``count[s]`` is the
+    number of times step s is in ``prefix`` (absent when none), and the last
+    position is filled in place.  A tie-free level reads ``count`` as it
+    advances, when ``prefix`` is back at that level's length."""
+    prefix: list[int] = []
+    count: dict[int, int] = {}
+
+    def options() -> Iterator[int]:
+        missing = [s for s in (0, k) if s not in count]
+        if len(missing) == m - len(prefix):
+            return iter(missing)
+        if tie_free:
+            return itertools.filterfalse(count.__contains__, range(k + 1))
+        return iter(range(k + 1))
+
+    def push(step: int) -> None:
+        prefix.append(step)
+        count[step] = count.get(step, 0) + 1
+
+    def pop() -> None:
+        step = prefix.pop()
+        count[step] -= 1
+        if not count[step]:
+            del count[step]
+
+    levels = [options()]
+    while levels:
+        step = next(levels[-1], None)
+        if step is None:
+            levels.pop()
+            if prefix:
+                pop()
+            continue
+        push(step)
+        if len(prefix) < m - 1:
+            levels.append(options())
+            continue
+        head = tuple(prefix)
+        for last in options():
+            yield (*head, last)
+        pop()
 
 
 def grid_pref_count(m: int, k: int, tie_free: bool = False) -> int:
@@ -202,7 +248,7 @@ class _GridScan:
         return WitnessReport(check, self.mech.name, self.space, witness)
 
     def profile(self, key: tuple[int, ...]) -> Profile:
-        return Profile(tuple(self.prefs[i] for i in key))
+        return Profile(tuple(map(self.prefs.__getitem__, key)))
 
     def dist(self, key: tuple[int, ...]) -> CandidateDistribution:
         found = self._dist.get(key)
@@ -322,9 +368,9 @@ def check_ordinal(
     head = [firsts.setdefault(_order_pattern(p), i) for i, p in enumerate(scan.prefs)]
     for key in scan.keys():
         dist = scan.dist(key)
-        first = tuple(head[i] for i in key)
+        first = tuple(map(head.__getitem__, key))
         first_dist = scan.dist(first)
-        if first_dist != dist:
+        if first_dist.den != dist.den or first_dist.nums != dist.nums:
             witness = OrdinalWitness(scan.profile(first), scan.profile(key), first_dist, dist)
             return scan.report("ordinal", witness)
     return scan.report("ordinal")
@@ -344,19 +390,20 @@ def check_neutral(
     scan = _GridScan(mech, m, n, k, tie_free, budget, "neutrality scan",
                      lambda _: math.factorial(m))
     # relabel[i]: the index of grid preference i relabeled by tau, found by
-    # its numerators, which fix a normalized preference.  The identity is fine.
-    perms = list(itertools.permutations(range(1, m + 1)))
+    # its numerators, which fix a normalized preference; pick(nums) is
+    # (nums[tau(1)-1], ..., nums[tau(m)-1]), the relabeled tuple.  The
+    # identity permutation is skipped.
     index = {p.nums: i for i, p in enumerate(scan.prefs)}
-    relabelings = [(tau, [index[tuple(p.nums[t - 1] for t in tau)] for p in scan.prefs])
-                   for tau in perms[1:]]
+    relabelings = []
+    for tau in itertools.islice(itertools.permutations(range(1, m + 1)), 1, None):
+        pick = operator.itemgetter(*(t - 1 for t in tau))
+        relabelings.append((tau, pick, [index[pick(p.nums)] for p in scan.prefs]))
     for key in scan.keys():
         base = scan.dist(key)
-        for tau, relabel in relabelings:
-            actual = scan.dist(tuple(relabel[i] for i in key))
-            expected = CandidateDistribution(
-                base.den, tuple(base.nums[tau[j] - 1] for j in range(m))
-            )
-            if actual != expected:
+        for tau, pick, relabel in relabelings:
+            actual = scan.dist(tuple(map(relabel.__getitem__, key)))
+            if actual.den != base.den or actual.nums != pick(base.nums):
+                expected = CandidateDistribution(base.den, pick(base.nums))
                 witness = SymmetryWitness(scan.profile(key), tau, expected, actual)
                 return scan.report("neutral", witness)
     return scan.report("neutral")
@@ -373,13 +420,15 @@ def check_anonymous(
     """Permuting voters must leave the output distribution unchanged."""
     scan = _GridScan(mech, m, n, k, tie_free, budget, "anonymity scan",
                      lambda _: math.factorial(n))
-    perms = list(itertools.permutations(range(n)))
+    # permute(key) is (key[sigma[0]], ..., key[sigma[n-1]]); the identity
+    # permutation is skipped.
+    moves = [(sigma, operator.itemgetter(*sigma))
+             for sigma in itertools.islice(itertools.permutations(range(n)), 1, None)]
     for key in scan.keys():
         base = scan.dist(key)
-        for sigma in perms[1:]:
-            permuted_key = tuple(key[sigma[i]] for i in range(n))
-            actual = scan.dist(permuted_key)
-            if actual != base:
+        for sigma, permute in moves:
+            actual = scan.dist(permute(key))
+            if actual.den != base.den or actual.nums != base.nums:
                 permutation = tuple(s + 1 for s in sigma)
                 witness = SymmetryWitness(scan.profile(key), permutation, base, actual)
                 return scan.report("anonymous", witness)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -700,6 +701,25 @@ class TestLazyProduct:
         assert report["visited"] == 1
         first = next(enumerate_Rk_prefs(3000, 2))
         assert report["argmin_profile"] == profile_to_json_dict(Profile((first, first)))
+
+    @pytest.mark.parametrize("tie_free", [False, True])
+    def test_minratio_never_counts_the_family(self, monkeypatch, tie_free):
+        # Counting P built (k+1)**m exactly and ran the filter that found
+        # the first preference: at k = 10**7 that took seconds.
+        def refuse(*args):
+            raise AssertionError("minratio counted the grid family")
+
+        monkeypatch.setattr("cardvote.properties.grid_pref_count", refuse)
+        args = ["experiment", "minratio", "--mech", "rv", "--m", "3", "--n", "1",
+                "--k", str(10**7), "--budget", "1"] + (["--tie-free"] if tie_free else [])
+        start = time.perf_counter()
+        result = CliRunner().invoke(main, args)
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 0, result.output
+        report = json.loads(result.output)
+        assert report["visited"] == 1
+        first = next(enumerate_Rk_prefs(3, 10**7, tie_free))
+        assert report["argmin_profile"] == profile_to_json_dict(Profile((first,)))
 
     def test_minratio_on_a_tie_free_grid_returns(self):
         # 11! tie-free grid preferences at k = m-1: the product filter walked

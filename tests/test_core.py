@@ -1,15 +1,23 @@
 """Core domain types and welfare operations."""
 
+import dataclasses
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from cardvote.bounds import ReductionTrace, reduce_to_Ck_trace
 from cardvote.core import (
     CandidateDistribution,
     Preference,
     Profile,
+    cached_view,
     exact,
     grid_steps,
     pairwise_beats,
@@ -30,6 +38,7 @@ from cardvote.errors import (
     PreconditionError,
     UndefinedRatioError,
 )
+from cardvote.generators import rand_grid_profile
 from cardvote.mechanisms import j1q, range_voting
 
 F = Fraction
@@ -361,3 +370,81 @@ class TestOrderAndBallots:
         assert u.places is u.places
         assert v.places == u.places and v.places is not u.places
         assert u == v
+
+
+# ---------------------------------------------------------------------------
+# Cached views
+
+# (class, view, a builder of a fresh instance with a non-trivial view)
+VIEWS = [
+    (Preference, "values", lambda: Preference.from_steps((0, 2, 1), 2)),
+    (Preference, "order", lambda: Preference.from_steps((0, 2, 1), 2)),
+    (Profile, "places", lambda: rand_grid_profile(4, 3, 5, 0)),
+    (Profile, "totals", lambda: rand_grid_profile(4, 3, 5, 0)),
+    (CandidateDistribution, "probs", lambda: CandidateDistribution(4, (1, 3, 0))),
+    (ReductionTrace, "steps", lambda: reduce_to_Ck_trace(rand_grid_profile(5, 2, 8, 0), 8)),
+]
+
+
+def observe_views() -> list[dict]:
+    """What each cached view does on two equal fresh instances a and b,
+    with its function wrapped to count calls; runnable under ``python -O``,
+    so it records instead of asserting."""
+    seen = []
+    for cls, name, make in VIEWS:
+        view = vars(cls)[name]
+        original, calls = view.func, []
+        view.func = lambda obj, original=original: calls.append(obj) or original(obj)
+        try:
+            a, b = make(), make()
+            first = getattr(a, name)
+            seen.append({
+                "view": f"{cls.__name__}.{name}",
+                "descriptor": type(view).__name__,
+                "non_trivial": bool(first),
+                "same_object": getattr(a, name) is first,
+                "calls_after_two_reads": len(calls),
+                "stored_in_dict": vars(a).get(name) is first,
+                "equal_and_same_hash_while_b_unread": (
+                    a == b and hash(a) == hash(b) and name not in vars(b)),
+                "b_reads_an_equal_view": getattr(b, name) == first and len(calls) == 2,
+                "not_a_field": name not in {f.name for f in dataclasses.fields(cls)},
+            })
+        finally:
+            view.func = original
+    return seen
+
+
+def expected_observations() -> list[dict]:
+    return [{"view": f"{cls.__name__}.{name}", "descriptor": "cached_view",
+             "non_trivial": True, "same_object": True, "calls_after_two_reads": 1,
+             "stored_in_dict": True, "equal_and_same_hash_while_b_unread": True,
+             "b_reads_an_equal_view": True, "not_a_field": True}
+            for cls, name, _ in VIEWS]
+
+
+class TestCachedViews:
+    """Each view is computed once per instance, stored in its ``__dict__``,
+    and enters neither ``==`` nor ``hash``."""
+
+    def test_each_view_is_computed_once_per_instance(self):
+        assert observe_views() == expected_observations()
+
+    def test_python_O_behaves_the_same(self):
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(tests.parent / "src"), str(tests), env.get("PYTHONPATH", "")])
+        script = ("import json, sys, test_core; "
+                  "print(json.dumps([sys.flags.optimize, test_core.observe_views()]))")
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [1, expected_observations()]
+
+    def test_descriptor_has_no_lock_and_keeps_the_docstring(self):
+        view = vars(Profile)["places"]
+        assert isinstance(view, cached_view) and view.name == "places"
+        assert Profile.places is view
+        assert view.__doc__ == view.func.__doc__ and "places[c][p]" in view.__doc__
+        assert not hasattr(view, "lock")

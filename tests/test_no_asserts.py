@@ -12,7 +12,9 @@ functionals read the integer form, so this guard failed there).  Only the
 ``cli`` renders reports: ``properties`` reads neither the ``.probs`` nor the
 ``.values`` view and calls no ``str`` (it did both while its reports
 rendered their own JSON).  The package keeps no memoizing cache, the
-grid scans have one budget gate, and a grid family's shape has one check."""
+grid scans have one budget gate, and a grid family's shape has one check.
+Cached views use the one lock-free ``core.cached_view``, never
+``functools.cached_property`` (which ``core`` and ``bounds`` used before)."""
 
 import ast
 from pathlib import Path
@@ -236,6 +238,21 @@ def test_one_budget_gate_for_the_grid_scans():
               and any(isinstance(sub, ast.Name) and sub.id == "BudgetError"
                       for sub in ast.walk(node))]
     assert raised and all(id(node) in inside for node in raised)
+
+
+def test_one_cached_view_mechanism():
+    """No module names ``cached_property``: each cached view is a
+    ``core.cached_view``, which takes no lock on a first read (Python
+    3.11's ``functools.cached_property`` takes one on every first read)."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr == "cached_property")
+        or (isinstance(node, ast.Name) and node.id == "cached_property")
+        or (isinstance(node, ast.alias) and node.name == "cached_property")
+    ]
+    assert found == []
 
 
 SHAPE_MESSAGES = ("grid resolution k must be", "cannot host")
