@@ -15,8 +15,8 @@ A preference holds ``(den, nums)``, utility ``nums[i] / den`` for candidate
 i+1, and :attr:`Preference.values` is its `Fraction` view for reports,
 witness replay and tie-breaks.  :meth:`Preference.from_steps` builds a grid
 voter in integers alone, and :func:`check_grid_shape` is the one check of a
-grid family's (m, k).  The order, the tie check, :func:`grid_steps`, the
-bounds module's rounding and :attr:`Profile.totals`, the one welfare form
+grid family's (m, k).  The order, :func:`grid_steps`, the bounds module's
+rounding and :attr:`Profile.totals`, the one welfare form
 (:func:`welfare_vector` is its `Fraction` view), read the integers.
 
 Each voter's strict order (value descending, ties to the lower index) is
@@ -224,9 +224,6 @@ class Preference:
     def is_normalized(self) -> bool:
         return min(self.nums) == 0 and max(self.nums) == self.den
 
-    def is_tie_free(self) -> bool:
-        return len(set(self.nums)) == self.m
-
 
 @dataclass(frozen=True)
 class Profile:
@@ -242,10 +239,6 @@ class Profile:
             if len(p.nums) != m:
                 raise PreconditionError("all voters must rate the same candidates")
 
-    @classmethod
-    def of(cls, prefs: Iterable[Preference]) -> "Profile":
-        return cls(tuple(prefs))
-
     @property
     def n(self) -> int:
         return len(self.prefs)
@@ -253,20 +246,6 @@ class Profile:
     @property
     def m(self) -> int:
         return self.prefs[0].m
-
-    def replace(self, i: int, pref: Preference) -> "Profile":
-        """New profile with voter i's preference swapped out."""
-        if not 1 <= i <= self.n:
-            raise IndexError(f"voter {i} out of range 1..{self.n}")
-        prefs = list(self.prefs)
-        prefs[i - 1] = pref
-        return Profile(tuple(prefs))
-
-    def is_tie_free(self) -> bool:
-        return all(p.is_tie_free() for p in self.prefs)
-
-    def is_normalized(self) -> bool:
-        return all(p.is_normalized() for p in self.prefs)
 
     @cached_view
     def places(self) -> list[list[int]]:
@@ -474,7 +453,7 @@ def profile_from_json_dict(data: dict) -> Profile:
                 f"with nonzero denominators: {e}"
             ) from e
         out.append(Preference.relaxed(values))
-    return Profile.of(out)
+    return Profile(tuple(out))
 
 
 def profile_to_csv_text(profile: Profile) -> str:
@@ -496,4 +475,4 @@ def profile_from_csv_text(text: str) -> Profile:
         values = [[parse_rational(cell) for cell in row] for row in rows]
     except (ValueError, ZeroDivisionError) as e:
         raise DataError(f"profile CSV cell is not an exact rational: {e}") from e
-    return Profile.of(Preference.relaxed(row) for row in values)
+    return Profile(tuple(Preference.relaxed(row) for row in values))

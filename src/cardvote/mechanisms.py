@@ -243,8 +243,9 @@ def symmetrize(mech: Mechanism, m: int, n: int) -> Mechanism:
     anonymous mechanism gives every voter relabeling the same distribution,
     so its average is taken over the m! candidate relabelings alone.
     """
-    if m - 1 > 65536:  # m! >= 2**(m-1), refused before it is built
-        raise BudgetError(f"at least 2**{m - 1}", SYMMETRIZE_BUDGET, "relabeling enumeration")
+    bits = m - 1 + (0 if mech.anonymous else n - 1)
+    if bits > 65536:  # m! >= 2**(m-1) and n! >= 2**(n-1), refused before either is built
+        raise BudgetError(f"at least 2**{bits}", SYMMETRIZE_BUDGET, "relabeling enumeration")
     total = math.factorial(m) * (1 if mech.anonymous else math.factorial(n))
     if total > SYMMETRIZE_BUDGET:
         raise BudgetError(total, SYMMETRIZE_BUDGET, "relabeling enumeration")

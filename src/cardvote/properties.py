@@ -39,6 +39,7 @@ every profile, since the verdict covers them all.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import operator
@@ -63,8 +64,8 @@ def enumerate_Rk_prefs(m: int, k: int, tie_free: bool = False) -> Iterator[Prefe
     positions left can still place 0 and k and, tie-free, only by an unused
     step.  Every such prefix extends to a member (k+1 >= m steps leave
     enough unused ones), so the walk visits at most m prefixes per
-    preference at any k; tie-free, a prefix also skips the used steps below
-    each step it offers.
+    preference at any k; tie-free, a prefix jumps over each run of used
+    steps by bisection.
     """
     check_grid_shape(m, k, tie_free)
     for steps in _grid_step_vectors(m, k, tie_free):
@@ -74,30 +75,44 @@ def enumerate_Rk_prefs(m: int, k: int, tie_free: bool = False) -> Iterator[Prefe
 def _grid_step_vectors(m: int, k: int, tie_free: bool) -> Iterator[tuple[int, ...]]:
     """The step vectors of :func:`enumerate_Rk_prefs`, by an explicit-stack
     backtrack (a recursive one would nest m generators): ``levels[d]``
-    offers the steps for position d after ``prefix``, ``count[s]`` is the
-    number of times step s is in ``prefix`` (absent when none), and the last
-    position is filled in place.  A tie-free level reads ``count`` as it
-    advances, when ``prefix`` is back at that level's length."""
+    offers the steps for position d after ``prefix``, ``used`` holds the
+    steps of ``prefix`` sorted (so 0 and k are present when they are its
+    ends), and the last position is filled in place.  A tie-free level reads
+    ``used`` as it advances, when ``prefix`` is back at that level's length.
+    A run of used steps used[i:j] is where used[j] - j stays used[i] - i, so
+    one bisection jumps it, and none is needed when the run reaches the end
+    of ``used``, as every run does on the first descent."""
     prefix: list[int] = []
-    count: dict[int, int] = {}
+    used: list[int] = []
+
+    def unused() -> Iterator[int]:
+        step = 0
+        while True:
+            i = bisect.bisect_left(used, step)
+            if i < len(used) and used[i] == step:
+                end = len(used)
+                if used[-1] - end != step - i - 1:
+                    end = bisect.bisect_left(range(end), step - i + 1, i,
+                                             key=lambda j: used[j] - j)
+                step = used[end - 1] + 1
+            if step > k:
+                return
+            yield step
+            step += 1
 
     def options() -> Iterator[int]:
-        missing = [s for s in (0, k) if s not in count]
+        ends = used[:1] + used[-1:]
+        missing = [s for s in (0, k) if s not in ends]
         if len(missing) == m - len(prefix):
             return iter(missing)
-        if tie_free:
-            return itertools.filterfalse(count.__contains__, range(k + 1))
-        return iter(range(k + 1))
+        return unused() if tie_free else iter(range(k + 1))
 
     def push(step: int) -> None:
         prefix.append(step)
-        count[step] = count.get(step, 0) + 1
+        bisect.insort(used, step)
 
     def pop() -> None:
-        step = prefix.pop()
-        count[step] -= 1
-        if not count[step]:
-            del count[step]
+        del used[bisect.bisect_left(used, prefix.pop())]
 
     levels = [options()]
     while levels:

@@ -16,7 +16,7 @@ from cardvote.bounds import (
     upper_bound_experiment,
 )
 from cardvote.cli import fit_slope
-from cardvote.core import Profile, ratio, welfare
+from cardvote.core import Preference, Profile, ratio, welfare
 from cardvote.errors import UndefinedRatioError
 from cardvote.generators import DkParams, gen_Dk, gen_cyclic, rand_grid_profile
 from cardvote.mechanisms import (
@@ -34,6 +34,11 @@ from cardvote.properties import check_truthful, enumerate_Rk_prefs, ordinal_equi
 from cardvote.bounds import classify
 
 F = Fraction
+
+
+def swap_voter(profile: Profile, i: int, new: Preference) -> Profile:
+    """The profile with voter i's (1-indexed) preference replaced by ``new``."""
+    return Profile(profile.prefs[:i - 1] + (new,) + profile.prefs[i:])
 
 
 def _report(number: int, name: str) -> None:
@@ -72,7 +77,7 @@ def test_criterion_2_range_voting_manipulable():
     honest = sum(
         p * v for p, v in zip(mech.evaluate(w.profile).probs, voter_pref.values)
     )
-    manipulated_profile = w.profile.replace(w.voter, w.misreport)
+    manipulated_profile = swap_voter(w.profile, w.voter, w.misreport)
     gained = sum(
         p * v
         for p, v in zip(mech.evaluate(manipulated_profile).probs, voter_pref.values)
@@ -154,7 +159,7 @@ def test_criterion_5_reduction_chain():
         for mv in ptrace.moves:
             if mv.kept:
                 continue
-            swapped = reduced.replace(mv.voter, mv.after)
+            swapped = swap_voter(reduced, mv.voter, mv.after)
             assert mech.evaluate(swapped) == mech.evaluate(reduced)  # (1)
             before_bits, after_bits = rounded(mv.before), rounded(mv.after)
             assert after_bits[0] >= before_bits[0]  # (2)
@@ -173,7 +178,7 @@ def test_criterion_6_symmetrization_never_lowers_worst_case():
 
     m, n, k = 3, 2, 2
     prefs = list(enumerate_Rk_prefs(m, k, tie_free=True))
-    family = [Profile.of(rows) for rows in itertools.product(prefs, repeat=n)]
+    family = [Profile(tuple(rows)) for rows in itertools.product(prefs, repeat=n)]
     assert len(family) == 36
     for base in (constant_winner(1), j1q(1)):
         sym = symmetrize(base, m, n)

@@ -230,12 +230,12 @@ class TestEvaluators:
         check_evaluators(profile)
 
     def test_all_ties_single_voter(self):
-        profile = Profile.of([Preference.relaxed([Fraction(1, 2)] * 4)])
+        profile = Profile((Preference.relaxed([Fraction(1, 2)] * 4),))
         check_evaluators(profile)
         assert j1q(1).evaluate(profile).probs[0] == 1
 
     def test_two_candidates_tie_votes_for_lower_index(self):
-        profile = Profile.of([Preference.relaxed([1, 1]), Preference.relaxed([0, 1])])
+        profile = Profile((Preference.relaxed([1, 1]), Preference.relaxed([0, 1])))
         check_evaluators(profile)
 
 
@@ -323,7 +323,7 @@ class TestPackedTables:
         # Every count is 0 or n, so a chunk of 256 voters in one-byte fields
         # would carry into the next candidate's entry.
         for n in CHUNK_EDGES:
-            profile = Profile.of([Preference.relaxed([1, Fraction(1, 2), 0])] * n)
+            profile = Profile((Preference.relaxed([1, Fraction(1, 2), 0]),) * n)
             assert pairwise_beats(profile) == [[0, n, n], [0, 0, n], [0, 0, 0]]
 
     @settings(max_examples=150)

@@ -45,6 +45,11 @@ def pref(*values) -> Preference:
     return Preference.normalized([F(v) for v in values])
 
 
+def swap_voter(profile: Profile, i: int, new: Preference) -> Profile:
+    """The profile with voter i's (1-indexed) preference replaced by ``new``."""
+    return Profile(profile.prefs[:i - 1] + (new,) + profile.prefs[i:])
+
+
 def _hand_switch_count(p: Preference, k: int) -> int:
     """Independent enumeration of the image indicator transitions."""
     present = [False] * (k + 1)
@@ -134,10 +139,10 @@ class TestClassify:
 
 class TestBenchmarkFunctionals:
     def test_g_equals_ratio_when_one_wins(self):
-        constructed = Profile.of([
+        constructed = Profile((
             two_block_preference(list(range(1, 9)), 1, 64),
             two_block_preference([1, 3, 2, 4, 5, 6, 7, 8], 2, 64),
-        ])
+        ))
         checked = 0
         candidates = [constructed] + [rand_grid_profile(8, 4, 64, s) for s in range(12)]
         for u in candidates:
@@ -149,15 +154,15 @@ class TestBenchmarkFunctionals:
 
     def test_g_vs_gbar_gap_small_for_two_block(self):
         m, k = 8, 128
-        u = Profile.of([
+        u = Profile((
             two_block_preference(list(range(1, 9)), 1, k),
             two_block_preference([2, 1, 3, 4, 5, 6, 7, 8], 2, k),
-        ])
+        ))
         gap = abs(_g(_jstar_dist(u), u) - gbar_value(u))
         assert gap <= 2 * F(m - 1, k) * 4  # loose structural sanity bound
 
     def test_zero_denominators(self):
-        u = Profile.of([pref(0, 1), pref(0, 1)])
+        u = Profile((pref(0, 1), pref(0, 1)))
         with pytest.raises(UndefinedRatioError):
             _g(_jstar_dist(u), u)
         with pytest.raises(UndefinedRatioError):
@@ -166,16 +171,16 @@ class TestBenchmarkFunctionals:
 
 class TestReduceToCk:
     def test_identity_on_two_block_profile(self):
-        u = Profile.of([
+        u = Profile((
             two_block_preference(list(range(1, 9)), 2, 64),
             two_block_preference([3, 1, 2, 4, 5, 6, 7, 8], 3, 64),
-        ])
+        ))
         trace = reduce_to_Ck_trace(u, 64)
         assert trace.result == u
         assert trace.steps == ()
 
     def test_interior_block_slides_out(self):
-        u = Profile.of([pref(1, "4/10", "5/10", 0)])
+        u = Profile((pref(1, "4/10", "5/10", 0),))
         trace = reduce_to_Ck_trace(u, 10)
         assert classify(trace.result.prefs[0], 10).in_Ck
         assert trace.result.prefs[0].values == (F(1), F(1, 10), F(1, 5), F(0))
@@ -199,17 +204,17 @@ class TestReduceToCk:
                 assert descending_order(before) == descending_order(after)
 
     def test_zero_welfare_denominator_rejected(self):
-        u = Profile.of([pref(0, "1/2", 1)])
+        u = Profile((pref(0, "1/2", 1),))
         with pytest.raises(UndefinedRatioError):
             reduce_to_Ck(u, 4)
 
 
 class TestProjectToDk:
     def test_keeps_structured_voters_bit_identical(self):
-        u = Profile.of([
+        u = Profile((
             two_block_preference(list(range(1, 9)), 1, 64),
             two_block_preference([2] + [3, 4, 1] + [5, 6, 7, 8], 1, 64),
-        ])
+        ))
         trace = project_to_Dk_trace(u, 64)
         assert trace.result == u
         assert all(mv.kept for mv in trace.moves)
@@ -218,7 +223,7 @@ class TestProjectToDk:
         # Candidate 1 on top with a wide top block: projected voter keeps the
         # full ranking but rounds only candidate 1 up.
         u0 = two_block_preference(list(range(1, 9)), 3, 64)
-        out = project_to_Dk(Profile.of([u0, u0]), 64).prefs[0]
+        out = project_to_Dk(Profile((u0, u0)), 64).prefs[0]
         info = classify(out, 64)
         assert info.dk_class == "a"
         assert rounded(out) == (1, 0, 0, 0, 0, 0, 0, 0)
@@ -230,7 +235,7 @@ class TestProjectToDk:
         # the rounded denominator positive.
         u0 = two_block_preference([2, 3, 4, 1, 5, 6, 7, 8], 2, 64)
         anchor = two_block_preference(list(range(1, 9)), 1, 64)
-        out = project_to_Dk(Profile.of([u0, anchor]), 64).prefs[0]
+        out = project_to_Dk(Profile((u0, anchor)), 64).prefs[0]
         info = classify(out, 64)
         assert info.dk_class == "b"
         assert rounded(out) == (0, 1, 0, 0, 0, 0, 0, 0)
@@ -254,7 +259,7 @@ class TestProjectToDk:
                 if mv.kept:
                     continue
                 count += 1
-                swapped = u.replace(mv.voter, mv.after)
+                swapped = swap_voter(u, mv.voter, mv.after)
                 assert mech.evaluate(swapped) == mech.evaluate(u)  # condition 1
                 rb, ra = rounded(mv.before), rounded(mv.after)
                 assert ra[0] >= rb[0]  # condition 2
@@ -264,10 +269,10 @@ class TestProjectToDk:
         # Every voter dislikes candidate 1 and lands in the single-top class.
         u0 = two_block_preference([2, 3, 4, 1, 5, 6, 7, 8], 1, 64)
         with pytest.raises(DegenerateProjectionError):
-            project_to_Dk(Profile.of([u0, u0]), 64)
+            project_to_Dk(Profile((u0, u0)), 64)
 
     def test_requires_two_block_input(self):
-        u = Profile.of([pref(0, "1/2", 1, "1/4", "3/4", "7/8", "1/8", "3/8")])
+        u = Profile((pref(0, "1/2", 1, "1/4", "3/4", "7/8", "1/8", "3/8"),))
         with pytest.raises(PreconditionError):
             project_to_Dk(u, 64)
 
@@ -307,7 +312,7 @@ class TestLowerBoundExperiment:
 class TestMinRatioSearch:
     def test_range_voting_always_one(self):
         prefs = list(enumerate_Rk_prefs(2, 2))
-        family = [Profile.of(c) for c in itertools.product(prefs, repeat=2)]
+        family = [Profile(tuple(c)) for c in itertools.product(prefs, repeat=2)]
         result = min_ratio_search(range_voting(), family)
         assert result.ratio == 1
         assert result.visited == len(family)
@@ -316,7 +321,7 @@ class TestMinRatioSearch:
         # Four profiles over {(0,1),(1,0)}; the favorite lottery either picks
         # the consensus favorite or splits a welfare tie, so every ratio is 1.
         prefs = list(enumerate_Rk_prefs(2, 2, tie_free=True))
-        family = [Profile.of(c) for c in itertools.product(prefs, repeat=2)]
+        family = [Profile(tuple(c)) for c in itertools.product(prefs, repeat=2)]
         assert len(family) == 4
         result = min_ratio_search(j_star(2), family)
         assert result.ratio == 1

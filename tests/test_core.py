@@ -49,7 +49,7 @@ def pref(*values) -> Preference:
 
 
 def profile(*rows) -> Profile:
-    return Profile.of(pref(*row) for row in rows)
+    return Profile(tuple(pref(*row) for row in rows))
 
 
 small_fractions = st.fractions(min_value=0, max_value=1, max_denominator=16)
@@ -103,10 +103,6 @@ class TestPreference:
         with pytest.raises(PreconditionError, match="lowest terms"):
             Preference(den, nums)
 
-    def test_tie_free(self):
-        assert pref(1, "1/2", 0).is_tie_free()
-        assert not pref(1, 1, 0).is_tie_free()
-
 
 class TestFromSteps:
     def test_values_and_integer_form(self):
@@ -115,12 +111,12 @@ class TestFromSteps:
         assert (u.den, u.nums) == (4, (2, 0, 4, 1))
         assert u == pref("1/2", 0, 1, "1/4") and hash(u) == hash(pref("1/2", 0, 1, "1/4"))
         assert u.order == (3, 1, 4, 2)
-        assert u.is_normalized() and u.is_tie_free()
+        assert u.is_normalized() and len(set(u.nums)) == u.m
 
     def test_integer_form_is_in_lowest_terms(self):
         u = Preference.from_steps([0, 6, 3, 3], 6)
         assert (u.den, u.nums) == (2, (0, 2, 1, 1)) == scaled(u.values)
-        assert not u.is_tie_free()
+        assert len(set(u.nums)) < u.m
 
     @pytest.mark.parametrize(
         "steps, k, error, match",
@@ -186,10 +182,10 @@ class TestWelfare:
             return pref(*data.draw(st.permutations([F(0), F(1), F(1, 2)])))
         rows1 = [draw() for _ in range(n1)]
         rows2 = [draw() for _ in range(n2)]
-        joined = Profile.of(rows1 + rows2)
+        joined = Profile(tuple(rows1 + rows2))
         for j in range(1, m + 1):
             assert welfare(joined, j) == (
-                welfare(Profile.of(rows1), j) + welfare(Profile.of(rows2), j)
+                welfare(Profile(tuple(rows1)), j) + welfare(Profile(tuple(rows2)), j)
             )
 
 
@@ -220,7 +216,7 @@ class TestRatio:
         assert ratio(j1q(1), u) == F(5, 6)
 
     def test_undefined_on_zero_welfare(self):
-        zeroish = Profile.of([Preference.relaxed([F(0), F(0)])])
+        zeroish = Profile((Preference.relaxed([F(0), F(0)]),))
         with pytest.raises(UndefinedRatioError):
             welfare_report(zeroish, CandidateDistribution(1, (1, 0)))
 
@@ -296,17 +292,11 @@ class TestDistribution:
 class TestProfile:
     def test_mixed_m_rejected(self):
         with pytest.raises(PreconditionError):
-            Profile.of([pref(1, 0), pref(1, "1/2", 0)])
+            Profile((pref(1, 0), pref(1, "1/2", 0)))
 
     def test_empty_rejected(self):
         with pytest.raises(PreconditionError):
-            Profile.of([])
-
-    def test_replace(self):
-        u = profile((1, 0), (0, 1))
-        v = u.replace(2, pref(1, 0))
-        assert v.prefs[1].values == (F(1), F(0))
-        assert u.prefs[1].values == (F(0), F(1))
+            Profile(())
 
 
 class TestSerialization:
@@ -322,8 +312,19 @@ class TestSerialization:
         u = profile((1, "1/2", 0), (0, 1, "2/3"))
         assert profile_from_csv_text(profile_to_csv_text(u)) == u
 
+    @pytest.mark.parametrize("load, data", [
+        (profile_from_json_dict,
+         {"m": 3, "n": 2, "prefs": [[[1, 1], [1, 2], [0, 1]], [[0, 1], [1, 1], [2, 3]]]}),
+        (profile_from_csv_text, "1,1/2,0\n0,1,2/3\n"),
+    ], ids=["json", "csv"])
+    def test_loaders_build_tuple_backed_hashable_profiles(self, load, data):
+        u = load(data)
+        expected = Profile((pref(1, "1/2", 0), pref(0, 1, "2/3")))
+        assert type(u.prefs) is tuple
+        assert u == expected and hash(u) == hash(expected)
+
     def test_relaxed_values_survive(self):
-        u = Profile.of([Preference.relaxed([F(1), F(1, 3)])])
+        u = Profile((Preference.relaxed([F(1), F(1, 3)]),))
         assert profile_from_json_dict(profile_to_json_dict(u)) == u
 
     def test_bad_shape_rejected(self):
@@ -361,7 +362,7 @@ class TestOrderAndBallots:
         assert u.places == [[2, 0, 1], [1, 1, 1], [0, 2, 1]]
 
     def test_pairwise_beats_counts_ties_for_lower_index(self):
-        u = Profile.of([Preference.relaxed([1, 1, 0]), Preference.relaxed([0, 1, 1])])
+        u = Profile((Preference.relaxed([1, 1, 0]), Preference.relaxed([0, 1, 1])))
         assert pairwise_beats(u) == [[0, 1, 1], [1, 0, 2], [1, 0, 0]]
 
     def test_place_table_is_built_once_per_profile(self):

@@ -68,7 +68,7 @@ specs = st.one_of(
     .map(lambda t: t[0][: t[1]] + t[2] + t[0][t[1]:]),
 )
 
-TINY = Profile.of([Preference.relaxed([1, Fraction(1, 2)])])
+TINY = Profile((Preference.relaxed([1, Fraction(1, 2)]),))
 
 
 def _outcome(mech):

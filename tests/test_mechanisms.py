@@ -40,7 +40,7 @@ def pref(*values) -> Preference:
 
 
 def profile(*rows) -> Profile:
-    return Profile.of(pref(*row) for row in rows)
+    return Profile(tuple(pref(*row) for row in rows))
 
 
 class TestIntegerCbrt:
@@ -104,7 +104,7 @@ class TestJ1q:
         prefs = list(enumerate_Rk_prefs(3, 3, tie_free=True))
         n = data.draw(st.integers(1, 3))
         rows = [data.draw(st.sampled_from(prefs)) for _ in range(n)]
-        dist = j1q(q).evaluate(Profile.of(rows))
+        dist = j1q(q).evaluate(Profile(tuple(rows)))
         unit = F(1, n * q)
         for p in dist.probs:
             assert (p / unit).denominator == 1
@@ -133,7 +133,7 @@ class TestJ2q:
     def test_matches_oracle_on_tie_free_grid(self):
         prefs = list(enumerate_Rk_prefs(3, 3, tie_free=True))
         for rows in itertools.islice(itertools.product(prefs, repeat=2), 0, 144, 7):
-            u = Profile.of(rows)
+            u = Profile(tuple(rows))
             for q in j2q_quota_range(2):
                 assert j2q(q).evaluate(u).probs == _pair_vote_oracle(u, q)
 
@@ -220,7 +220,7 @@ class TestJStar:
 
     def test_m27_single_descending_voter(self):
         values = [F(27 - j, 27) for j in range(1, 28)]
-        u = Profile.of([normalize_to_pref(values)])
+        u = Profile((normalize_to_pref(values),))
         dist = j_star(27).evaluate(u)
         assert dist.probs[:4] == (F(2, 3), F(1, 6), F(1, 6), F(0))
         assert all(p == 0 for p in dist.probs[3:])
@@ -229,7 +229,7 @@ class TestJStar:
     def test_other_candidate_count_raises(self, m, other):
         # j_star(27) on 8 candidates would mix in the top-3 lottery, which
         # j_star(8) does not; below m = 8 it would pass for the right scheme.
-        u = Profile.of([Preference.from_steps(list(range(other)), other - 1)])
+        u = Profile((Preference.from_steps(list(range(other)), other - 1),))
         with pytest.raises(PreconditionError, match=f"fixed at m={m}; got m={other}"):
             j_star(m).evaluate(u)
         assert j_star(other).evaluate(u) == mixture_j_star(other).evaluate(u)
@@ -290,7 +290,7 @@ class TestSymmetrize:
         sym = symmetrize(j1q(1), 3, 2)
         base = j1q(1)
         for rows in itertools.product(prefs, repeat=2):
-            u = Profile.of(rows)
+            u = Profile(tuple(rows))
             assert sym.evaluate(u) == base.evaluate(u)
 
     def test_candidate_relabeling_equivariance(self):
@@ -301,13 +301,13 @@ class TestSymmetrize:
         sym = symmetrize(range_voting(), 3, 2)
         for _ in range(100):
             rows = tuple(rng.choice(prefs) for _ in range(2))
-            u = Profile.of(rows)
+            u = Profile(tuple(rows))
             tau = list(range(1, 4))
             rng.shuffle(tau)
-            relabeled = Profile.of(
+            relabeled = Profile(tuple(
                 Preference.relaxed(p.values[tau[j] - 1] for j in range(3))
                 for p in rows
-            )
+            ))
             base = sym.evaluate(u)
             moved = sym.evaluate(relabeled)
             for j in range(3):
@@ -325,6 +325,22 @@ class TestSymmetrize:
         with pytest.raises(BudgetError, match=r"needs at least 2\*\*299999 steps"):
             symmetrize(range_voting(), 3 * 10**5, 1)
         assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("n", [10**5, 3 * 10**5])
+    def test_huge_n_is_refused_before_the_count(self, n):
+        # Not flagged anonymous, so the n! voter relabelings count too:
+        # n!*m! >= 2**(m+n-2) refuses before n!, up to a second's work, is built.
+        hand = Mechanism("hand", range_voting().evaluate)
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match=rf"needs at least 2\*\*{n + 1} steps"):
+            symmetrize(hand, 3, n)
+        assert time.perf_counter() - start < 0.1
+
+    def test_n_does_not_bound_an_anonymous_scheme(self):
+        # Its voter relabelings are never enumerated, so only m! counts.
+        with pytest.raises(BudgetError, match=r"needs at least 2\*\*299999 steps"):
+            symmetrize(range_voting(), 3 * 10**5, 10**5)
+        assert symmetrize(range_voting(), 3, 10**5).name == "sym:rv"
 
     def test_reads_ties_that_the_strict_order_drops(self):
         # Both voters have the strict order (1, 2, 3), yet sym:j1:1 splits

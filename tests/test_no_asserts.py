@@ -14,14 +14,18 @@ functionals read the integer form, so this guard failed there).  Only the
 rendered their own JSON).  The package keeps no memoizing cache, the
 grid scans have one budget gate, and a grid family's shape has one check.
 Cached views use the one lock-free ``core.cached_view``, never
-``functools.cached_property`` (which ``core`` and ``bounds`` used before)."""
+``functools.cached_property`` (which ``core`` and ``bounds`` used before).
+Every definition is reached from the package, its public names or the
+benchmark tracer."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import cardvote
 
 SOURCES = sorted(Path(cardvote.__file__).parent.glob("*.py"))
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 
 def test_sources_found():
@@ -276,3 +280,88 @@ def test_one_shape_check_for_the_grid_family():
                            for sub in ast.walk(node))]
     outside = [f"{name}:{node.lineno}" for name, node in raised if node not in inside]
     assert len(raised) == len(SHAPE_MESSAGES) and outside == []
+
+
+def _tracer_wrapped() -> set[str]:
+    """Every package name ``bench/tracer.py`` wraps: the functions of its
+    ``LAYERS`` and the factories of its ``EVALUATORS``."""
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {name for _, names in tracer.LAYERS.values() for name in names} | set(tracer.EVALUATORS)
+
+
+def _is_click_command(node: ast.AST) -> bool:
+    return any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
+               and d.func.attr in ("command", "group") for d in node.decorator_list)
+
+
+def test_every_module_level_definition_is_reached():
+    """Every module-level function and class is referenced, by name or as
+    an attribute, somewhere in the package outside its own definition, or
+    is re-exported by ``__init__``, a click command, or a name the benchmark
+    tracer wraps (read from the tracer itself, so the exemption follows it)."""
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
+    exported = {alias.asname or alias.name for node in trees["__init__.py"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    exempt = exported | _tracer_wrapped()
+    reads = [(stmt, _used_names(stmt) | {node.attr for node in ast.walk(stmt)
+                                         if isinstance(node, ast.Attribute)})
+             for tree in trees.values() for stmt in tree.body]
+    unreached = [
+        f"{name}:{node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in exempt and not _is_click_command(node)
+        and not any(node.name in names for stmt, names in reads if stmt is not node)
+    ]
+    assert unreached == []
+
+
+# Each method that no module in the package reads as an attribute, with the
+# reason it stays.
+UNREAD_METHODS = {
+    "Preference.normalized": "the standard constructor the README documents",
+    "ReductionTrace.steps": "the per-slide view the benchmark tracer's hook and the tests read",
+    "_Main.invoke": "a click override, which click calls",
+}
+
+
+def _attribute_reads(tree: ast.AST) -> set[str]:
+    """Every attribute name the tree reads, outside a function of the same
+    name (so a method that only delegates to its namesake is not a reader)."""
+    found = set()
+
+    def visit(node: ast.AST, function: str | None) -> None:
+        if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                and node.attr != function):
+            found.add(node.attr)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_every_method_is_read():
+    """Every non-dunder method is read as an attribute somewhere in the
+    package, outside a function of the same name, or is in
+    ``UNREAD_METHODS``; each listed one is still unread.  This failed while
+    ``Profile.is_tie_free`` and ``Preference.is_tie_free`` (called only by
+    its namesake) were defined.  Names are matched without types, so a read
+    of ``str.replace`` would have kept a ``Profile.replace`` alive: the
+    guard finds methods nothing reads, not every one nothing calls."""
+    trees = [ast.parse(path.read_text(), str(path)) for path in SOURCES]
+    reads = set().union(*map(_attribute_reads, trees))
+    unread = {
+        f"{cls.name}.{func.name}"
+        for tree in trees
+        for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+        for func in cls.body if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (func.name.startswith("__") and func.name.endswith("__"))
+        and func.name not in reads
+    }
+    assert unread == set(UNREAD_METHODS)
