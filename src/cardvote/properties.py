@@ -80,8 +80,7 @@ def _grid_step_vectors(m: int, k: int, tie_free: bool) -> Iterator[tuple[int, ..
     ends), and the last position is filled in place.  A tie-free level reads
     ``used`` as it advances, when ``prefix`` is back at that level's length.
     A run of used steps used[i:j] is where used[j] - j stays used[i] - i, so
-    one bisection jumps it, and none is needed when the run reaches the end
-    of ``used``, as every run does on the first descent."""
+    one bisection jumps it."""
     prefix: list[int] = []
     used: list[int] = []
 
@@ -90,10 +89,8 @@ def _grid_step_vectors(m: int, k: int, tie_free: bool) -> Iterator[tuple[int, ..
         while True:
             i = bisect.bisect_left(used, step)
             if i < len(used) and used[i] == step:
-                end = len(used)
-                if used[-1] - end != step - i - 1:
-                    end = bisect.bisect_left(range(end), step - i + 1, i,
-                                             key=lambda j: used[j] - j)
+                end = bisect.bisect_left(range(len(used)), step - i + 1, i,
+                                         key=lambda j: used[j] - j)
                 step = used[end - 1] + 1
             if step > k:
                 return
