@@ -192,8 +192,8 @@ def main():
 @click.option("--out", default=None, type=click.Path())
 def eval_cmd(spec: str, profile_path: str, out: str | None):
     """Evaluate a mechanism on a profile: distribution, welfares, ratio."""
-    mech = mechanisms.parse_mechanism(spec)
     profile = _load_profile(profile_path)
+    mech = mechanisms.parse_mechanism(spec, profile.m, profile.n)
     dist = mech.evaluate(profile)
     report = core.welfare_report(profile, dist)
     body = {
@@ -221,8 +221,8 @@ def eval_cmd(spec: str, profile_path: str, out: str | None):
 @click.option("--out", default=None, type=click.Path())
 def ratio_cmd(spec: str, profile_path: str, out: str | None):
     """Welfare ratio of a mechanism on a profile."""
-    mech = mechanisms.parse_mechanism(spec)
     profile = _load_profile(profile_path)
+    mech = mechanisms.parse_mechanism(spec, profile.m, profile.n)
     value = core.ratio(mech, profile)
     _json_report(
         {"subcommand": "ratio", "mech": spec, "profile": profile_path},
@@ -359,7 +359,7 @@ def _verify_command(name: str):
     @click.option("--out", default=None, type=click.Path())
     @click.pass_context
     def run(ctx, spec, m, n, k, tie_free, budget, out):
-        mech = mechanisms.parse_mechanism(spec)
+        mech = mechanisms.parse_mechanism(spec, m, n)
         report = _CHECKS[name](mech, m, n, k, tie_free=tie_free, budget=budget)
         config = {"subcommand": f"verify {name}", "mech": spec, "m": m, "n": n, "k": k,
                   "tie_free": tie_free, "budget": budget}
@@ -507,15 +507,16 @@ def _grid_family(m: int, n: int, k: int, tie_free: bool, first: int):
 @click.option("--out", default=None, type=click.Path())
 def experiment_minratio(spec, m, n, k, tie_free, profile_path, budget, out):
     """Minimal exact ratio over a grid family or a single profile file."""
-    mech = mechanisms.parse_mechanism(spec)
     if profile_path and (tie_free or (m, n, k) != (None, None, None)):
         raise PreconditionError("give --profile or the grid flags --m/--n/--k/--tie-free, not both")
     if profile_path:
         family = [_load_profile(profile_path)]
+        mech = mechanisms.parse_mechanism(spec, family[0].m, family[0].n)
     elif None not in (m, n, k):
         if n < 1:
             raise PreconditionError(f"need at least one voter, got n={n}")
         core.check_grid_shape(m, k, tie_free)  # rejects bad m, k before the budget
+        mech = mechanisms.parse_mechanism(spec, m, n)
         family = _grid_family(m, n, k, tie_free, budget)
     else:
         raise click.ClickException("provide either --profile or all of --m/--n/--k")

@@ -49,7 +49,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DataError, GridError, NormalizationError, PreconditionError, UndefinedRatioError
+from .errors import (DataError, GridError, NormalizationError, OutOfRangeError,
+                     PreconditionError, UndefinedRatioError)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -310,7 +311,7 @@ class CandidateDistribution:
 def welfare(profile: Profile, j: int) -> Fraction:
     """Total utility of candidate j across all voters."""
     if not 1 <= j <= profile.m:
-        raise IndexError(f"candidate {j} out of range 1..{profile.m}")
+        raise OutOfRangeError(f"candidate {j} out of range 1..{profile.m}")
     return welfare_vector(profile)[j - 1]
 
 
@@ -367,7 +368,7 @@ def ratio(mechanism, profile: Profile) -> Fraction:
 def top_q_set(pref: Preference, q: int) -> tuple[int, ...]:
     """The q best candidates under :attr:`Preference.order`, in that order."""
     if not 1 <= q <= pref.m:
-        raise IndexError(f"q={q} out of range 1..{pref.m}")
+        raise OutOfRangeError(f"q={q} out of range 1..{pref.m}")
     return pref.order[:q]
 
 

@@ -19,9 +19,8 @@ class PreconditionError(CardvoteError):
 
 
 class OutOfRangeError(PreconditionError, IndexError):
-    """Raised when a profile has too few candidates for a mechanism's
-    candidate index or quota; still an IndexError for callers catching
-    one."""
+    """Raised when a candidate index or quota lies outside a profile's or
+    preference's candidates; still an IndexError for callers catching one."""
 
 
 class WeightError(CardvoteError):

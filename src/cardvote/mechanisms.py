@@ -19,7 +19,7 @@ import itertools
 import math
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -239,22 +239,20 @@ def symmetrize(mech: Mechanism, m: int, n: int) -> Mechanism:
 
     The output treats voters interchangeably and candidate names as
     meaningless by construction.  All n!*m! relabelings are enumerated
-    exactly (no sampling), at most ``SYMMETRIZE_BUDGET`` of them.  An
-    anonymous mechanism gives every voter relabeling the same distribution,
+    exactly (no sampling), at most ``SYMMETRIZE_BUDGET`` of them, on each
+    evaluation: building the average costs only its shape and budget checks.
+    An anonymous mechanism gives every voter relabeling the same distribution,
     so its average is taken over the m! candidate relabelings alone.
     """
+    if m < 2 or n < 1:
+        raise PreconditionError(f"need at least 2 candidates and 1 voter, got m={m}, n={n}")
     bits = m - 1 + (0 if mech.anonymous else n - 1)
     if bits > 65536:  # m! >= 2**(m-1) and n! >= 2**(n-1), refused before either is built
         raise BudgetError(f"at least 2**{bits}", SYMMETRIZE_BUDGET, "relabeling enumeration")
     total = math.factorial(m) * (1 if mech.anonymous else math.factorial(n))
     if total > SYMMETRIZE_BUDGET:
         raise BudgetError(total, SYMMETRIZE_BUDGET, "relabeling enumeration")
-    voter_perms = [tuple(range(n))] if mech.anonymous else list(itertools.permutations(range(n)))
-    # Winner w of an election relabeled by tau is candidate tau(w) in the
-    # original labeling, so original candidate c reads the winner back[c].
-    relabelings = [(tau, [tau.index(c) for c in range(1, m + 1)])
-                   for tau in itertools.permutations(range(1, m + 1))]
-    weight = Fraction(1, len(voter_perms) * len(relabelings))
+    weight, candidates = Fraction(1, total), range(1, m + 1)
 
     def evaluate(profile: Profile) -> CandidateDistribution:
         if profile.m != m or profile.n != n:
@@ -262,12 +260,15 @@ def symmetrize(mech: Mechanism, m: int, n: int) -> Mechanism:
                 f"symmetrized mechanism fixed at m={m}, n={n}; "
                 f"got m={profile.m}, n={profile.n}"
             )
+        sigmas = [range(n)] if mech.anonymous else itertools.permutations(range(n))
         outcomes = (
-            (mech.evaluate(Profile(tuple(_compose(profile.prefs[s], tau) for s in sigma))), back)
-            for sigma in voter_perms for tau, back in relabelings
+            (mech.evaluate(Profile(tuple(_compose(profile.prefs[s], tau) for s in sigma))), tau)
+            for sigma in sigmas for tau in itertools.permutations(candidates)
         )
-        return _weighted_sum(m, ((weight, d.den, [d.nums[w] for w in back])
-                                 for d, back in outcomes))
+        # Winner w of an election relabeled by tau is candidate tau(w) in the
+        # original labeling, so original candidate c reads the winner tau.index(c).
+        return _weighted_sum(m, ((weight, d.den, [d.nums[tau.index(c)] for c in candidates])
+                                 for d, tau in outcomes))
 
     return Mechanism(f"sym:{mech.name}", evaluate, anonymous=True)
 
@@ -313,8 +314,8 @@ def sample_stream(
 #   sym:<spec>
 #
 # A sub-spec containing '+' must be parenthesized, e.g.
-# mix:1/2*(mix:1/2*j1:1+1/2*j1:2)+1/2*rv.  "jstar" and "sym:" resolve m (and
-# n) from the profile at evaluation time.
+# mix:1/2*(mix:1/2*j1:1+1/2*j1:2)+1/2*rv.  A spec is parsed for one profile
+# shape (m, n): "jstar" and "sym:" are built for it and refuse any other.
 
 _SIMPLE = re.compile(r"^(rv|jstar|j1:\d+|j2:\d+|const:\d+)$")
 
@@ -340,22 +341,6 @@ def _split_mix_parts(body: str) -> list[str]:
     return parts
 
 
-def _deferred(name: str, build: Callable[[int, int], Mechanism]) -> Mechanism:
-    # Each profile shape (m, n) builds its mechanism once, outside the
-    # evaluator, so sym: enumerates relabelings once and the bench tracer wraps
-    # one jstar per shape.  Both deferred schemes are anonymous at every shape.
-    built: dict[tuple[int, int], Mechanism] = {}
-
-    def evaluate(profile: Profile) -> CandidateDistribution:
-        shape = (profile.m, profile.n)
-        mech = built.get(shape)
-        if mech is None:
-            mech = built[shape] = build(*shape)
-        return mech.evaluate(profile)
-
-    return Mechanism(name, evaluate, anonymous=True)
-
-
 def _is_parenthesized(spec: str) -> bool:
     if not (spec.startswith("(") and spec.endswith(")")):
         return False
@@ -373,24 +358,26 @@ def _is_parenthesized(spec: str) -> bool:
 MAX_NESTING = 100
 
 
-def parse_mechanism(spec: str) -> Mechanism:
-    """Parse the CLI mini-language; errors name the offending token."""
-    return _parse(spec, 0)
+def parse_mechanism(spec: str, m: int, n: int) -> Mechanism:
+    """Parse the CLI mini-language for profiles with m candidates and n
+    voters: ``jstar`` and ``sym:`` are built once, for that shape, and
+    refuse any other.  Errors name the offending token."""
+    return _parse(spec, m, n, 0)
 
 
-def _parse(spec: str, depth: int) -> Mechanism:
+def _parse(spec: str, m: int, n: int, depth: int) -> Mechanism:
     # Each parenthesis, mixture component and "sym:" is one level; the cap
     # turns a spec nested past the interpreter's recursion limit into an error.
     if depth > MAX_NESTING:
         raise MechanismSpecError(f"mechanism spec nests deeper than {MAX_NESTING} levels")
     spec = spec.strip()
     if _is_parenthesized(spec):
-        return _parse(spec[1:-1], depth + 1)
+        return _parse(spec[1:-1], m, n, depth + 1)
     if _SIMPLE.match(spec):
         if spec == "rv":
             return range_voting()
         if spec == "jstar":
-            return _deferred("jstar", lambda m, n: j_star(m))
+            return j_star(m)
         head, arg = spec.split(":")
         try:
             value = int(arg)
@@ -413,9 +400,11 @@ def _parse(spec: str, depth: int) -> Mechanism:
                 w = parse_rational(w_text)
             except (ValueError, ZeroDivisionError) as e:
                 raise MechanismSpecError(f"bad mixture weight {w_text!r}") from e
-            parts.append((w, _parse(sub, depth + 1)))
+            parts.append((w, _parse(sub, m, n, depth + 1)))
         return mix(parts)
     if spec.startswith("sym:"):
-        inner = _parse(spec[len("sym:"):], depth + 1)
-        return _deferred(f"sym:{inner.name}", lambda m, n: symmetrize(inner, m, n))
+        inner = _parse(spec[len("sym:"):], m, n, depth + 1)
+        if inner.name.startswith("sym:"):  # already relabel-invariant: averaging again is a no-op
+            return replace(inner, name=f"sym:{inner.name}")
+        return symmetrize(inner, m, n)
     raise MechanismSpecError(f"unrecognized mechanism token {spec!r}")

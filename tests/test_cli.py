@@ -78,6 +78,25 @@ class TestEvalAndRatio:
         assert result.exit_code == 0
         assert sum(F(p) for p in json.loads(result.output)["distribution"]["exact"]) == 1
 
+    def test_nested_symmetrization_evaluates_once(self, runner, tmp_path):
+        # Each sym: level averaged the one below over all m! relabelings, so
+        # sym:sym:sym:j1:1 at m = 7 evaluated j1:1 on 5040**3 profiles.
+        profile_path = tmp_path / "u.json"
+        seven = rand_grid_profile(7, 2, 3, 0, tie_free=False)  # with ties
+        profile_path.write_text(json.dumps(profile_to_json_dict(seven)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-m", "cardvote.cli", "eval", "--mech", "sym:sym:sym:j1:1",
+             "--profile", str(profile_path)],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["mechanism"] == "sym:sym:sym:j1:1"
+        once = invoke(runner, "eval", "--mech", "sym:j1:1", "--profile", str(profile_path))
+        assert report["distribution"] == json.loads(once.output)["distribution"]
+
     def test_csv_profile_round_trip(self, runner, tmp_path):
         csv_path = tmp_path / "u.csv"
         invoke(runner, "gen", "grid", "--m", "3", "--n", "2", "--k", "6",
@@ -260,6 +279,19 @@ class TestVerify:
                                       "--m", "3", "--n", "3", "--k", "3",
                                       "--budget", "10"])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("args", [
+        ["--mech", "sym:rv", "--m", "-1", "--n", "2"],
+        ["--mech", "sym:rv", "--m", "3", "--n", "0"],
+        ["--mech", "jstar", "--m", "1", "--n", "2"],
+    ], ids=["sym_negative_m", "sym_no_voters", "jstar_one_candidate"])
+    def test_bad_shape_fails_cleanly(self, runner, args):
+        # jstar and sym: are built for the flags' shape before the scan checks it.
+        result = runner.invoke(main, ["verify", "truthful", *args, "--k", "2"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("Error: need at least 2 candidates")
+        assert "Traceback" not in result.output
 
 
 class TestExperiments:
@@ -653,7 +685,7 @@ class TestLazyProduct:
         args = ["experiment", "minratio", "--mech", spec, "--m", str(m), "--n", str(n),
                 "--k", str(k), "--budget", str(budget)] + (["--tie-free"] if tie_free else [])
         result = CliRunner().invoke(main, args)
-        mech = mechanisms.parse_mechanism(spec)
+        mech = mechanisms.parse_mechanism(spec, m, n)
         prefs = list(enumerate_Rk_prefs(m, k, tie_free))
         family = map(Profile, itertools.product(prefs, repeat=n))
         try:

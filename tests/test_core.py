@@ -33,8 +33,10 @@ from cardvote.core import (
     welfare_report,
 )
 from cardvote.errors import (
+    CardvoteError,
     DataError,
     NormalizationError,
+    OutOfRangeError,
     PreconditionError,
     UndefinedRatioError,
 )
@@ -171,9 +173,11 @@ class TestWelfare:
     def test_zero(self):
         assert welfare(profile((1, 0)), 2) == 0
 
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            welfare(profile((1, 0)), 3)
+    @pytest.mark.parametrize("caught", [IndexError, CardvoteError, OutOfRangeError])
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_out_of_range(self, caught, j):
+        with pytest.raises(caught, match=f"candidate {j} out of range 1..2"):
+            welfare(profile((1, 0)), j)
 
     @given(st.integers(1, 3), st.integers(1, 3), st.data())
     def test_additive_under_concatenation(self, n1, n2, data):
@@ -256,9 +260,11 @@ class TestTopQSet:
     def test_tie_between_later_candidates(self):
         assert top_q_set(pref(0, 1, 1), 1) == (2,)
 
-    def test_out_of_range(self):
-        with pytest.raises(IndexError):
-            top_q_set(pref(1, 0), 3)
+    @pytest.mark.parametrize("caught", [IndexError, CardvoteError, OutOfRangeError])
+    @pytest.mark.parametrize("q", [0, 3])
+    def test_out_of_range(self, caught, q):
+        with pytest.raises(caught, match=f"q={q} out of range 1..2"):
+            top_q_set(pref(1, 0), q)
 
     @given(st.permutations([F(0), F(1, 4), F(1, 2), F(1)]))
     def test_monotone_in_q(self, values):

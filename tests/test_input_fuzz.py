@@ -84,7 +84,7 @@ class TestMechanismSpecs:
     @given(specs)
     def test_parse_and_evaluate_succeed_or_raise_cardvote_error(self, spec):
         try:
-            mech = parse_mechanism(spec)
+            mech = parse_mechanism(spec, TINY.m, TINY.n)
             dist = mech.evaluate(TINY)
         except CardvoteError:
             return
@@ -96,10 +96,10 @@ class TestMechanismSpecs:
     def test_names_parse_back(self, spec):
         # Every report echoes the name, so it must name the same scheme.
         try:
-            mech = parse_mechanism(spec)
+            mech = parse_mechanism(spec, TINY.m, TINY.n)
         except CardvoteError:
             return
-        again = parse_mechanism(mech.name)
+        again = parse_mechanism(mech.name, TINY.m, TINY.n)
         assert again.name == mech.name
         assert _outcome(again) == _outcome(mech)
 
@@ -111,15 +111,15 @@ class TestMechanismSpecs:
     ], ids=["sym_past_cap", "parens_past_cap", "sym_1000", "parens_1000"])
     def test_deep_nesting_is_a_spec_error(self, spec):
         with pytest.raises(MechanismSpecError, match="nests deeper"):
-            parse_mechanism(spec)
+            parse_mechanism(spec, TINY.m, TINY.n)
 
     def test_nesting_up_to_the_cap_parses(self):
         spec = "(" * MAX_NESTING + "rv" + ")" * MAX_NESTING
-        assert parse_mechanism(spec).evaluate(TINY).probs == (1, 0)
+        assert parse_mechanism(spec, TINY.m, TINY.n).evaluate(TINY).probs == (1, 0)
 
     def test_number_past_int_digit_limit_is_a_spec_error(self):
         with pytest.raises(MechanismSpecError, match="too long"):
-            parse_mechanism("j1:" + "1" * 5000)
+            parse_mechanism("j1:" + "1" * 5000, TINY.m, TINY.n)
 
     @settings(max_examples=300, deadline=None)
     @given(grammar_specs, st.integers(2, 3), st.integers(2, 3), st.integers(1, 3),
@@ -127,7 +127,7 @@ class TestMechanismSpecs:
     def test_anonymous_flag_is_sound(self, spec, m, n, k, seed):
         profile = rand_grid_profile(m, n, k, seed, tie_free=False)
         try:
-            mech = parse_mechanism(spec)
+            mech = parse_mechanism(spec, m, n)
             dist = mech.evaluate(profile)
         except CardvoteError:
             return

@@ -346,7 +346,7 @@ class TestSymmetrize:
         # Both voters have the strict order (1, 2, 3), yet sym:j1:1 splits
         # the tie of [1, 1, 0]: sym: of an order-reading scheme does not
         # read strict orders alone, so a strict-order proof would not cover it.
-        sym = parse_mechanism("sym:j1:1")
+        sym = parse_mechanism("sym:j1:1", 3, 1)
         tied, strict = profile((1, 1, 0)), profile((1, "1/2", 0))
         assert tied.prefs[0].order == strict.prefs[0].order == (1, 2, 3)
         assert sym.evaluate(tied).probs == (F(1, 2), F(1, 2), 0)
@@ -356,6 +356,25 @@ class TestSymmetrize:
         sym = symmetrize(j1q(1), 2, 2)
         with pytest.raises(PreconditionError):
             sym.evaluate(profile((1, 0)))
+
+    @pytest.mark.parametrize("m, n", [(-1, 2), (1, 2), (3, 0), (3, -1)])
+    def test_bad_shape_is_refused_before_anything_is_built(self, m, n):
+        # math.factorial raised a bare ValueError for a negative m or n.
+        for mech in (range_voting(), Mechanism("hand", range_voting().evaluate)):
+            with pytest.raises(PreconditionError, match=f"got m={m}, n={n}"):
+                symmetrize(mech, m, n)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["rv", "j1:1", "j2:1", "const:2", "jstar", "mix:1/2*rv+1/2*j1:2"]),
+           st.integers(2, 4), st.integers(1, 2), st.integers(1, 3), st.integers(0, 2**32))
+    def test_nested_sym_matches_symmetrizing_twice(self, spec, m, n, k, seed):
+        # A group average is idempotent, so the parser builds sym:sym:X as
+        # sym:X renamed; the real double average agrees, ties included.
+        u = rand_grid_profile(m, n, k, seed, tie_free=False)
+        inner = parse_mechanism(spec, m, n)
+        nested = parse_mechanism(f"sym:sym:{spec}", m, n)
+        assert nested.name == f"sym:sym:{inner.name}" and nested.anonymous
+        assert nested.evaluate(u) == symmetrize(symmetrize(inner, m, n), m, n).evaluate(u)
 
 
 class TestSample:
@@ -376,22 +395,22 @@ class TestSample:
 class TestParser:
     @pytest.mark.parametrize("spec", ["rv", "j1:1", "j1:3", "j2:2", "jstar", "const:2"])
     def test_simple_specs(self, spec):
-        mech = parse_mechanism(spec)
+        mech = parse_mechanism(spec, 3, 2)
         u = profile((1, "1/2", 0), (0, 1, "1/2"))
         assert sum(mech.evaluate(u).probs) == 1
 
-    def test_jstar_resolves_m_from_profile(self):
+    def test_jstar_is_the_stacked_lottery_for_the_given_m(self):
         u = profile((1, "1/2", 0))
-        assert parse_mechanism("jstar").evaluate(u) == j_star(3).evaluate(u)
+        assert parse_mechanism("jstar", 3, 1).evaluate(u) == j_star(3).evaluate(u)
 
     def test_mix_spec(self):
         u = profile((1, "1/2", 0))
-        mech = parse_mechanism("mix:1/2*j1:1+1/2*j1:2")
+        mech = parse_mechanism("mix:1/2*j1:1+1/2*j1:2", 3, 1)
         assert mech.evaluate(u).probs == (F(3, 4), F(1, 4), F(0))
 
     def test_nested_mix_needs_parens(self):
         u = profile((1, "1/2", 0), (0, 1, "1/2"))
-        mech = parse_mechanism("mix:1/2*(mix:1/2*j1:1+1/2*j1:2)+1/2*rv")
+        mech = parse_mechanism("mix:1/2*(mix:1/2*j1:1+1/2*j1:2)+1/2*rv", 3, 2)
         direct = mix([
             (F(1, 2), mix([(F(1, 2), j1q(1)), (F(1, 2), j1q(2))])),
             (F(1, 2), range_voting()),
@@ -404,48 +423,49 @@ class TestParser:
     ])
     def test_exponent_sign_in_weight_is_not_a_separator(self, spec, same):
         u = profile((1, "1/2", 0), (0, 1, "1/2"))
-        mech, expected = parse_mechanism(spec), parse_mechanism(same)
+        mech, expected = parse_mechanism(spec, 3, 2), parse_mechanism(same, 3, 2)
         assert mech.name == expected.name
         assert mech.evaluate(u) == expected.evaluate(u)
 
     def test_sym_spec(self):
         u = profile((1, 0))
-        mech = parse_mechanism("sym:const:1")
+        mech = parse_mechanism("sym:const:1", 2, 1)
         assert mech.evaluate(u).probs == (F(1, 2), F(1, 2))
 
     @pytest.mark.parametrize("bad", ["j3:1", "mix:1/2*j1:1", "mix:x*rv+1*rv",
                                      "mix:1/2*j1:1+(1/2*rv", ""])
     def test_errors_name_the_token(self, bad):
         with pytest.raises((MechanismSpecError, WeightError)):
-            parse_mechanism(bad)
+            parse_mechanism(bad, 3, 2)
 
-    def test_sym_builds_relabelings_once_per_shape(self, monkeypatch):
+    def test_jstar_and_sym_are_built_once_for_the_given_shape(self, monkeypatch):
         import cardvote.mechanisms as mechanisms
 
-        shapes = []
-
-        def counting(mech, m, n, *args):
-            shapes.append((m, n))
-            return symmetrize(mech, m, n, *args)
-
-        monkeypatch.setattr(mechanisms, "symmetrize", counting)
-        mech = parse_mechanism("sym:j2:2")
-        pairs = profile((1, "1/2", 0), (0, 1, "1/2"))
-        other_pairs = profile((0, "1/2", 1), ("1/2", 1, 0))
-        triple = profile((1, "1/2", 0), (0, 1, "1/2"), (1, 0, "1/2"))
-        for u in (pairs, other_pairs, pairs, triple, triple):
-            assert mech.evaluate(u) == symmetrize(j2q(2), u.m, u.n).evaluate(u)
-        assert shapes == [(3, 2), (3, 3)]
-
-        # jstar is deferred the same way: one stacked lottery per (m, n).
         built = []
 
+        def counting_symmetrize(mech, m, n):
+            built.append(("symmetrize", mech.name, m, n))
+            return symmetrize(mech, m, n)
+
         def counting_j_star(m):
-            built.append(m)
+            built.append(("j_star", m))
             return j_star(m)
 
+        monkeypatch.setattr(mechanisms, "symmetrize", counting_symmetrize)
         monkeypatch.setattr(mechanisms, "j_star", counting_j_star)
-        mech = parse_mechanism("jstar")
-        for u in (pairs, other_pairs, pairs, triple, triple):
-            assert mech.evaluate(u) == j_star(u.m).evaluate(u)
-        assert built == [3, 3]
+        sym, jstar = parse_mechanism("sym:j2:2", 3, 2), parse_mechanism("jstar", 3, 2)
+        assert built == [("symmetrize", "j2:2", 3, 2), ("j_star", 3)]
+        pairs = profile((1, "1/2", 0), (0, 1, "1/2"))
+        other_pairs = profile((0, "1/2", 1), ("1/2", 1, 0))
+        for u in (pairs, other_pairs, pairs):
+            assert sym.evaluate(u) == symmetrize(j2q(2), 3, 2).evaluate(u)
+            assert jstar.evaluate(u) == j_star(3).evaluate(u)
+        assert len(built) == 2  # evaluation builds nothing
+
+        # Another shape is refused, not built for.
+        triple = profile((1, "1/2", 0), (0, 1, "1/2"), (1, 0, "1/2"))
+        with pytest.raises(PreconditionError, match="fixed at m=3, n=2; got m=3, n=3"):
+            sym.evaluate(triple)
+        with pytest.raises(PreconditionError, match="fixed at m=3; got m=4"):
+            jstar.evaluate(profile((1, "1/2", 0, 0)))
+        assert len(built) == 2

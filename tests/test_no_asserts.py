@@ -202,7 +202,7 @@ def test_properties_render_nothing():
 
 # Each memoizing cache in the package, as "module:function": none.  The
 # stacked lottery is one integer formula built in microseconds, and the
-# parser's jstar and sym: specs build their mechanism once per profile shape.
+# parser builds jstar and sym: once, for the one shape it is given.
 # A new cache joins this set together with the workload that needs it.
 CACHED_FUNCTIONS: set[str] = set()
 

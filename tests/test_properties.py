@@ -304,7 +304,7 @@ class TestTruthfulness:
     def test_budget_counts_sorted_keys_when_anonymous(self):
         # 18 preferences at (m, k) = (3, 3): the orbit walk does
         # C(22, 5)*5*18 = 2,370,060 work, the full scan 18^5*5*18.
-        mech = parse_mechanism("jstar")
+        mech = parse_mechanism("jstar", 3, 5)
         report = check_truthful(mech, 3, 5, 3, budget=DEFAULT_BUDGET)
         assert report.holds and report.search_space.profile_count == 18 ** 5
         with pytest.raises(BudgetError, match="2370060"):

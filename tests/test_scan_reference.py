@@ -132,12 +132,12 @@ def voter_one_favorite() -> Mechanism:
     return Mechanism("voter-1-favorite", evaluate)
 
 
-def build(spec: str) -> Mechanism:
-    return voter_one_favorite() if spec == "voter-1-favorite" else parse_mechanism(spec)
+def build(spec: str, m: int, n: int) -> Mechanism:
+    return voter_one_favorite() if spec == "voter-1-favorite" else parse_mechanism(spec, m, n)
 
 
-def logged(spec: str) -> tuple[Mechanism, list[Profile]]:
-    mech, log = build(spec), []
+def logged(spec: str, m: int, n: int) -> tuple[Mechanism, list[Profile]]:
+    mech, log = build(spec, m, n), []
 
     def evaluate(profile: Profile) -> CandidateDistribution:
         log.append(profile)
@@ -171,8 +171,8 @@ def assert_same_report(got: WitnessReport, expected: WitnessReport) -> None:
 
 def run_both(check: str, spec: str, shape) -> WitnessReport:
     fast, reference = PAIRS[check]
-    mech, log = logged(spec)
-    ref_mech, ref_log = logged(spec)
+    mech, log = logged(spec, *shape[:2])
+    ref_mech, ref_log = logged(spec, *shape[:2])
     report = fast(mech, *shape)
     assert_same_report(report, reference(ref_mech, *shape))
     assert log == ref_log

@@ -204,8 +204,8 @@ def _expected_verdict(spec: str, m: int) -> str:
     return "violated" if "rv" in spec and m > 2 else "holds"
 
 
-def _build(spec: str) -> Mechanism:
-    return TEST_DEFINED[spec]() if spec in TEST_DEFINED else parse_mechanism(spec)
+def _build(spec: str, m: int, n: int) -> Mechanism:
+    return TEST_DEFINED[spec]() if spec in TEST_DEFINED else parse_mechanism(spec, m, n)
 
 
 @functools.cache
@@ -213,11 +213,11 @@ def _memo(spec: str) -> dict[Profile, CandidateDistribution]:
     return {}
 
 
-def _shared_evaluations(spec: str, flag: str) -> Mechanism:
+def _shared_evaluations(spec: str, flag: str, m: int, n: int) -> Mechanism:
     # The reference and both flag cases read one memo of distributions per
     # spec, so the comparison pays for each mechanism evaluation once.  The
     # wrapper keeps the built flag unless the case forces the full scan.
-    mech = _build(spec)
+    mech = _build(spec, m, n)
     memo = _memo(spec)
 
     def evaluate(profile: Profile) -> CandidateDistribution:
@@ -233,14 +233,14 @@ def _shared_evaluations(spec: str, flag: str) -> Mechanism:
 @functools.cache
 def _reference_report(spec: str, m: int, n: int, k: int, tie_free: bool) -> dict:
     # The reference never reads the flag, so both flag cases share one run.
-    mech = _shared_evaluations(spec, "forced_off")
+    mech = _shared_evaluations(spec, "forced_off", m, n)
     return reference_verify_body(reference_check_truthful(mech, m, n, k, tie_free))
 
 
 def _assert_matches_reference(spec, m, n, k, tie_free, flag):
     expected = _reference_report(spec, m, n, k, tie_free)
     assert expected["verdict"] == _expected_verdict(spec, m)
-    mech = _shared_evaluations(spec, flag)
+    mech = _shared_evaluations(spec, flag, m, n)
     assert _verify_body(check_truthful(mech, m, n, k, tie_free)) == expected
 
 
@@ -261,7 +261,7 @@ def test_cases_exercise_witness_replay():
 
 
 def test_flag_is_set_by_constructors_only():
-    assert all(parse_mechanism(spec).anonymous for spec in SPECS)
+    assert all(parse_mechanism(spec, 3, 2).anonymous for spec in SPECS)
     # A hand-built mechanism keeps the default full scan.
     assert Mechanism("x", rv_voter_one_twice().evaluate).anonymous is False
 
@@ -269,7 +269,7 @@ def test_flag_is_set_by_constructors_only():
 @pytest.mark.parametrize("spec", SPECS)
 @pytest.mark.parametrize("m,n,k", [(3, 2, 2), (2, 3, 2)])
 def test_flagged_specs_are_anonymous(spec, m, n, k):
-    assert check_anonymous(parse_mechanism(spec), m, n, k).holds
+    assert check_anonymous(parse_mechanism(spec, m, n), m, n, k).holds
 
 
 def test_unflagged_scheme_is_not_anonymous():
@@ -299,7 +299,7 @@ CHECKS = {
     ],
 )
 def test_verify_body_matches_reference(check, spec, m, n, k, verdict):
-    report = CHECKS[check](_build(spec), m, n, k)
+    report = CHECKS[check](_build(spec, m, n), m, n, k)
     expected = reference_verify_body(report)
     assert expected["verdict"] == verdict
     assert _verify_body(report) == expected
@@ -320,8 +320,8 @@ SMALL_SHAPES = [
 SCAN_SPECS = ["mix:1/2*rv+1/2*j1:1", "rv", "rv-voter-1-twice", "j1:1"]
 
 
-def _logged(spec: str) -> tuple[Mechanism, list[Profile]]:
-    mech = _build(spec)
+def _logged(spec: str, m: int, n: int) -> tuple[Mechanism, list[Profile]]:
+    mech = _build(spec, m, n)
     log: list[Profile] = []
 
     def evaluate(profile: Profile) -> CandidateDistribution:
@@ -339,8 +339,8 @@ def test_ordinal_matches_reference(shape, spec):
     # Same report, witness included, and the same evaluations in the same
     # order, so an evaluator error is raised at the same profile.
     m, n, k, tie_free = shape
-    mech, log = _logged(spec)
-    ref_mech, ref_log = _logged(spec)
+    mech, log = _logged(spec, m, n)
+    ref_mech, ref_log = _logged(spec, m, n)
     report = check_ordinal(mech, m, n, k, tie_free)
     assert report == reference_check_ordinal(ref_mech, m, n, k, tie_free)
     assert log == ref_log
@@ -352,7 +352,7 @@ def test_ordinal_matches_reference(shape, spec):
 @example((3, 3, 3, False), "j1:1", "truthful")
 def test_verify_body_matches_reference_on_small_shapes(shape, spec, check):
     m, n, k, tie_free = shape
-    report = CHECKS[check](_build(spec), m, n, k, tie_free)
+    report = CHECKS[check](_build(spec, m, n), m, n, k, tie_free)
     assert _verify_body(report) == reference_verify_body(report)
 
 
@@ -360,4 +360,4 @@ def test_small_shapes_reach_every_witness_kind():
     # The drawn cases above meet a violation of each check.
     cases = [("truthful", "rv"), ("ordinal", "mix:1/2*rv+1/2*j1:1"), ("neutral", "j1:1"),
              ("anonymous", "rv-voter-1-twice")]
-    assert not any(CHECKS[check](_build(spec), 3, 2, 3).holds for check, spec in cases)
+    assert not any(CHECKS[check](_build(spec, 3, 2), 3, 2, 3).holds for check, spec in cases)
