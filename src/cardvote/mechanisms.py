@@ -17,6 +17,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import operator
 import random
 import re
 from dataclasses import dataclass, field, replace
@@ -225,12 +226,6 @@ def j_star(m: int) -> Mechanism:
     return Mechanism("jstar", evaluate, anonymous=True)
 
 
-def _compose(pref: Preference, tau: tuple[int, ...]) -> Preference:
-    # Candidate j of the relabeled preference takes the value candidate
-    # tau[j-1] had originally; value multiset is unchanged, so validation holds.
-    return Preference(pref.den, tuple(pref.nums[t - 1] for t in tau))
-
-
 SYMMETRIZE_BUDGET = 10_000_000
 
 
@@ -252,7 +247,16 @@ def symmetrize(mech: Mechanism, m: int, n: int) -> Mechanism:
     total = math.factorial(m) * (1 if mech.anonymous else math.factorial(n))
     if total > SYMMETRIZE_BUDGET:
         raise BudgetError(total, SYMMETRIZE_BUDGET, "relabeling enumeration")
-    weight, candidates = Fraction(1, total), range(1, m + 1)
+    weight = Fraction(1, total)
+
+    def relabeled(profile: Profile) -> Iterable[tuple]:
+        # Candidate j of the election relabeled by tau is candidate tau[j] of
+        # the original; the value multiset is unchanged, so validation holds.
+        for tau in itertools.permutations(range(m)):
+            pick = operator.itemgetter(*tau)
+            prefs = tuple(Preference(p.den, pick(p.nums)) for p in profile.prefs)
+            for voters in [prefs] if mech.anonymous else itertools.permutations(prefs):
+                yield tau, mech.evaluate(Profile(voters))
 
     def evaluate(profile: Profile) -> CandidateDistribution:
         if profile.m != m or profile.n != n:
@@ -260,15 +264,10 @@ def symmetrize(mech: Mechanism, m: int, n: int) -> Mechanism:
                 f"symmetrized mechanism fixed at m={m}, n={n}; "
                 f"got m={profile.m}, n={profile.n}"
             )
-        sigmas = [range(n)] if mech.anonymous else itertools.permutations(range(n))
-        outcomes = (
-            (mech.evaluate(Profile(tuple(_compose(profile.prefs[s], tau) for s in sigma))), tau)
-            for sigma in sigmas for tau in itertools.permutations(candidates)
-        )
-        # Winner w of an election relabeled by tau is candidate tau(w) in the
-        # original labeling, so original candidate c reads the winner tau.index(c).
-        return _weighted_sum(m, ((weight, d.den, [d.nums[tau.index(c)] for c in candidates])
-                                 for d, tau in outcomes))
+        # The winner's label j in the relabeled election is candidate tau[j]:
+        # sorting by tau reads the original candidates in order.
+        return _weighted_sum(m, ((weight, d.den, [num for _, num in sorted(zip(tau, d.nums))])
+                                 for tau, d in relabeled(profile)))
 
     return Mechanism(f"sym:{mech.name}", evaluate, anonymous=True)
 
@@ -316,43 +315,25 @@ def sample_stream(
 # A sub-spec containing '+' must be parenthesized, e.g.
 # mix:1/2*(mix:1/2*j1:1+1/2*j1:2)+1/2*rv.  A spec is parsed for one profile
 # shape (m, n): "jstar" and "sym:" are built for it and refuse any other.
+# A "sym:" of a relabel-invariant scheme (a "sym:", or a mixture of them) is
+# that scheme under the new name: averaging it again changes nothing.
 
 _SIMPLE = re.compile(r"^(rv|jstar|j1:\d+|j2:\d+|const:\d+)$")
 
 
-def _split_mix_parts(body: str) -> list[str]:
-    # A component ends at a depth-0 '+' after its '*': weights hold "1e+0".
-    parts, depth, start, starred = [], 0, 0, False
-    for i, ch in enumerate(body):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                raise MechanismSpecError(f"unbalanced ')' in {body!r}")
-        elif depth == 0 and ch == "*":
-            starred = True
-        elif depth == 0 and ch == "+" and starred:
-            parts.append(body[start:i])
-            start, starred = i + 1, False
-    if depth != 0:
-        raise MechanismSpecError(f"unbalanced '(' in {body!r}")
-    parts.append(body[start:])
-    return parts
-
-
-def _is_parenthesized(spec: str) -> bool:
-    if not (spec.startswith("(") and spec.endswith(")")):
-        return False
-    depth = 0
+def _outside(spec: str) -> list[int]:
+    """Positions of the characters outside every parenthesis pair, each
+    pair's "(" included; unpaired parentheses are a spec error."""
+    outside, depth = [], 0
     for i, ch in enumerate(spec):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth == 0:
-                return i == len(spec) - 1
-    return False
+        if depth == 0:
+            outside.append(i)
+        depth += (ch == "(") - (ch == ")")
+        if depth < 0:
+            raise MechanismSpecError(f"unbalanced ')' in {spec!r}")
+    if depth:
+        raise MechanismSpecError(f"unbalanced '(' in {spec!r}")
+    return outside
 
 
 MAX_NESTING = 100
@@ -361,36 +342,43 @@ MAX_NESTING = 100
 def parse_mechanism(spec: str, m: int, n: int) -> Mechanism:
     """Parse the CLI mini-language for profiles with m candidates and n
     voters: ``jstar`` and ``sym:`` are built once, for that shape, and
-    refuse any other.  Errors name the offending token."""
-    return _parse(spec, m, n, 0)
+    refuse any other; a ``sym:`` of a ``sym:``, or of a mixture of them,
+    is not averaged again.  Errors name the offending token."""
+    return _parse(spec, m, n, 0)[0]
 
 
-def _parse(spec: str, m: int, n: int, depth: int) -> Mechanism:
-    # Each parenthesis, mixture component and "sym:" is one level; the cap
-    # turns a spec nested past the interpreter's recursion limit into an error.
+def _parse(spec: str, m: int, n: int, depth: int) -> tuple[Mechanism, bool]:
+    # Returns the mechanism and whether it is relabel-invariant.  Each
+    # parenthesis, mixture component and "sym:" is one level; the cap turns a
+    # spec nested past the interpreter's recursion limit into an error.
     if depth > MAX_NESTING:
         raise MechanismSpecError(f"mechanism spec nests deeper than {MAX_NESTING} levels")
     spec = spec.strip()
-    if _is_parenthesized(spec):
+    if spec.startswith("(") and _outside(spec) == [0]:
         return _parse(spec[1:-1], m, n, depth + 1)
     if _SIMPLE.match(spec):
         if spec == "rv":
-            return range_voting()
+            return range_voting(), False
         if spec == "jstar":
-            return j_star(m)
+            return j_star(m), False
         head, arg = spec.split(":")
         try:
             value = int(arg)
         except ValueError as e:  # more digits than int() converts
             raise MechanismSpecError(f"number in {head}:<{len(arg)} digits> is too long") from e
-        if head == "j1":
-            return j1q(value)
-        if head == "j2":
-            return j2q(value)
-        return constant_winner(value)
+        return {"j1": j1q, "j2": j2q, "const": constant_winner}[head](value), False
     if spec.startswith("mix:"):
-        parts = []
-        for token in _split_mix_parts(spec[len("mix:"):]):
+        # A component ends at an outside '+' after its '*': weights hold "1e+0".
+        body, cuts, starred = spec[len("mix:"):], [-1], False
+        for i in _outside(body):
+            if body[i] == "*":
+                starred = True
+            elif body[i] == "+" and starred:
+                cuts.append(i)
+                starred = False
+        parts, invariant = [], True
+        for start, end in zip(cuts, cuts[1:] + [len(body)]):
+            token = body[start + 1:end]
             if "*" not in token:
                 raise MechanismSpecError(
                     f"mixture component {token!r} must look like <weight>*<spec>"
@@ -400,11 +388,13 @@ def _parse(spec: str, m: int, n: int, depth: int) -> Mechanism:
                 w = parse_rational(w_text)
             except (ValueError, ZeroDivisionError) as e:
                 raise MechanismSpecError(f"bad mixture weight {w_text!r}") from e
-            parts.append((w, _parse(sub, m, n, depth + 1)))
-        return mix(parts)
+            mech, part_invariant = _parse(sub, m, n, depth + 1)
+            parts.append((w, mech))
+            invariant &= part_invariant
+        return mix(parts), invariant
     if spec.startswith("sym:"):
-        inner = _parse(spec[len("sym:"):], m, n, depth + 1)
-        if inner.name.startswith("sym:"):  # already relabel-invariant: averaging again is a no-op
-            return replace(inner, name=f"sym:{inner.name}")
-        return symmetrize(inner, m, n)
+        inner, invariant = _parse(spec[len("sym:"):], m, n, depth + 1)
+        if invariant:  # averaging a relabel-invariant scheme again is a no-op
+            return replace(inner, name=f"sym:{inner.name}"), True
+        return symmetrize(inner, m, n), True
     raise MechanismSpecError(f"unrecognized mechanism token {spec!r}")

@@ -97,6 +97,25 @@ class TestEvalAndRatio:
         once = invoke(runner, "eval", "--mech", "sym:j1:1", "--profile", str(profile_path))
         assert report["distribution"] == json.loads(once.output)["distribution"]
 
+    def test_sym_of_a_mixture_of_sym_parts_evaluates_once(self, runner, tmp_path):
+        # The outer sym: averaged its relabel-invariant mixture again, so at
+        # m = 7 j1:1 was evaluated on 5040**2 profiles.
+        profile_path = tmp_path / "u.json"
+        invoke(runner, "gen", "cyclic", "--m", "7", "--star", "1", "--eps", "1/343",
+               "--out", str(profile_path))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-m", "cardvote.cli", "eval", "--mech", "sym:mix:1*sym:j1:1",
+             "--profile", str(profile_path)],
+            env=env, capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["mechanism"] == "sym:mix:1*sym:j1:1"
+        once = invoke(runner, "eval", "--mech", "sym:j1:1", "--profile", str(profile_path))
+        assert report["distribution"] == json.loads(once.output)["distribution"]
+
     def test_csv_profile_round_trip(self, runner, tmp_path):
         csv_path = tmp_path / "u.csv"
         invoke(runner, "gen", "grid", "--m", "3", "--n", "2", "--k", "6",

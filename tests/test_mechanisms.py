@@ -392,6 +392,9 @@ class TestSample:
         assert sample_stream(j1q(2), u, 1, 99)[0] == sample(j1q(2), u, 99)
 
 
+SIMPLE_SPECS = ["rv", "jstar", "j1:1", "j1:2", "j2:1", "j2:2", "const:1", "const:2"]
+
+
 class TestParser:
     @pytest.mark.parametrize("spec", ["rv", "j1:1", "j1:3", "j2:2", "jstar", "const:2"])
     def test_simple_specs(self, spec):
@@ -469,3 +472,19 @@ class TestParser:
         with pytest.raises(PreconditionError, match="fixed at m=3; got m=4"):
             jstar.evaluate(profile((1, "1/2", 0, 0)))
         assert len(built) == 2
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 4), st.integers(1, 2), st.integers(1, 3), st.integers(0, 2**32),
+           st.fractions(0, 1, max_denominator=4), st.sampled_from(SIMPLE_SPECS),
+           st.sampled_from(SIMPLE_SPECS))
+    def test_sym_of_a_mixture_of_sym_parts_is_not_averaged_again(self, m, n, k, seed, w, a, b):
+        # The outer sym: of a relabel-invariant mixture changes nothing, so
+        # the parse skips the m!**2 evaluations of averaging it again.
+        u = rand_grid_profile(m, n, k, seed, tie_free=False)
+        mech = parse_mechanism(f"sym:mix:{w}*sym:{a}+{1 - w}*sym:{b}", m, n)
+        parts = [(w, symmetrize(parse_mechanism(a, m, n), m, n)),
+                 (1 - w, symmetrize(parse_mechanism(b, m, n), m, n))]
+        assert mech.evaluate(u) == symmetrize(mix(parts), m, n).evaluate(u)
+        again = parse_mechanism(mech.name, m, n)
+        assert again.name == mech.name
+        assert again.evaluate(u) == mech.evaluate(u)

@@ -12,7 +12,8 @@ functionals read the integer form, so this guard failed there).  Only the
 ``cli`` renders reports: ``properties`` reads neither the ``.probs`` nor the
 ``.values`` view and calls no ``str`` (it did both while its reports
 rendered their own JSON).  The package keeps no memoizing cache, the
-grid scans have one budget gate, and a grid family's shape has one check.
+grid scans have one budget gate, a grid family's shape has one check, and
+no scheme is judged by its name.
 Cached views use the one lock-free ``core.cached_view``, never
 ``functools.cached_property`` (which ``core`` and ``bounds`` used before).
 Every definition is reached from the package, its public names or the
@@ -197,6 +198,22 @@ def test_properties_render_nothing():
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
               and node.func.id == "str"):
             found.append(f"{node.lineno} str")
+    assert found == []
+
+
+def test_no_scheme_is_judged_by_its_name():
+    """No module calls ``.startswith`` on a ``.name`` attribute: whether a
+    scheme is relabel-invariant is a fact of the spec's parse, not of its
+    name, which misses a mixture of ``sym:`` parts.  This failed while the
+    parser kept a ``sym:`` only when ``inner.name.startswith("sym:")``."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "startswith" and isinstance(node.func.value, ast.Attribute)
+        and node.func.value.attr == "name"
+    ]
     assert found == []
 
 
