@@ -33,12 +33,13 @@ from .core import (
     ratio as ratio_of,
 )
 from .errors import (
+    BudgetError,
     DegenerateProjectionError,
     GridError,
     PreconditionError,
     UndefinedRatioError,
 )
-from .generators import gen_Dk, gen_negative, DkParams, two_block_preference
+from .generators import gen_Dk, DkParams, negative_layout, two_block_preference
 from .mechanisms import integer_cbrt, j2q_quota_range, j_star
 
 
@@ -454,7 +455,8 @@ class NegativeRow:
 
 def all_q_ratios(profile: Profile) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
     """Exact welfare ratios of every top-q lottery (q = 1..m) and every
-    in-range pairwise-quota scheme on one profile.
+    in-range pairwise-quota scheme on any one profile: the general sweep,
+    and the reference that :func:`negative_ratios` is tested against.
 
     Both families are one integer sweep over the ``core`` ballot tables and
     the welfare numerators W of :attr:`Profile.totals`.  The
@@ -498,13 +500,111 @@ def all_q_ratios(profile: Profile) -> tuple[dict[int, Fraction], dict[int, Fract
     return j1, dict(reversed(swept))
 
 
+def negative_ratios(m: int, repeat: int = 1) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
+    """``all_q_ratios(gen_negative(m, repeat))`` in O(m) integer steps plus
+    one dict entry per quota, read from the block layout without building
+    the profile.
+
+    Welfare is in units of 1/m^4 and per copy of the base profile: ``repeat``
+    scales every welfare, count and numerator alike, so only the quota range
+    sees it.  Index voter i gives itself den = m^4, each c < i the step
+    m-1-c, each c > i the step m-c and candidate m nothing; a block voter
+    gives c <= lo the step c-1, its block den, den-1, ..., each c > lo+s the
+    step c-s-1 and candidate m den-m^2.  Summed, a blocked candidate c gets
+    (g-2)(c-1) + den from the block voters and an unblocked one g(c-1) - L,
+    with L = min(k*g, m-1) the last blocked candidate.
+
+    Index voter i ranks i, then 1..i-1, then i+1..m.  A block voter ranks its
+    block, then m, then the rest by descending index, so with PW the prefix
+    sums of the welfares W its top-q sum is PW[lo+q] - PW[lo] up to its block
+    size s, then its block plus PW[m] - PW[m+s-q] while q <= m-lo, then
+    PW[m] - PW[m-q].  The middle and last phases are summed over blocks by
+    difference arrays over q, the middle one per block size (two at most).
+
+    For a < b < m, beats[a][b] = m-2 + [a is blocked] and beats[a][m] = m-1 +
+    [a is blocked], times ``repeat``; so the quota sweep has at most three
+    nonzero gains, each a prefix-sum expression, placed as ``all_q_ratios``
+    places them.  Between those quotas the ratio is unchanged, so each
+    distinct value is built as one ``Fraction``.
+    """
+    _, den, blocks = negative_layout(m, repeat)
+    g, last = len(blocks), blocks[-1][-1]
+    w = [0] * (m + 1)  # w[c] is candidate c's welfare; w[0] starts the prefix sums
+    for c in range(1, m):
+        block_part = (g - 2) * (c - 1) + den if c <= last else g * (c - 1) - last
+        w[c] = den + (m - 1 - c) ** 2 + (c - 1) * (m - c) + block_part
+    w[m] = g * (den - m * m)
+    pw = list(itertools.accumulate(w))
+    top = max(w)
+
+    head = [0] * (m + 2)
+    block_sums = [0] * (m + 2)
+    middle = {s: [0] * (m + 2) for s in set(map(len, blocks))}
+    tail = [0] * (m + 2)
+    for block in blocks:
+        lo, s = block.start - 1, len(block)
+        for q in range(1, s + 1):
+            head[q] += pw[lo + q] - pw[lo]
+        cut, block_sum = m - lo + 1, pw[lo + s] - pw[lo]  # cut: the last phase's first q
+        block_sums[s + 1] += block_sum
+        block_sums[cut] -= block_sum
+        middle[s][s + 1] += 1
+        middle[s][cut] -= 1
+        tail[cut] += 1
+    block_sums, tail = list(itertools.accumulate(block_sums)), list(itertools.accumulate(tail))
+    middle = {s: list(itertools.accumulate(diff)) for s, diff in middle.items()}
+    base = m - 1 + g
+    j1 = {}
+    for q in range(1, m + 1):
+        acc = (pw[m - 1] + (m - q - 1) * pw[q - 1] + (q - 1) * pw[q]  # index voters
+               + head[q] + block_sums[q] + tail[q] * (pw[m] - pw[m - q]))
+        for s, count in middle.items():
+            if count[q]:
+                acc += count[q] * (pw[m] - pw[m + s - q])
+        j1[q] = Fraction(acc, base * q * top)
+
+    n = base * repeat
+    quotas = j2q_quota_range(n)
+    lowest = quotas.start
+    # over_later[a-1] sums w[a] - w[b] over a < b < m; a blocked a beats each
+    # such b, and m, by one vote more than an unblocked one.
+    over_later = [(m - 1 - a) * w[a] - (pw[m - 1] - pw[a]) for a in range(1, m)]
+    blocked_over_m = pw[last] - last * w[m]
+    free_over_m = pw[m - 1] - pw[last] - (m - 1 - last) * w[m]
+    gain: dict[int, int] = {}
+    for votes, total in ((m - 2, sum(over_later[last:])),
+                         (m - 1, sum(over_later[:last]) + free_over_m),
+                         (m, blocked_over_m)):
+        votes *= repeat
+        if votes >= lowest:
+            gain[votes] = gain.get(votes, 0) + total
+        elif n - votes >= lowest:
+            gain[n - votes] = gain.get(n - votes, 0) - total
+    halves = m * (m - 1) * top
+    numer = (m - 1) * pw[m] + sum(gain.values())
+    j2: dict[int, Fraction] = {}
+    for q in [*sorted(gain), quotas.stop - 1]:  # j2 holds lowest..lowest+len(j2)-1
+        j2.update(dict.fromkeys(range(lowest + len(j2), q + 1), Fraction(numer, halves)))
+        numer -= gain.get(q, 0)
+    return j1, j2
+
+
+# Work bound of ``upper_bound_experiment``: each m costs O(m) integer steps and
+# one row per top-q scheme and per quota, at most (1 + repeat) * m rows.
+NEGATIVE_BUDGET = 200_000
+
+
 def upper_bound_experiment(ms: Sequence[int], repeat: int = 1) -> list[NegativeRow]:
     """Evaluate every top-q lottery and every in-range pairwise-quota scheme
-    on the adversarial profile for each m."""
+    on the adversarial profile for each m, by :func:`negative_ratios`: in
+    closed form, without building a profile.  ``repeat * sum(|m|)`` must fit
+    ``NEGATIVE_BUDGET``, checked before anything is computed."""
+    work = repeat * sum(map(abs, ms))
+    if work > NEGATIVE_BUDGET:
+        raise BudgetError(work, NEGATIVE_BUDGET, "adversarial sweep")
     rows: list[NegativeRow] = []
     for m in ms:
-        profile = gen_negative(m, repeat)
-        j1, j2 = all_q_ratios(profile)
+        j1, j2 = negative_ratios(m, repeat)
         rows.extend(NegativeRow(m, "j1", q, r) for q, r in j1.items())
         rows.extend(NegativeRow(m, "j2", q, r) for q, r in j2.items())
     return rows

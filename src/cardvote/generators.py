@@ -19,16 +19,33 @@ from .errors import PreconditionError
 from .mechanisms import integer_cbrt
 
 
-def _nearly_equal_blocks(last: int, parts: int) -> list[list[int]]:
+def _nearly_equal_blocks(last: int, parts: int) -> list[range]:
     """Partition {1..last} into ``parts`` contiguous blocks whose sizes differ
     by at most one."""
     base, extra = divmod(last, parts)
     blocks, start = [], 1
     for i in range(parts):
         size = base + (1 if i < extra else 0)
-        blocks.append(list(range(start, start + size)))
+        blocks.append(range(start, start + size))
         start += size
     return blocks
+
+
+def negative_layout(m: int, repeat: int = 1) -> tuple[int, int, list[range]]:
+    """The checks and block layout of :func:`gen_negative`, shared with the
+    closed form ``bounds.negative_ratios`` so the two cannot drift:
+    ``(k, den, blocks)`` with k = floor(m^(1/3)), den = m^4 and the g =
+    floor(m^(2/3)) nearly-equal blocks of {1, ..., min(k*g, m-1)}."""
+    if m < 8:
+        raise PreconditionError(f"construction needs m >= 8, got {m}")
+    if repeat < 1:
+        raise PreconditionError(f"repeat must be >= 1, got {repeat}")
+    k, g = integer_cbrt(m), integer_cbrt(m * m)
+    if k * g > m:
+        raise RuntimeError(f"block layout overflows: {k} * {g} > m = {m}")
+    if (m - 1 + g) * repeat > sys.maxsize:
+        raise PreconditionError(f"repeat={repeat} gives more voters than a tuple can index")
+    return k, m ** 4, _nearly_equal_blocks(min(k * g, m - 1), g)
 
 
 def gen_negative(m: int, repeat: int = 1) -> Profile:
@@ -47,16 +64,7 @@ def gen_negative(m: int, repeat: int = 1) -> Profile:
     1/m^2 cap, so that no filler mass can push a non-special candidate's
     welfare past 2 + 1/m.
     """
-    if m < 8:
-        raise PreconditionError(f"construction needs m >= 8, got {m}")
-    if repeat < 1:
-        raise PreconditionError(f"repeat must be >= 1, got {repeat}")
-    k, g, den = integer_cbrt(m), integer_cbrt(m * m), m ** 4
-    if k * g > m:
-        raise RuntimeError(f"block layout overflows: {k} * {g} > m = {m}")
-    if (m - 1 + g) * repeat > sys.maxsize:
-        raise PreconditionError(f"repeat={repeat} gives more voters than a tuple can index")
-    blocks = _nearly_equal_blocks(min(k * g, m - 1), g)
+    k, den, blocks = negative_layout(m, repeat)
     # Utilities as steps of 1/den.  A voter is its top steps with slices of one
     # ladder around them (descending for voter i, ascending for a block
     # voter's non-favorites), so the profile holds each distinct step int once.

@@ -71,12 +71,18 @@ class Mechanism:
     every permutation of the voters gets the same distribution; the
     truthfulness scan then walks one profile per permutation orbit.  A
     hand-built mechanism defaults to ``False`` and is scanned in full.
+    ``cost`` is the number of steps one evaluation takes, in units of one
+    plain evaluation, so a scan's budget gate can price schemes that evaluate
+    others many times: a mixture sums the costs of its nonzero-weight parts,
+    and a ``sym:`` average multiplies its relabeling count by its inner
+    scheme's cost.
     """
 
     name: str
     evaluate: Callable[[Profile], CandidateDistribution]
     q: int | None = field(default=None, compare=False)
     anonymous: bool = field(default=False, compare=False)
+    cost: int = field(default=1, compare=False)
 
 
 def range_voting() -> Mechanism:
@@ -204,7 +210,8 @@ def mix(parts: Sequence[tuple]) -> Mechanism:
     name = "+".join(f"{w}*({mech.name})" if "+" in mech.name else f"{w}*{mech.name}"
                     for w, mech in weighted)
     return Mechanism("mix:" + name, evaluate,
-                     anonymous=all(mech.anonymous for _, mech in weighted))
+                     anonymous=all(mech.anonymous for _, mech in weighted),
+                     cost=sum(mech.cost for w, mech in weighted if w))
 
 
 def j_star(m: int) -> Mechanism:
@@ -269,7 +276,7 @@ def symmetrize(mech: Mechanism, m: int, n: int) -> Mechanism:
         return _weighted_sum(m, ((weight, d.den, [num for _, num in sorted(zip(tau, d.nums))])
                                  for tau, d in relabeled(profile)))
 
-    return Mechanism(f"sym:{mech.name}", evaluate, anonymous=True)
+    return Mechanism(f"sym:{mech.name}", evaluate, anonymous=True, cost=total * mech.cost)
 
 
 def sample(mech: Mechanism, profile: Profile, seed: int) -> int:

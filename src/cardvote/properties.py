@@ -219,8 +219,9 @@ class _GridScan:
     profiles encoded as preference-index tuples.  The constructor checks the
     budget once, before it builds the grid or any count past it: P**n keys
     for P grid preferences (with ``orbits``, C(P+n-1, n) sorted keys, one per
-    voter-permutation orbit), each costing ``work(P)`` steps, must fit
-    ``budget``, else ``BudgetError`` names ``what``.
+    voter-permutation orbit), each costing ``work(P)`` evaluations of
+    ``mech.cost`` steps, must fit ``budget``, else ``BudgetError`` names
+    ``what``.
 
     A count past 2**65536 prints as "at least 2**X", so a lower bound past it
     and above the budget refuses first.  Before P is counted: every walk
@@ -247,7 +248,7 @@ class _GridScan:
         b = pref_count.bit_length() - 1
         refuse_past(max(min(n, pref_count - 1), n * (b - n.bit_length())) if orbits else n * b)
         walk = math.comb(pref_count + n - 1, n) if orbits else pref_count ** n
-        steps = walk * work(pref_count)
+        steps = walk * work(pref_count) * mech.cost
         if steps > budget:
             raise BudgetError(steps, budget, what)
         self.mech, self.orbits = mech, orbits

@@ -1,11 +1,14 @@
 """Classification, benchmark functionals, reductions, and the bound formula."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
 
+from cardvote import bounds, generators
 from cardvote.bounds import (
+    NEGATIVE_BUDGET,
     _g,
     _jstar_dist,
     all_q_ratios,
@@ -14,11 +17,13 @@ from cardvote.bounds import (
     lower_bound_experiment,
     lower_bound_formula,
     min_ratio_search,
+    negative_ratios,
     project_to_Dk,
     project_to_Dk_trace,
     reduce_to_Ck,
     reduce_to_Ck_trace,
     rounded,
+    upper_bound_experiment,
 )
 from cardvote.core import (
     Preference,
@@ -29,13 +34,14 @@ from cardvote.core import (
     welfare_vector,
 )
 from cardvote.errors import (
+    BudgetError,
     DegenerateProjectionError,
     GridError,
     PreconditionError,
     UndefinedRatioError,
 )
 from cardvote.generators import gen_negative, rand_grid_profile, two_block_preference
-from cardvote.mechanisms import j1q, j2q, j2q_quota_range, j_star, range_voting
+from cardvote.mechanisms import integer_cbrt, j1q, j2q, j2q_quota_range, j_star, range_voting
 from cardvote.properties import enumerate_Rk_prefs
 
 F = Fraction
@@ -349,3 +355,76 @@ class TestAllQRatios:
             assert j1[q] == ratio(j1q(q), u)
         for q in j2q_quota_range(u.n):
             assert j2[q] == ratio(j2q(q), u)
+
+
+def _listed(ratios):
+    """Both families as item lists, so key order is compared too."""
+    return [list(family.items()) for family in ratios]
+
+
+class TestNegativeRatios:
+    # The closed form against the sweep over the built profile, key order
+    # included, since report rows follow it.
+    MS = [*range(8, 131), 216, 343, 512]
+
+    @pytest.mark.parametrize("repeat, ms", [
+        (1, MS),
+        (2, MS[::2]),
+        (3, MS[1::3]),
+    ])
+    def test_matches_the_sweep_over_the_profile(self, repeat, ms):
+        for m in ms:
+            expected = all_q_ratios(gen_negative(m, repeat))
+            assert _listed(negative_ratios(m, repeat)) == _listed(expected), m
+
+    def test_m_of_a_hundred_thousand_stays_under_the_cap(self):
+        # Every ratio at m = 10**5 is at most 6 * m^(-2/3), compared exactly
+        # as r^3 * m^2 <= 216; building the profile there would take minutes.
+        m = 10**5
+        start = time.perf_counter()
+        rows = upper_bound_experiment([m])
+        assert time.perf_counter() - start < 5
+        assert len(rows) == m + len(j2q_quota_range(m - 1 + integer_cbrt(m * m)))
+        assert max(row.ratio for row in rows) ** 3 * m**2 <= 216
+
+    @pytest.mark.parametrize("m, repeat", [(7, 1), (-3, 1), (8, 0), (27, -2), (8, 10**20)])
+    def test_refuses_what_gen_negative_refuses(self, m, repeat):
+        with pytest.raises(PreconditionError) as built:
+            gen_negative(m, repeat)
+        with pytest.raises(PreconditionError) as closed:
+            negative_ratios(m, repeat)
+        assert str(closed.value) == str(built.value)
+
+    def test_experiment_builds_no_profile(self, monkeypatch):
+        expected = [(m, scheme, q, r)
+                    for m in (8, 27, 64)
+                    for scheme, family in zip(("j1", "j2"), all_q_ratios(gen_negative(m, 2)))
+                    for q, r in family.items()]
+
+        def refuse(*args):
+            raise AssertionError("the experiment built or swept a profile")
+
+        monkeypatch.setattr(generators, "gen_negative", refuse)
+        monkeypatch.setattr(bounds, "all_q_ratios", refuse)
+        rows = upper_bound_experiment([8, 27, 64], 2)
+        assert [(r.m, r.scheme, r.q, r.ratio) for r in rows] == expected
+
+    @pytest.mark.parametrize("ms, repeat", [
+        ([NEGATIVE_BUDGET + 1], 1),
+        ([8, NEGATIVE_BUDGET - 7], 1),
+        ([NEGATIVE_BUDGET // 2 + 1], 2),
+        ([8], 10**20),
+    ])
+    def test_work_past_the_budget_is_refused_first(self, ms, repeat):
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match=f"budget is {NEGATIVE_BUDGET}"):
+            upper_bound_experiment(ms, repeat)
+        assert time.perf_counter() - start < 0.1
+
+    def test_work_at_the_budget_runs(self, monkeypatch):
+        monkeypatch.setattr(bounds, "NEGATIVE_BUDGET", 35)
+        assert {row.m for row in upper_bound_experiment([8, 27])} == {8, 27}
+        with pytest.raises(BudgetError, match="needs 36 steps, budget is 35"):
+            upper_bound_experiment([8, 28])
+        with pytest.raises(BudgetError, match="needs 70 steps, budget is 35"):
+            upper_bound_experiment([8, 27], 2)

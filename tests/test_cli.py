@@ -299,6 +299,17 @@ class TestVerify:
                                       "--budget", "10"])
         assert result.exit_code == 1
 
+    def test_sym_is_priced_by_its_relabelings(self, runner):
+        # 254 preferences at (8, 1, 1), each evaluation averaging 8! relabelings:
+        # priced as one evaluation, this scan passed the gate and ran for minutes.
+        start = time.perf_counter()
+        result = runner.invoke(main, ["verify", "truthful", "--mech", "sym:rv",
+                                      "--m", "8", "--n", "1", "--k", "1"])
+        assert time.perf_counter() - start < 0.1
+        assert result.exit_code == 1
+        assert result.output == (f"Error: truthfulness scan needs {254 * 254 * 40320} steps, "
+                                 "budget is 10000000\n")
+
     @pytest.mark.parametrize("args", [
         ["--mech", "sym:rv", "--m", "-1", "--n", "2"],
         ["--mech", "sym:rv", "--m", "3", "--n", "0"],
@@ -324,6 +335,15 @@ class TestExperiments:
         assert "m,scheme,q,ratio" in text.splitlines()[1]
         fit = invoke(runner, "fit", "--data", str(csv_path), "--aggregate", "max")
         assert fit.exit_code == 1  # only two m values: honest failure
+
+    def test_negative_work_past_the_budget_is_refused(self, runner):
+        start = time.perf_counter()
+        result = runner.invoke(main, ["experiment", "negative",
+                                      "--m", f"27,{bounds.NEGATIVE_BUDGET - 26}"])
+        assert time.perf_counter() - start < 0.1
+        assert result.exit_code == 1
+        assert result.output == (f"Error: adversarial sweep needs {bounds.NEGATIVE_BUDGET + 1} "
+                                 f"steps, budget is {bounds.NEGATIVE_BUDGET}\n")
 
     def test_fit_on_exact_power_law(self, runner, tmp_path):
         data = tmp_path / "points.csv"

@@ -1,5 +1,6 @@
 """Mechanism evaluators, combinators, and the spec mini-language."""
 
+import dataclasses
 import itertools
 import time
 from fractions import Fraction
@@ -351,6 +352,19 @@ class TestSymmetrize:
         assert tied.prefs[0].order == strict.prefs[0].order == (1, 2, 3)
         assert sym.evaluate(tied).probs == (F(1, 2), F(1, 2), 0)
         assert sym.evaluate(strict).probs == (1, 0, 0)
+
+    def test_cost_counts_the_inner_evaluations(self):
+        # One evaluation of sym:X runs X once per relabeling; a mixture runs
+        # each part of nonzero weight once.
+        assert range_voting().cost == j1q(2).cost == 1
+        assert symmetrize(j1q(1), 4, 3).cost == 24
+        assert symmetrize(Mechanism("hand", range_voting().evaluate), 3, 2).cost == 12
+        assert parse_mechanism("sym:sym:rv", 4, 1).cost == 24
+        assert parse_mechanism("mix:1/2*sym:rv+1/2*j1:1", 3, 2).cost == 7
+        assert parse_mechanism("mix:1*sym:rv+0*j1:1", 3, 2).cost == 6
+        assert parse_mechanism("sym:mix:1/2*j2:2+1/2*(mix:1/2*rv+1/2*j1:1)", 3, 2).cost == 18
+        sym = symmetrize(j1q(1), 3, 2)
+        assert dataclasses.replace(sym, cost=1) == sym  # cost is not compared
 
     def test_profile_shape_enforced(self):
         sym = symmetrize(j1q(1), 2, 2)
