@@ -29,7 +29,6 @@ from .core import (
     Profile,
     cached_view,
     grid_steps,
-    pairwise_beats,
     ratio as ratio_of,
 )
 from .errors import (
@@ -458,8 +457,9 @@ def all_q_ratios(profile: Profile) -> tuple[dict[int, Fraction], dict[int, Fract
     in-range pairwise-quota scheme on any one profile: the general sweep,
     and the reference that :func:`negative_ratios` is tested against.
 
-    Both families are one integer sweep over the ``core`` ballot tables and
-    the welfare numerators W of :attr:`Profile.totals`.  The
+    Both families are one integer sweep over the tables of
+    :attr:`Profile.ballot`, which count each distinct order once times its
+    multiplicity, and the welfare numerators W of :attr:`Profile.totals`.  The
     top-q numerator grows by sum_c places[c][q-1] * W[c] from q-1 to q.  For an
     in-range quota at most one candidate of a pair reaches it, so a beats b
     exactly while q <= beats[a][b]; starting from every pair decided by a coin
@@ -474,7 +474,7 @@ def all_q_ratios(profile: Profile) -> tuple[dict[int, Fraction], dict[int, Fract
     top = max(weights)
     if top <= 0:
         raise UndefinedRatioError("maximal welfare is zero")
-    places, beats = profile.places, pairwise_beats(profile)
+    places, beats = profile.ballot.places, profile.ballot.beats
 
     j1 = {}
     acc = 0

@@ -22,6 +22,7 @@ import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from typing import Iterable, Sequence
 
 import click
 
@@ -139,13 +140,15 @@ def _profile_record(profile: core.Profile) -> str:
         profile.m, profile.n, _array(voters, "    "))
 
 
-def _csv_report(config: dict, rows: list[dict], out: str | None) -> None:
-    """A CSV table under a ``# config:`` line; its columns are the keys of
-    the first row, and every command writes at least one."""
+def _csv_report(config: dict, header: Sequence[str], rows: Iterable[Iterable],
+                out: str | None) -> None:
+    """A CSV table under a ``# config:`` line: the header, then one line per
+    row of values in the header's order.  A table built as dicts passes its
+    first row's keys (every command writes at least one row)."""
     buf = io.StringIO()
     buf.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\n")
-    writer.writeheader()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
     writer.writerows(rows)
     _emit(buf.getvalue(), out)
 
@@ -402,21 +405,28 @@ def experiment_negative(ms_text: str, repeat: int, out: str | None):
     """Ratios of every top-q and pairwise-quota scheme on adversarial profiles."""
     ms = _int_list(ms_text)
     rows = bounds.upper_bound_experiment(ms, repeat)
-    out_rows = []
-    for row in rows:
-        reference = row.m ** (-2.0 / 3.0)
-        out_rows.append(
-            {
-                "m": row.m,
-                "scheme": row.scheme,
-                "q": row.q,
-                "ratio": str(row.ratio),
-                "ratio_decimal": _dec(row.ratio),
-                "m_pow_minus_2_3": format(reference, ".12g"),
-                "ratio_over_reference": format(float(row.ratio) / reference, ".12g"),
-            }
-        )
-    _csv_report({"subcommand": "experiment negative", "m": ms, "repeat": repeat}, out_rows, out)
+
+    def lines():
+        # Every distinct ratio of one m is rendered once: most quotas share
+        # a ratio, so its text and float conversions are reused.
+        m = None
+        for row in rows:
+            if row.m != m:
+                m, rendered = row.m, {}
+                reference = m ** (-2.0 / 3.0)
+                reference_text = format(reference, ".12g")
+            exact = row.ratio.numerator, row.ratio.denominator  # a Fraction's hash costs a pow
+            texts = rendered.get(exact)
+            if texts is None:
+                value = float(row.ratio)
+                texts = rendered[exact] = (str(row.ratio), format(value, ".12g"),
+                                           reference_text, format(value / reference, ".12g"))
+            yield (m, row.scheme, row.q, *texts)
+
+    header = ("m", "scheme", "q", "ratio", "ratio_decimal", "m_pow_minus_2_3",
+              "ratio_over_reference")
+    _csv_report({"subcommand": "experiment negative", "m": ms, "repeat": repeat},
+                header, lines(), out)
 
 
 @experiment.command("lower")
@@ -447,7 +457,7 @@ def experiment_lower(m, n, k, step, seeds, out):
     ]
     config = {"subcommand": "experiment lower", "m": m, "n": n, "k": k, "grid_step": step,
               "seeds": seed_list}
-    _csv_report(config, out_rows, out)
+    _csv_report(config, list(out_rows[0]), map(dict.values, out_rows), out)
 
 
 @experiment.command("cyclic")
@@ -483,7 +493,8 @@ def experiment_cyclic(ms_text: str, eps: str | None, out: str | None):
                     "all_orderings_equivalent": equivalent,
                 }
             )
-    _csv_report({"subcommand": "experiment cyclic", "m": ms_text, "eps": eps}, rows, out)
+    _csv_report({"subcommand": "experiment cyclic", "m": ms_text, "eps": eps},
+                list(rows[0]), map(dict.values, rows), out)
 
 
 def _grid_family(m: int, n: int, k: int, tie_free: bool, first: int):

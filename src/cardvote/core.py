@@ -21,29 +21,31 @@ rounding and :attr:`Profile.totals`, the one welfare form
 
 Each voter's strict order (value descending, ties to the lower index) is
 computed once and cached as :attr:`Preference.order`; every ordinal reader
-uses it, and the two integer ballot tables are built from it: the place
-table, cached per profile as :attr:`Profile.places`, and
-:func:`pairwise_beats`, which counts voters in chunks of at most 255 with
-one byte per pair.  Every path from `Fraction`s to integers goes through
-:func:`scaled`.
+uses it.  A profile's :class:`Ballot`, cached as :attr:`Profile.ballot`,
+holds each distinct order once with its multiplicity and owns the two
+integer ballot tables, the place table :attr:`Ballot.places` and the
+pairwise table :attr:`Ballot.beats`, each counted once per distinct order.
+Every path from `Fraction`s to integers goes through :func:`scaled`.
 
 All types are logically immutable after construction and all operations are
 pure, so concurrent evaluation needs no synchronization.  The cached views
 (:attr:`Preference.values` and :attr:`~Preference.order`,
-:attr:`Profile.places` and :attr:`~Profile.totals`,
-:attr:`CandidateDistribution.probs`) are :class:`cached_view` descriptors:
-each is computed on first read and stored in the instance ``__dict__``, with
-no lock, and enters neither ``==`` nor ``hash``.  A view is a pure function
-of the stored integers, so two threads that race on a first read store equal
-values.
+:attr:`Profile.ballot` and :attr:`~Profile.totals`, :attr:`Ballot.places`
+and :attr:`~Ballot.beats`, :attr:`CandidateDistribution.probs`) are
+:class:`cached_view` descriptors: each is computed on first read and stored
+in the instance ``__dict__``, with no lock, and enters neither ``==`` nor
+``hash``.  A view is a pure function of the stored integers, so two threads
+that race on a first read store equal values.
 """
 
 from __future__ import annotations
 
+import collections
 import csv
 import io
 import math
 import operator
+import struct
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -227,6 +229,73 @@ class Preference:
 
 
 @dataclass(frozen=True)
+class Ballot:
+    """The voters' tie-broken strict orders as a multiset: each distinct
+    :attr:`Preference.order` once, ascending, beside its number of voters.
+    It holds no voter order and no utility, so whatever is read from it is
+    the same on every profile with these orders; :attr:`Profile.ballot`
+    builds it.
+
+    Its two integer tables count each distinct order once, times its
+    multiplicity: the place table :attr:`places` and the pairwise table
+    :attr:`beats`.  Callers must not mutate them."""
+
+    orders: tuple[tuple[int, ...], ...]
+    counts: tuple[int, ...]
+
+    @property
+    def m(self) -> int:
+        return len(self.orders[0])
+
+    @property
+    def n(self) -> int:
+        return sum(self.counts)
+
+    @cached_view
+    def places(self) -> list[list[int]]:
+        """places[c][p]: number of voters whose order puts candidate c+1 at
+        place p+1."""
+        m = self.m
+        places = [[0] * m for _ in range(m)]
+        for order, count in zip(self.orders, self.counts):
+            for place, cand in enumerate(order):
+                places[cand - 1][place] += count
+        return places
+
+    @cached_view
+    def beats(self) -> list[list[int]]:
+        """beats[a][b]: number of voters whose order puts candidate a+1 above
+        b+1, so a value tie counts for the lower index.
+
+        Each candidate's row is one packed int whose field b holds
+        beats[a][b], each field the narrowest native unsigned width (1, 2, 4
+        or 8 bytes) that holds n.  Walking an order from last to first, the
+        mask of candidates already passed, each field holding the order's
+        multiplicity, is exactly what the current candidate adds to its row,
+        so each distinct order costs m big-int additions.  Each row is
+        unpacked by one ``to_bytes`` in native byte order and one
+        ``memoryview`` cast.
+        """
+        m, n = self.m, self.n
+        code = next(code for code in "BHIQ" if n >> 8 * struct.calcsize(code) == 0)
+        width = 8 * struct.calcsize(code)
+        bits = [0] + [1 << (width * c) for c in range(m)]
+        masks: dict[int, list[int]] = {}  # multiplicity -> bits times it
+        rows = [0] * (m + 1)
+        for order, count in zip(self.orders, self.counts):
+            step = masks.get(count)
+            if step is None:
+                step = masks[count] = [bit * count for bit in bits]
+            below = 0
+            for cand in reversed(order):
+                rows[cand] += below
+                below |= step[cand]
+        size = m * width // 8
+        return [memoryview(packed.to_bytes(size, sys.byteorder)).cast(code).tolist()
+                for packed in rows[1:]]
+
+
+@dataclass(frozen=True)
 class Profile:
     """An ordered tuple of preferences sharing the same candidate count."""
 
@@ -249,16 +318,12 @@ class Profile:
         return self.prefs[0].m
 
     @cached_view
-    def places(self) -> list[list[int]]:
-        """places[c][p]: number of voters whose order puts candidate c+1 at
-        place p+1.  Built once per profile, so every evaluator reading one
-        profile shares it; callers must not mutate it."""
-        m = self.m
-        places = [[0] * m for _ in range(m)]
-        for pref in self.prefs:
-            for place, cand in enumerate(pref.order):
-                places[cand - 1][place] += 1
-        return places
+    def ballot(self) -> Ballot:
+        """The voters' tie-broken strict orders as one :class:`Ballot`,
+        built once per profile."""
+        counts = collections.Counter(p.order for p in self.prefs)
+        orders = sorted(counts)
+        return Ballot(tuple(orders), tuple(map(counts.__getitem__, orders)))
 
     @cached_view
     def totals(self) -> tuple[int, tuple[int, ...]]:
@@ -375,41 +440,6 @@ def top_q_set(pref: Preference, q: int) -> tuple[int, ...]:
 def descending_order(pref: Preference) -> tuple[int, ...]:
     """All candidates under :attr:`Preference.order`."""
     return pref.order
-
-
-# Voters per pairwise_beats chunk: the largest count one byte holds.
-_BEATS_CHUNK = 255
-
-
-def pairwise_beats(profile: Profile) -> list[list[int]]:
-    """beats[a][b]: number of voters whose order puts candidate a+1 above
-    b+1, so a value tie counts for the lower index.
-
-    The voters are counted in chunks of at most 255, so every count fits one
-    byte.  Within a chunk each candidate's row is one packed int whose byte b
-    (little-endian) holds the chunk's beats[a][b]: walking a voter's order
-    from last to first, the mask of candidates already passed is exactly the
-    set the current candidate beats, so each voter costs m big-int
-    additions.  Each row is unpacked by one ``to_bytes``; the first chunk's
-    bytes become the table and every later chunk is added to it in place.
-    """
-    m, prefs = profile.m, profile.prefs
-    bits = [0] + [1 << (8 * c) for c in range(m)]
-
-    def chunk_rows(start: int):
-        rows = [0] * (m + 1)
-        for pref in prefs[start:start + _BEATS_CHUNK]:
-            below = 0
-            for cand in reversed(pref.order):
-                rows[cand] += below
-                below |= bits[cand]
-        return (packed.to_bytes(m, "little") for packed in rows[1:])
-
-    beats = [list(data) for data in chunk_rows(0)]
-    for start in range(_BEATS_CHUNK, len(prefs), _BEATS_CHUNK):
-        for row, data in zip(beats, chunk_rows(start)):
-            row[:] = map(operator.add, row, data)
-    return beats
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,16 @@ evaluation is deterministic and side-effect free, so mechanisms can be
 shared freely across threads.  Randomness only enters through
 :func:`sample`, behind an explicit seed.
 
-The top-q and pairwise-quota schemes count from the integer ballot tables of
-``core`` through :func:`top_q_counts` and :func:`pair_units`; the stacked
-lottery :func:`j_star` is one integer formula over the profile's place table,
-and ``bounds.all_q_ratios`` sweeps the same tables over every quota at once.
+The top-q lotteries, the pairwise-quota schemes, the stacked lottery
+:func:`j_star`, the constant schemes and every mixture of them are ballot
+schemes: each reads only :attr:`core.Profile.ballot`, the voters' tie-broken
+strict orders with their multiplicities, through a ballot evaluator that
+counts from its two integer tables (:func:`top_q_counts` and
+:func:`pair_units`, or one integer formula over the place table for
+:func:`j_star`).  ``bounds.all_q_ratios`` sweeps the same tables over every
+quota at once.  Range voting reads utilities and a ``sym:`` average
+relabels them (a tied voter's tie-broken order does not follow the
+relabeling), so both stay profile schemes, as does a hand-built scheme.
 """
 
 from __future__ import annotations
@@ -27,11 +33,11 @@ from typing import Callable, Iterable, Sequence
 from .core import (
     ZERO,
     ONE,
+    Ballot,
     CandidateDistribution,
     Preference,
     Profile,
     exact,
-    pairwise_beats,
     parse_rational,
     rv_winner,
 )
@@ -75,7 +81,11 @@ class Mechanism:
     plain evaluation, so a scan's budget gate can price schemes that evaluate
     others many times: a mixture sums the costs of its nonzero-weight parts,
     and a ``sym:`` average multiplies its relabeling count by its inner
-    scheme's cost.
+    scheme's cost.  ``evaluate_ballot`` is set only through
+    :func:`_ballot_scheme`, for a scheme that reads the voters' tie-broken
+    strict orders and nothing else: its ``evaluate`` applies
+    ``evaluate_ballot`` to :attr:`core.Profile.ballot`, and a grid scan
+    evaluates it once per ballot.
     """
 
     name: str
@@ -83,6 +93,19 @@ class Mechanism:
     q: int | None = field(default=None, compare=False)
     anonymous: bool = field(default=False, compare=False)
     cost: int = field(default=1, compare=False)
+    evaluate_ballot: Callable[[Ballot], CandidateDistribution] | None = field(
+        default=None, compare=False)
+
+
+def _ballot_scheme(name: str, evaluate_ballot: Callable[[Ballot], CandidateDistribution],
+                   **fields) -> Mechanism:
+    """The scheme that reads a profile only through its ballot.  A ballot
+    holds no voter order, so the scheme is anonymous by construction."""
+
+    def evaluate(profile: Profile) -> CandidateDistribution:
+        return evaluate_ballot(profile.ballot)
+
+    return Mechanism(name, evaluate, anonymous=True, evaluate_ballot=evaluate_ballot, **fields)
 
 
 def range_voting() -> Mechanism:
@@ -97,23 +120,23 @@ def range_voting() -> Mechanism:
 def constant_winner(j: int) -> Mechanism:
     """Always elects candidate j, ignoring the profile."""
 
-    def evaluate(profile: Profile) -> CandidateDistribution:
-        if not 1 <= j <= profile.m:
-            raise OutOfRangeError(f"candidate {j} out of range 1..{profile.m}")
-        return CandidateDistribution.point(j, profile.m)
+    def evaluate_ballot(ballot: Ballot) -> CandidateDistribution:
+        if not 1 <= j <= ballot.m:
+            raise OutOfRangeError(f"candidate {j} out of range 1..{ballot.m}")
+        return CandidateDistribution.point(j, ballot.m)
 
-    return Mechanism(f"const:{j}", evaluate, anonymous=True)
+    return _ballot_scheme(f"const:{j}", evaluate_ballot)
 
 
 def top_q_counts(places: Sequence[Sequence[int]], q: int) -> list[int]:
     """Per candidate, the number of voters ranking it among their q
-    favorites, from a :attr:`core.Profile.places` table."""
+    favorites, from a :attr:`core.Ballot.places` table."""
     return [sum(row[:q]) for row in places]
 
 
 def pair_units(beats: Sequence[Sequence[int]], n: int, q: int) -> list[int]:
     """Per candidate, half-pair units won under quota q from a
-    ``core.pairwise_beats`` table: 2 for a pair whose unique quota-reacher it
+    :attr:`core.Ballot.beats` table: 2 for a pair whose unique quota-reacher it
     is, 1 for each pair decided by a coin flip."""
     units = [0] * len(beats)
     for a, b in itertools.combinations(range(len(beats)), 2):
@@ -136,12 +159,12 @@ def j1q(q: int) -> Mechanism:
     if q < 1:
         raise PreconditionError(f"q must be >= 1, got {q}")
 
-    def evaluate(profile: Profile) -> CandidateDistribution:
-        if q > len(profile.places):
-            raise OutOfRangeError(f"q={q} exceeds candidate count {len(profile.places)}")
-        return CandidateDistribution.over(profile.n * q, top_q_counts(profile.places, q))
+    def evaluate_ballot(ballot: Ballot) -> CandidateDistribution:
+        if q > ballot.m:
+            raise OutOfRangeError(f"q={q} exceeds candidate count {ballot.m}")
+        return CandidateDistribution.over(ballot.n * q, top_q_counts(ballot.places, q))
 
-    return Mechanism(f"j1:{q}", evaluate, anonymous=True)
+    return _ballot_scheme(f"j1:{q}", evaluate_ballot)
 
 
 def j2q_quota_range(n: int) -> range:
@@ -162,14 +185,14 @@ def j2q(q: int) -> Mechanism:
     if q < 1:
         raise PreconditionError(f"q must be >= 1, got {q}")
 
-    def evaluate(profile: Profile) -> CandidateDistribution:
-        m = profile.m
+    def evaluate_ballot(ballot: Ballot) -> CandidateDistribution:
+        m = ballot.m
         if m < 2:
             raise OutOfRangeError("pairwise voting needs at least 2 candidates")
-        units = pair_units(pairwise_beats(profile), profile.n, q)
+        units = pair_units(ballot.beats, ballot.n, q)
         return CandidateDistribution.over(m * (m - 1), units)
 
-    return Mechanism(f"j2:{q}", evaluate, q=q, anonymous=True)
+    return _ballot_scheme(f"j2:{q}", evaluate_ballot, q=q)
 
 
 def _weighted_sum(m: int, terms: Iterable[tuple]) -> CandidateDistribution:
@@ -206,12 +229,18 @@ def mix(parts: Sequence[tuple]) -> Mechanism:
         dists = ((w, mech.evaluate(profile)) for w, mech in weighted if w)
         return _weighted_sum(profile.m, ((w, d.den, d.nums) for w, d in dists))
 
+    def evaluate_ballot(ballot: Ballot) -> CandidateDistribution:
+        dists = ((w, mech.evaluate_ballot(ballot)) for w, mech in weighted if w)
+        return _weighted_sum(ballot.m, ((w, d.den, d.nums) for w, d in dists))
+
     # Only a mixture's name holds "+": parenthesized, a nested one parses back.
-    name = "+".join(f"{w}*({mech.name})" if "+" in mech.name else f"{w}*{mech.name}"
-                    for w, mech in weighted)
-    return Mechanism("mix:" + name, evaluate,
-                     anonymous=all(mech.anonymous for _, mech in weighted),
-                     cost=sum(mech.cost for w, mech in weighted if w))
+    name = "mix:" + "+".join(f"{w}*({mech.name})" if "+" in mech.name else f"{w}*{mech.name}"
+                             for w, mech in weighted)
+    cost = sum(mech.cost for w, mech in weighted if w)
+    if all(mech.evaluate_ballot for _, mech in weighted):
+        return _ballot_scheme(name, evaluate_ballot, cost=cost)
+    return Mechanism(name, evaluate, anonymous=all(mech.anonymous for _, mech in weighted),
+                     cost=cost)
 
 
 def j_star(m: int) -> Mechanism:
@@ -224,13 +253,13 @@ def j_star(m: int) -> Mechanism:
         raise PreconditionError("need at least 2 candidates")
     t = integer_cbrt(m)
 
-    def evaluate(profile: Profile) -> CandidateDistribution:
-        if len(profile.places) != m:  # one row per candidate
-            raise PreconditionError(f"stacked lottery fixed at m={m}; got m={profile.m}")
+    def evaluate_ballot(ballot: Ballot) -> CandidateDistribution:
+        if ballot.m != m:
+            raise PreconditionError(f"stacked lottery fixed at m={m}; got m={ballot.m}")
         return CandidateDistribution.over(
-            2 * profile.n * t, [t * row[0] + sum(row[:t]) for row in profile.places])
+            2 * ballot.n * t, [t * row[0] + sum(row[:t]) for row in ballot.places])
 
-    return Mechanism("jstar", evaluate, anonymous=True)
+    return _ballot_scheme("jstar", evaluate_ballot)
 
 
 SYMMETRIZE_BUDGET = 10_000_000

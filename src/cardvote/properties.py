@@ -35,6 +35,13 @@ pairs of an anonymous mechanism are closed under voter permutations, and a
 sorted key is lexicographically <= each of its permutations, so the first
 violating key of the full scan is sorted.  The search space still counts
 every profile, since the verdict covers them all.
+
+Every scan reads distributions through one cache.  A ballot scheme (one
+with ``evaluate_ballot``, see ``cardvote.mechanisms``) reads only the
+voters' tie-broken strict orders, so its cache is keyed by ballot: each scan
+still walks and compares every key it did, but evaluates the scheme once per
+multiset of those orders, at the first key read that has it.  Any other
+scheme's cache is keyed by profile.
 """
 
 from __future__ import annotations
@@ -216,12 +223,13 @@ class WitnessReport:
 class _GridScan:
     """The one budget gate of every grid scan, and its shared state: the
     search space, the preference list and a distribution cache keyed by
-    profiles encoded as preference-index tuples.  The constructor checks the
-    budget once, before it builds the grid or any count past it: P**n keys
-    for P grid preferences (with ``orbits``, C(P+n-1, n) sorted keys, one per
-    voter-permutation orbit), each costing ``work(P)`` evaluations of
-    ``mech.cost`` steps, must fit ``budget``, else ``BudgetError`` names
-    ``what``.
+    profiles encoded as preference-index tuples, or for a ballot scheme by
+    ballot: the sorted ids of the keyed preferences' strict orders.  The
+    constructor checks the budget once, before it builds the grid or any
+    count past it: P**n keys for P grid preferences (with ``orbits``,
+    C(P+n-1, n) sorted keys, one per voter-permutation orbit), each costing
+    ``work(P)`` evaluations of ``mech.cost`` steps, must fit ``budget``, else
+    ``BudgetError`` names ``what``.
 
     A count past 2**65536 prints as "at least 2**X", so a lower bound past it
     and above the budget refuses first.  Before P is counted: every walk
@@ -254,6 +262,10 @@ class _GridScan:
         self.mech, self.orbits = mech, orbits
         self.space = SearchSpace(m, n, k, tie_free, pref_count, pref_count ** n)
         self.prefs = list(enumerate_Rk_prefs(m, k, tie_free))
+        self._order_ids = None
+        if mech.evaluate_ballot is not None:
+            ids: dict[tuple[int, ...], int] = {}
+            self._order_ids = [ids.setdefault(p.order, len(ids)) for p in self.prefs]
         self._dist: dict[tuple[int, ...], CandidateDistribution] = {}
 
     def report(self, check: str, witness: object | None = None) -> WitnessReport:
@@ -264,10 +276,12 @@ class _GridScan:
         return Profile(tuple(map(self.prefs.__getitem__, key)))
 
     def dist(self, key: tuple[int, ...]) -> CandidateDistribution:
-        found = self._dist.get(key)
+        ids = self._order_ids
+        slot = key if ids is None else tuple(sorted(map(ids.__getitem__, key)))
+        found = self._dist.get(slot)
         if found is None:
             found = self.mech.evaluate(self.profile(key))
-            self._dist[key] = found
+            self._dist[slot] = found
         return found
 
     def keys(self) -> Iterator[tuple[int, ...]]:

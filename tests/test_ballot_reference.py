@@ -9,26 +9,35 @@ from a per-voter position table.  ``Preference.order``, the ``j1q``/``j2q``
 evaluators and ``bounds.all_q_ratios`` must agree with them exactly, for
 every q, on profiles with value ties.
 
-The chunked one-byte ``pairwise_beats`` (also against its previous
-packed-width body), the integer-numerator ``welfare_vector``, the
-``j_star`` and the quota sweep in ``all_q_ratios`` are checked
-against the plain loops they replaced: a per-pair increment over every
-voter's order, a `Fraction` sum, the even mixture of two reference top-q
-lotteries and the per-voter position table above.
+The ballot's pairwise table ``Ballot.beats`` (also against two earlier
+packed bodies, with one-byte chunks of 255 voters and with fields wide
+enough for n), the integer-numerator ``welfare_vector``, the ``j_star`` and
+the quota sweep in ``all_q_ratios`` are checked against the plain loops
+they replaced: a per-pair increment over every voter's order, a `Fraction`
+sum, the even mixture of two reference top-q lotteries and the per-voter
+position table above.
+
+The ballot counts each distinct strict order once, times its
+multiplicity.  Its two tables must equal the ones counted voter by voter,
+by the bodies that ``Profile.places`` and ``core.pairwise_beats`` had
+before the ballot owned the tables, on tied and repeated profiles and
+across every field width.
 """
 
 import itertools
+import operator
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cardvote.bounds import all_q_ratios
 from cardvote.core import (
     ZERO,
+    Ballot,
     CandidateDistribution,
     Preference,
     Profile,
-    pairwise_beats,
     scaled,
     welfare_vector,
 )
@@ -77,6 +86,38 @@ def reference_pairwise_beats(profile: Profile) -> list[list[int]]:
             row = beats[cand]
             for other in order[place + 1:]:
                 row[other] += 1
+    return beats
+
+
+def voter_places(profile: Profile) -> list[list[int]]:
+    # The body of ``Profile.places`` before the ballot owned the table.
+    m = profile.m
+    places = [[0] * m for _ in range(m)]
+    for pref in profile.prefs:
+        for place, cand in enumerate(pref.order):
+            places[cand - 1][place] += 1
+    return places
+
+
+def chunked_pairwise_beats(profile: Profile) -> list[list[int]]:
+    # The body of ``core.pairwise_beats`` before the ballot owned the table:
+    # every voter, in chunks of at most 255 with one byte per pair.
+    m, prefs = profile.m, profile.prefs
+    bits = [0] + [1 << (8 * c) for c in range(m)]
+
+    def chunk_rows(start: int):
+        rows = [0] * (m + 1)
+        for pref in prefs[start:start + 255]:
+            below = 0
+            for cand in reversed(pref.order):
+                rows[cand] += below
+                below |= bits[cand]
+        return (packed.to_bytes(m, "little") for packed in rows[1:])
+
+    beats = [list(data) for data in chunk_rows(0)]
+    for start in range(255, len(prefs), 255):
+        for row, data in zip(beats, chunk_rows(start)):
+            row[:] = map(operator.add, row, data)
     return beats
 
 
@@ -207,7 +248,7 @@ class TestOrder:
     @given(any_profile)
     def test_tables_match_order(self, profile):
         m, n = profile.m, profile.n
-        places, beats = profile.places, pairwise_beats(profile)
+        places, beats = profile.ballot.places, profile.ballot.beats
         for c in range(m):
             assert places[c] == [
                 sum(1 for p in profile.prefs if reference_order(p)[place] == c + 1)
@@ -306,25 +347,78 @@ def wide_profiles(draw):
 packed_profile = st.one_of(any_profile, mixed_profiles(), tie_free_profiles())
 
 
+# Copies per voter: a distinct order's multiplicity then crosses one, two or
+# three 255-voter chunks of the voter-by-voter body, and n passes 255.
+REPEATS = (1, 2, 85, 86, 255, 256, 300)
+
+
+@st.composite
+def repeated_profiles(draw):
+    base = draw(st.one_of(tied_profiles(max_n=4), grid_profiles()))
+    copies = draw(st.sampled_from(REPEATS))
+    prefs = draw(st.permutations(base.prefs * copies)) if copies < 100 else base.prefs * copies
+    return Profile(tuple(prefs))
+
+
+class TestBallotTables:
+    """The ballot's tables, counted once per distinct order times its
+    multiplicity, equal the tables counted voter by voter."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(packed_profile, wide_profiles(), repeated_profiles()))
+    def test_tables_match_voter_by_voter_bodies(self, profile):
+        ballot = profile.ballot
+        assert ballot.places == voter_places(profile)
+        assert ballot.beats == chunked_pairwise_beats(profile)
+        assert ballot.n == profile.n and ballot.m == profile.m
+
+    @settings(max_examples=50)
+    @given(any_profile)
+    def test_holds_each_distinct_order_once_with_its_count(self, profile):
+        ballot = profile.ballot
+        orders = [p.order for p in profile.prefs]
+        assert list(ballot.orders) == sorted(set(orders))
+        assert list(ballot.counts) == [orders.count(o) for o in ballot.orders]
+
+    @settings(max_examples=30, deadline=None)
+    @given(repeated_profiles(), st.randoms(use_true_random=False))
+    def test_voter_order_does_not_enter(self, profile, rng):
+        prefs = list(profile.prefs)
+        rng.shuffle(prefs)
+        assert Profile(tuple(prefs)).ballot == profile.ballot
+
+    @pytest.mark.parametrize("n", [2**32 - 1, 2**32, 2**64 - 1])
+    def test_wide_counts_use_wide_fields(self, n):
+        # Voter counts no profile held in memory reaches, on a ballot built
+        # by hand: the largest n of four-byte fields and both ends of eight.
+        count = n - 1
+        ballot = Ballot(((2, 1, 3), (3, 2, 1)), (count, 1))
+        assert ballot.beats == [[0, 0, count], [n, 0, count], [1, 1, 0]]
+        assert ballot.places == [[0, count, 1], [count, 1, 0], [1, 0, count]]
+
+
 class TestPackedTables:
     @settings(max_examples=150)
     @given(packed_profile)
     def test_pairwise_beats_matches_loop(self, profile):
-        assert pairwise_beats(profile) == reference_pairwise_beats(profile)
+        assert profile.ballot.beats == reference_pairwise_beats(profile)
 
     @settings(max_examples=20, deadline=None)
     @given(wide_profiles())
     def test_pairwise_beats_across_field_widths(self, profile):
         expected = reference_pairwise_beats(profile)
-        assert pairwise_beats(profile) == expected
+        assert profile.ballot.beats == expected
+        assert chunked_pairwise_beats(profile) == expected
         assert packed_width_pairwise_beats(profile) == expected
 
     def test_unanimous_counts_fill_the_field(self):
-        # Every count is 0 or n, so a chunk of 256 voters in one-byte fields
-        # would carry into the next candidate's entry.
-        for n in CHUNK_EDGES:
+        # Every count is 0 or n, so a chunk of 256 voters in one-byte fields,
+        # or 65536 in two-byte ones, would carry into the next candidate's
+        # entry.
+        for n in (*CHUNK_EDGES, 65535, 65536):
             profile = Profile((Preference.relaxed([1, Fraction(1, 2), 0]),) * n)
-            assert pairwise_beats(profile) == [[0, n, n], [0, 0, n], [0, 0, 0]]
+            assert profile.ballot.beats == [[0, n, n], [0, 0, n], [0, 0, 0]]
+            assert profile.ballot.places == [[n, 0, 0], [0, n, 0], [0, 0, n]]
 
     @settings(max_examples=150)
     @given(st.one_of(packed_profile, wide_profiles()))

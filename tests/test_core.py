@@ -14,13 +14,13 @@ from hypothesis import given, strategies as st
 
 from cardvote.bounds import ReductionTrace, reduce_to_Ck_trace
 from cardvote.core import (
+    Ballot,
     CandidateDistribution,
     Preference,
     Profile,
     cached_view,
     exact,
     grid_steps,
-    pairwise_beats,
     profile_from_csv_text,
     profile_from_json_dict,
     profile_to_csv_text,
@@ -365,17 +365,18 @@ class TestOrderAndBallots:
 
     def test_place_table(self):
         u = profile((1, "1/2", 0), (0, 1, "1/2"), (1, 0, "1/2"))
-        assert u.places == [[2, 0, 1], [1, 1, 1], [0, 2, 1]]
+        assert u.ballot.places == [[2, 0, 1], [1, 1, 1], [0, 2, 1]]
 
     def test_pairwise_beats_counts_ties_for_lower_index(self):
         u = Profile((Preference.relaxed([1, 1, 0]), Preference.relaxed([0, 1, 1])))
-        assert pairwise_beats(u) == [[0, 1, 1], [1, 0, 2], [1, 0, 0]]
+        assert u.ballot.beats == [[0, 1, 1], [1, 0, 2], [1, 0, 0]]
 
     def test_place_table_is_built_once_per_profile(self):
         u = profile((1, "1/2", 0), (0, 1, "1/2"))
         v = profile((1, "1/2", 0), (0, 1, "1/2"))
-        assert u.places is u.places
-        assert v.places == u.places and v.places is not u.places
+        assert u.ballot is u.ballot and u.ballot.places is u.ballot.places
+        assert v.ballot == u.ballot and v.ballot is not u.ballot
+        assert v.ballot.places == u.ballot.places
         assert u == v
 
 
@@ -386,7 +387,9 @@ class TestOrderAndBallots:
 VIEWS = [
     (Preference, "values", lambda: Preference.from_steps((0, 2, 1), 2)),
     (Preference, "order", lambda: Preference.from_steps((0, 2, 1), 2)),
-    (Profile, "places", lambda: rand_grid_profile(4, 3, 5, 0)),
+    (Profile, "ballot", lambda: rand_grid_profile(4, 3, 5, 0)),
+    (Ballot, "places", lambda: rand_grid_profile(4, 3, 5, 0).ballot),
+    (Ballot, "beats", lambda: rand_grid_profile(4, 3, 5, 0).ballot),
     (Profile, "totals", lambda: rand_grid_profile(4, 3, 5, 0)),
     (CandidateDistribution, "probs", lambda: CandidateDistribution(4, (1, 3, 0))),
     (ReductionTrace, "steps", lambda: reduce_to_Ck_trace(rand_grid_profile(5, 2, 8, 0), 8)),
@@ -450,8 +453,8 @@ class TestCachedViews:
         assert json.loads(proc.stdout) == [1, expected_observations()]
 
     def test_descriptor_has_no_lock_and_keeps_the_docstring(self):
-        view = vars(Profile)["places"]
+        view = vars(Ballot)["places"]
         assert isinstance(view, cached_view) and view.name == "places"
-        assert Profile.places is view
+        assert Ballot.places is view
         assert view.__doc__ == view.func.__doc__ and "places[c][p]" in view.__doc__
         assert not hasattr(view, "lock")

@@ -268,7 +268,7 @@ def mixture_j_star(m: int) -> Mechanism:
     inner = j1q(1) if t == 1 else mix([(F(1, 2), j1q(1)), (F(1, 2), j1q(t))])
 
     def evaluate(profile: Profile):
-        if len(profile.places) != m:
+        if profile.m != m:
             raise PreconditionError(f"stacked lottery fixed at m={m}; got m={profile.m}")
         return inner.evaluate(profile)
 

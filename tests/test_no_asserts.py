@@ -12,18 +12,20 @@ functionals read the integer form, so this guard failed there).  Only the
 ``cli`` renders reports: ``properties`` reads neither the ``.probs`` nor the
 ``.values`` view and calls no ``str`` (it did both while its reports
 rendered their own JSON).  The package keeps no memoizing cache, the
-grid scans have one budget gate, a grid family's shape has one check, and
-no scheme is judged by its name.
+grid scans have one budget gate, a grid family's shape has one check, no
+scheme is judged by its name, and no ballot evaluator reads a profile.
 Cached views use the one lock-free ``core.cached_view``, never
 ``functools.cached_property`` (which ``core`` and ``bounds`` used before).
 Every definition is reached from the package, its public names or the
 benchmark tracer."""
 
 import ast
+import dataclasses
 import importlib.util
 from pathlib import Path
 
 import cardvote
+from cardvote.core import Ballot, Profile
 
 SOURCES = sorted(Path(cardvote.__file__).parent.glob("*.py"))
 TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
@@ -297,6 +299,55 @@ def test_one_shape_check_for_the_grid_family():
                            for sub in ast.walk(node))]
     outside = [f"{name}:{node.lineno}" for name, node in raised if node not in inside]
     assert len(raised) == len(SHAPE_MESSAGES) and outside == []
+
+
+def _public(cls) -> set[str]:
+    return {f.name for f in dataclasses.fields(cls)} | {
+        name for name in dir(cls) if not name.startswith("_")}
+
+
+# What a Profile offers that a Ballot does not (its voters, their utilities
+# and the ballot itself), and a mechanism's profile entry point: a ballot
+# evaluator reads none of them.
+PROFILE_ONLY = _public(Profile) - _public(Ballot) | {"evaluate"}
+
+
+def test_ballot_evaluators_read_no_profile():
+    """A grid scan evaluates a ballot scheme once per ballot, which is sound
+    only while its ballot evaluator reads the ballot and nothing else.  In
+    ``mechanisms``, only ``_ballot_scheme`` passes ``evaluate_ballot`` to
+    ``Mechanism`` (no ``replace`` sets it), and each ``_ballot_scheme``
+    call passes a function of its own scope that takes one ``Ballot``,
+    names neither ``Profile`` nor ``profile`` and reads no attribute of
+    ``PROFILE_ONLY``."""
+    path = next(p for p in SOURCES if p.name == "mechanisms.py")
+    tree = ast.parse(path.read_text(), str(path))
+    helper = next(node for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name == "_ballot_scheme")
+    inside = {id(node) for node in ast.walk(helper)}
+    setters = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and any(kw.arg == "evaluate_ballot" for kw in node.keywords)]
+    assert setters and all(id(node) in inside for node in setters)
+    parents = {id(child): node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    evaluators, found = [], []
+    for call in ast.walk(tree):
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_ballot_scheme":
+            scope = parents[id(call)]
+            while not isinstance(scope, ast.FunctionDef):
+                scope = parents[id(scope)]
+            local = {node.name: node for node in scope.body if isinstance(node, ast.FunctionDef)}
+            evaluators.append(local[call.args[1].id])
+    for func in evaluators:
+        params = func.args.args
+        if len(params) != 1 or ast.unparse(params[0].annotation) != "Ballot":
+            found.append(f"{func.lineno} {func.name} parameters")
+        for node in ast.walk(func):
+            if isinstance(node, ast.Name) and node.id in ("Profile", "profile"):
+                found.append(f"{node.lineno} {node.id}")
+            elif isinstance(node, ast.Attribute) and node.attr in PROFILE_ONLY:
+                found.append(f"{node.lineno} .{node.attr}")
+    assert PROFILE_ONLY == {"prefs", "totals", "ballot", "evaluate"}
+    assert len(evaluators) == 5 and found == []
 
 
 def _tracer_wrapped() -> set[str]:
