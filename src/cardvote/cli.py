@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import click
 
 from . import bounds, core, generators, mechanisms, properties
-from .errors import CardvoteError, DataError, PreconditionError
+from .errors import BudgetError, CardvoteError, DataError, PreconditionError
 
 
 def _dec(f) -> str:
@@ -460,14 +460,25 @@ def experiment_lower(m, n, k, step, seeds, out):
     _csv_report(config, list(out_rows[0]), map(dict.values, out_rows), out)
 
 
+# Work bound of ``experiment cyclic``: each m builds m profiles of m voters
+# with m values each, m**3 values in all.
+CYCLIC_BUDGET = 1_000_000
+
+
 @experiment.command("cyclic")
 @click.option("--m", "ms_text", required=True, help="Comma-separated m values (n = m).")
 @click.option("--eps", default=None, help="Exact rational; defaults to 1/m^3 per m.")
 @click.option("--out", default=None, type=click.Path())
 def experiment_cyclic(ms_text: str, eps: str | None, out: str | None):
-    """Ratio of the stacked-lottery scheme on every starred cyclic profile."""
+    """Ratio of the stacked-lottery scheme on every starred cyclic profile.
+    The sum of m**3 over the m values must fit ``CYCLIC_BUDGET``, checked
+    before any profile is built."""
+    ms = _int_list(ms_text)
+    work = sum(abs(m) ** 3 for m in ms)
+    if work > CYCLIC_BUDGET:
+        raise BudgetError(work, CYCLIC_BUDGET, "cyclic sweep")
     rows = []
-    for m in _int_list(ms_text):
+    for m in ms:
         mech = mechanisms.j_star(m)  # rejects m < 2 before 1/m^3 is built
         eps_m = _rational(eps, "--eps") if eps else Fraction(1, m ** 3)
         profiles = [generators.gen_cyclic(m, star, eps_m) for star in range(1, m + 1)]

@@ -3,10 +3,11 @@ preference spaces.
 
 Every checker enumerates a finite grid family of normalized preferences and
 either certifies the property over that family or returns a concrete,
-replayable counterexample.  A "holds" verdict is always relative to the
-enumerated grid, never a universal claim; the report records the search
-space.  Each scan checks its work against its budget once, before it builds
-the grid or any count past it.  Reports and witnesses are plain data;
+replayable counterexample.  A "holds" verdict is reported relative to the
+enumerated grid, and the report records the search space (a ballot
+scheme's truthfulness "holds" rests on a stronger proof, described below).
+Each scan checks its work against its budget once, before it builds the
+grid or any count past it.  Reports and witnesses are plain data;
 ``cardvote.cli`` renders them.
 
 Enumeration order is fixed so that the first witness is reproducible:
@@ -42,6 +43,22 @@ voters' tie-broken strict orders, so its cache is keyed by ballot: each scan
 still walks and compares every key it did, but evaluates the scheme once per
 multiset of those orders, at the first key read that has it.  Any other
 scheme's cache is keyed by profile.
+
+The truthfulness scan of a ballot scheme first tries a proof that covers
+every utility vector at (m, n): Gibbard's stochastic-dominance condition
+(A. Gibbard, "Manipulation of schemes that mix voting with chance",
+*Econometrica* 1977).  It holds when, for every multiset of the other voters'
+strict orders, every honest order s and every strict report, reporting s
+puts at least as much mass on each of the m-1 prefixes of s.  That implies
+no gain on any grid: a utility vector whose tie-broken order is s is a
+constant plus a nonnegative combination of the indicators of the prefixes
+of s (the weights are the gaps between consecutive values along s), so its
+expected utility under the honest report is at least that under any
+report, and the condition ranges over every strict order a grid voter,
+honest or not, can reach.  It runs only when its work fits the work the
+gate has just priced for the grid walk, so it admits nothing the budget
+refuses.  When it holds the report is the grid's "holds", unchanged; when
+it fails, the grid scan runs as before and finds the same first witness.
 """
 
 from __future__ import annotations
@@ -54,7 +71,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .core import CandidateDistribution, Preference, Profile, check_grid_shape
+from .core import Ballot, CandidateDistribution, Preference, Profile, check_grid_shape
 from .errors import BudgetError, PreconditionError
 
 DEFAULT_BUDGET = 10_000_000
@@ -229,7 +246,7 @@ class _GridScan:
     count past it: P**n keys for P grid preferences (with ``orbits``,
     C(P+n-1, n) sorted keys, one per voter-permutation orbit), each costing
     ``work(P)`` evaluations of ``mech.cost`` steps, must fit ``budget``, else
-    ``BudgetError`` names ``what``.
+    ``BudgetError`` names ``what``; the count is kept as ``priced``.
 
     A count past 2**65536 prints as "at least 2**X", so a lower bound past it
     and above the budget refuses first.  Before P is counted: every walk
@@ -259,7 +276,7 @@ class _GridScan:
         steps = walk * work(pref_count) * mech.cost
         if steps > budget:
             raise BudgetError(steps, budget, what)
-        self.mech, self.orbits = mech, orbits
+        self.mech, self.orbits, self.priced = mech, orbits, steps
         self.space = SearchSpace(m, n, k, tie_free, pref_count, pref_count ** n)
         self.prefs = list(enumerate_Rk_prefs(m, k, tie_free))
         self._order_ids = None
@@ -319,10 +336,22 @@ def check_truthful(
     voter-permutation orbit, with one group per multiset of the others'
     reports (see the module docstring); its budget counts C(P+n-1, n)*n*P
     work instead of P^n*n*P for P grid preferences.
+
+    A ballot scheme whose stochastic-dominance work, C(m!+n-2, n-1) groups
+    of m! outcomes on 2^m - 2 candidate sets times its ``cost``, is at most
+    that priced work is first checked for the condition (see the module
+    docstring).  The condition implies that no grid voter, at any k, with
+    or without ties, gains by any misreport, so when it holds the scan
+    returns "holds" without walking the grid; the report, which records the
+    grid, is the one the walk would give.  When it fails the grid is walked
+    as for any other scheme.
     """
     anonymous = mech.anonymous
     scan = _GridScan(mech, m, n, k, tie_free, budget, "truthfulness scan",
                      lambda p: n * p, orbits=anonymous)
+    if (mech.evaluate_ballot is not None and _sd_steps(m, n) * mech.cost <= scan.priced
+            and _sd_holds(mech, m, n)):
+        return scan.report("truthful")
     pref_count = scan.space.preference_count
 
     def can_gain(voter: int, others: tuple[int, ...]) -> tuple[bool, ...]:
@@ -349,6 +378,59 @@ def check_truthful(
             if flags[key[voter]]:
                 return scan.report("truthful", _first_truthfulness_witness(scan, key, voter))
     return scan.report("truthful")
+
+
+def _sd_steps(m: int, n: int) -> int:
+    """The work of :func:`_sd_holds` at (m, n), in the gate's units: each of
+    the C(m!+n-2, n-1) groups of the other voters' orders compares m!
+    outcomes on the 2**m - 2 nonempty proper candidate sets."""
+    orders = math.factorial(m)
+    return math.comb(orders + n - 2, n - 1) * orders * ((1 << m) - 2)
+
+
+def _sd_holds(mech, m: int, n: int) -> bool:
+    """Whether the ballot scheme meets Gibbard's stochastic-dominance
+    condition at (m, n): for every multiset of the other n-1 voters' strict
+    orders, every honest order h and every prefix of h, reporting h puts at
+    least as much mass on the prefix as any strict report does.
+
+    Strict orders are the m! permutations, ascending, so each sorted tuple
+    of their indices is one ballot; each of the C(m!+n-1, n) ballots is
+    evaluated once, at its first read.  Candidate sets are bitmasks (bit c-1
+    for candidate c) and an outcome is kept as its denominator and the mass
+    numerator of every set.  Per group the masses are scaled to the group's
+    common denominator, the best of the m! reports is kept per set, and the
+    walk stops at the first honest prefix that falls short of it."""
+    orders = list(itertools.permutations(range(1, m + 1)))
+    prefixes = [list(itertools.accumulate((1 << (c - 1) for c in order[:-1]), operator.or_))
+                for order in orders]
+    outcomes: dict[tuple[int, ...], tuple[int, list[int]]] = {}
+
+    def outcome(key: tuple[int, ...]) -> tuple[int, list[int]]:
+        found = outcomes.get(key)
+        if found is None:
+            runs = [(orders[i], len(list(run))) for i, run in itertools.groupby(key)]
+            dist = mech.evaluate_ballot(Ballot(*map(tuple, zip(*runs))))
+            mass = [0] * (1 << m)
+            for s in range(1, 1 << m):
+                low = s & -s
+                mass[s] = mass[s ^ low] + dist.nums[low.bit_length() - 1]
+            found = outcomes[key] = (dist.den, mass)
+        return found
+
+    for others in itertools.combinations_with_replacement(range(len(orders)), n - 1):
+        rows = []
+        for r in range(len(orders)):
+            i = bisect.bisect_right(others, r)
+            rows.append(outcome(others[:i] + (r,) + others[i:]))
+        den = math.lcm(*{d for d, _ in rows})
+        scaled = [mass if d == den else [x * (den // d) for x in mass] for d, mass in rows]
+        best = list(map(max, *scaled))
+        for mass, sets in zip(scaled, prefixes):
+            for s in sets:
+                if mass[s] < best[s]:
+                    return False
+    return True
 
 
 def _first_truthfulness_witness(

@@ -18,7 +18,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cardvote.core import CandidateDistribution, Preference, Profile
+from cardvote.core import Ballot, CandidateDistribution, Preference, Profile
 from cardvote.errors import CardvoteError, OutOfRangeError, PreconditionError
 from cardvote.generators import rand_grid_profile
 from cardvote.mechanisms import (
@@ -31,6 +31,7 @@ from cardvote.mechanisms import (
 )
 from cardvote.properties import check_anonymous, check_ordinal, check_truthful
 from test_ballot_reference import chunked_pairwise_beats, tied_profiles, voter_places
+from test_sd_certificate import plurality
 
 
 def profile_j1q(q: int) -> Mechanism:
@@ -179,26 +180,52 @@ PROFILE_SCHEME_EVALUATIONS = {
 }
 
 
-def logged(mech: Mechanism) -> tuple[Mechanism, list[Profile]]:
-    log: list[Profile] = []
+def logged(mech: Mechanism) -> tuple[Mechanism, list[tuple[str, Ballot]]]:
+    """The scheme with each evaluation logged as (entry point, ballot)."""
+    log: list[tuple[str, Ballot]] = []
 
     def evaluate(profile: Profile) -> CandidateDistribution:
-        log.append(profile)
+        log.append(("evaluate", profile.ballot))
         return mech.evaluate(profile)
 
-    return dataclasses.replace(mech, evaluate=evaluate), log
+    def evaluate_ballot(ballot: Ballot) -> CandidateDistribution:
+        log.append(("evaluate_ballot", ballot))
+        return mech.evaluate_ballot(ballot)
+
+    if mech.evaluate_ballot is None:
+        return dataclasses.replace(mech, evaluate=evaluate), log
+    return dataclasses.replace(mech, evaluate=evaluate, evaluate_ballot=evaluate_ballot), log
 
 
 @pytest.mark.parametrize("check, tie_free", sorted(PROFILE_SCHEME_EVALUATIONS))
 def test_grid_scans_evaluate_each_ballot_once(check, tie_free):
     # Both grids hold all 6 strict orders of 3 candidates, so 3 voters make
-    # C(6+2, 3) = 56 ballots.
+    # C(6+2, 3) = 56 ballots.  The truthfulness scan certifies a ballot
+    # scheme by stochastic dominance, which reads every ballot of 3 strict
+    # orders through evaluate_ballot, once each.
     jstar = parse_mechanism("jstar", 3, 3)
     as_ballot, ballot_log = logged(jstar)
     as_profile, profile_log = logged(Mechanism("jstar", jstar.evaluate, anonymous=True))
     report = SCANS[check](as_ballot, 3, 3, 3, tie_free)
     assert report == SCANS[check](as_profile, 3, 3, 3, tie_free) and report.holds
+    entry = "evaluate_ballot" if check == "truthful" else "evaluate"
     assert len(ballot_log) == math.comb(6 + 2, 3) == 56
+    assert {name for name, _ in ballot_log} == {entry}
     assert len(profile_log) == PROFILE_SCHEME_EVALUATIONS[check, tie_free]
-    ballots = [tuple(sorted(p.order for p in profile.prefs)) for profile in ballot_log]
-    assert len(set(ballots)) == 56
+    assert len({ballot for _, ballot in ballot_log}) == 56
+
+
+@pytest.mark.parametrize("tie_free", [False, True])
+def test_truthfulness_grid_scan_evaluates_each_ballot_once(tie_free):
+    # Plurality fails stochastic dominance, so the grid scan runs after the
+    # certificate and stops at the first witness; each pass evaluates each
+    # ballot it reads once.
+    as_ballot, ballot_log = logged(plurality())
+    report = check_truthful(as_ballot, 3, 3, 3, tie_free)
+    assert report == check_truthful(
+        Mechanism("plurality", plurality().evaluate, anonymous=True), 3, 3, 3, tie_free)
+    assert not report.holds
+    by_entry = {name: [ballot for entry, ballot in ballot_log if entry == name]
+                for name in ("evaluate_ballot", "evaluate")}
+    assert len(by_entry["evaluate_ballot"]) == len(set(by_entry["evaluate_ballot"])) <= 56
+    assert 0 < len(by_entry["evaluate"]) == len(set(by_entry["evaluate"]))

@@ -15,7 +15,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings, strategies as st
 
-from cardvote import bounds, mechanisms
+from cardvote import bounds, cli, generators, mechanisms
 from cardvote.bounds import ProjectionMove, ProjectionTrace, ReductionTrace, SlideRun
 from cardvote.cli import _array, _json_text, _profile_record, fit_slope, main
 from cardvote.core import Preference, Profile, profile_to_json_dict
@@ -379,6 +379,28 @@ class TestExperiments:
         assert result.exit_code == 0
         for line in result.output.splitlines()[2:]:
             assert line.endswith("True,True")
+
+    @pytest.mark.parametrize("ms", ["101", "5,10,20,100", "1" + "0" * 30, f"-{10**20}"])
+    def test_cyclic_work_past_the_budget_is_refused(self, runner, monkeypatch, ms):
+        def refuse(*args):
+            raise AssertionError("a cyclic profile was built")
+
+        monkeypatch.setattr(generators, "gen_cyclic", refuse)
+        start = time.perf_counter()
+        result = runner.invoke(main, ["experiment", "cyclic", "--m", ms])
+        assert time.perf_counter() - start < 0.1
+        assert result.exit_code == 1
+        work = sum(abs(int(m)) ** 3 for m in ms.split(","))
+        assert result.output == (f"Error: cyclic sweep needs {work} steps, "
+                                 f"budget is {cli.CYCLIC_BUDGET}\n")
+
+    def test_cyclic_work_at_the_budget_runs(self, runner, monkeypatch):
+        monkeypatch.setattr(cli, "CYCLIC_BUDGET", 2 ** 3 + 5 ** 3)
+        result = invoke(runner, "experiment", "cyclic", "--m", "2,5")
+        assert result.exit_code == 0 and len(result.output.splitlines()) == 2 + 2 + 5
+        result = runner.invoke(main, ["experiment", "cyclic", "--m", "2,5,1"])
+        assert result.exit_code == 1
+        assert result.output == "Error: cyclic sweep needs 134 steps, budget is 133\n"
 
     def test_minratio_grid(self, runner):
         result = invoke(runner, "experiment", "minratio", "--mech", "rv",
