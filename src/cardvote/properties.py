@@ -5,7 +5,8 @@ Every checker enumerates a finite grid family of normalized preferences and
 either certifies the property over that family or returns a concrete,
 replayable counterexample.  A "holds" verdict is reported relative to the
 enumerated grid, and the report records the search space (a ballot
-scheme's truthfulness "holds" rests on a stronger proof, described below).
+scheme's truthful, ordinal and anonymous "holds" rest on proofs that cover
+more, described below).
 Each scan checks its work against its budget once, before it builds the
 grid or any count past it.  Reports and witnesses are plain data;
 ``cardvote.cli`` renders them.
@@ -39,10 +40,27 @@ every profile, since the verdict covers them all.
 
 Every scan reads distributions through one cache.  A ballot scheme (one
 with ``evaluate_ballot``, see ``cardvote.mechanisms``) reads only the
-voters' tie-broken strict orders, so its cache is keyed by ballot: each scan
-still walks and compares every key it did, but evaluates the scheme once per
-multiset of those orders, at the first key read that has it.  Any other
-scheme's cache is keyed by profile.
+voters' tie-broken strict orders, so its cache is keyed by ballot: a scan
+evaluates it once per multiset of those orders, at the first key read that
+has it.  Any other scheme's cache is keyed by profile.
+
+A ballot scheme is ordinal and anonymous by construction: two keys with the
+same weak orders, or with the same orders in another voter order, have the
+same ballot.  Its ordinal and anonymous scans pass the gate, evaluate the
+scheme once, at the first key, where the walk would first evaluate it, and
+return the grid's "holds" without building the grid.  A ballot scheme's
+evaluator errors depend only on (m, n), so one that the walk would raise
+is raised there, with the same message.  Whether a ballot scheme relabels a
+key correctly depends only on the multiset of its voters' weak orders (the
+tie-broken strict order of a preference, and of each relabeling of it,
+follows from its weak order), so the neutrality scan checks every
+permutation on one key per such multiset: the sorted tuples of heads, the
+first grid preference of each weak order.  Mapping each index of a key to
+its head and sorting gives such a tuple, no later than the key in
+lexicographic order and failing exactly when the key fails.  So the first
+failing grid key is a sorted tuple of heads, and
+``combinations_with_replacement`` over the heads meets it first, with the
+walk's witness.
 
 The truthfulness scan of a ballot scheme first tries a proof that covers
 every utility vector at (m, n): Gibbard's stochastic-dominance condition
@@ -255,10 +273,14 @@ class _GridScan:
     take 0 and k, each other one any of base = k+1 steps, or tie-free at
     least base = k-m+2 unused ones).  After, with b = P.bit_length() - 1:
     P**n >= 2**(n*b), and C(P+n-1, n) >= 2**min(n, P-1) and >= (P/n)**n >=
-    2**(n*(b - n.bit_length()))."""
+    2**(n*(b - n.bit_length())).
+
+    With ``walk`` false the scan stops at the gate and builds neither the
+    grid nor the cache: only :meth:`ballot_report` reads it."""
 
     def __init__(self, mech, m: int, n: int, k: int, tie_free: bool,
-                 budget: int, what: str, work: Callable[[int], int], orbits: bool = False):
+                 budget: int, what: str, work: Callable[[int], int], orbits: bool = False,
+                 walk: bool = True):
         if n < 1:
             raise PreconditionError(f"need at least one voter, got n={n}")
         check_grid_shape(m, k, tie_free)
@@ -272,12 +294,14 @@ class _GridScan:
         pref_count = grid_pref_count(m, k, tie_free)
         b = pref_count.bit_length() - 1
         refuse_past(max(min(n, pref_count - 1), n * (b - n.bit_length())) if orbits else n * b)
-        walk = math.comb(pref_count + n - 1, n) if orbits else pref_count ** n
-        steps = walk * work(pref_count) * mech.cost
+        key_count = math.comb(pref_count + n - 1, n) if orbits else pref_count ** n
+        steps = key_count * work(pref_count) * mech.cost
         if steps > budget:
             raise BudgetError(steps, budget, what)
         self.mech, self.orbits, self.priced = mech, orbits, steps
         self.space = SearchSpace(m, n, k, tie_free, pref_count, pref_count ** n)
+        if not walk:
+            return
         self.prefs = list(enumerate_Rk_prefs(m, k, tie_free))
         self._order_ids = None
         if mech.evaluate_ballot is not None:
@@ -288,6 +312,16 @@ class _GridScan:
     def report(self, check: str, witness: object | None = None) -> WitnessReport:
         """The report of ``check`` on this grid: it holds unless given a witness."""
         return WitnessReport(check, self.mech.name, self.space, witness)
+
+    def ballot_report(self, check: str) -> WitnessReport:
+        """The report of ``check``, which a ballot scheme meets by
+        construction: "holds", once the scheme evaluates the first key
+        (0,)*n, the first profile the walk evaluates.  Only the first grid
+        preference is built."""
+        space = self.space
+        first = next(enumerate_Rk_prefs(space.m, space.k, space.tie_free))
+        self.mech.evaluate(Profile((first,) * space.n))
+        return self.report(check)
 
     def profile(self, key: tuple[int, ...]) -> Profile:
         return Profile(tuple(map(self.prefs.__getitem__, key)))
@@ -460,6 +494,13 @@ def _first_truthfulness_witness(
     )
 
 
+def _weak_order_heads(prefs: list[Preference]) -> list[int]:
+    """Entry i: the index of the first preference with preference i's weak
+    order."""
+    firsts: dict[tuple[int, ...], int] = {}
+    return [firsts.setdefault(_order_pattern(p), i) for i, p in enumerate(prefs)]
+
+
 def check_ordinal(
     mech,
     m: int,
@@ -470,11 +511,14 @@ def check_ordinal(
 ) -> WitnessReport:
     """Profiles whose voters induce identical weak orders must receive
     identical distributions.  Each profile is compared against the first
-    member of its class, which the lexicographic scan has already evaluated."""
-    scan = _GridScan(mech, m, n, k, tie_free, budget, "ordinal scan", lambda _: 1)
-    # head[i]: the first grid preference with preference i's weak order.
-    firsts: dict[tuple[int, ...], int] = {}
-    head = [firsts.setdefault(_order_pattern(p), i) for i, p in enumerate(scan.prefs)]
+    member of its class, which the lexicographic scan has already evaluated.
+    A ballot scheme is ordinal by construction (see the module docstring)."""
+    by_ballot = mech.evaluate_ballot is not None
+    scan = _GridScan(mech, m, n, k, tie_free, budget, "ordinal scan", lambda _: 1,
+                     walk=not by_ballot)
+    if by_ballot:
+        return scan.ballot_report("ordinal")
+    head = _weak_order_heads(scan.prefs)
     for key in scan.keys():
         dist = scan.dist(key)
         first = tuple(map(head.__getitem__, key))
@@ -495,7 +539,9 @@ def check_neutral(
 ) -> WitnessReport:
     """Relabeling candidates must relabel the output distribution the same
     way: for every permutation tau, the distribution on the relabeled profile
-    at candidate j must equal the original distribution at tau(j)."""
+    at candidate j must equal the original distribution at tau(j).  A ballot
+    scheme is checked on one key per multiset of weak orders (see the module
+    docstring)."""
     scan = _GridScan(mech, m, n, k, tie_free, budget, "neutrality scan",
                      lambda _: math.factorial(m))
     # relabel[i]: the index of grid preference i relabeled by tau, found by
@@ -507,7 +553,12 @@ def check_neutral(
     for tau in itertools.islice(itertools.permutations(range(1, m + 1)), 1, None):
         pick = operator.itemgetter(*(t - 1 for t in tau))
         relabelings.append((tau, pick, [index[pick(p.nums)] for p in scan.prefs]))
-    for key in scan.keys():
+    if mech.evaluate_ballot is not None:
+        heads = sorted(set(_weak_order_heads(scan.prefs)))
+        keys = itertools.combinations_with_replacement(heads, n)
+    else:
+        keys = scan.keys()
+    for key in keys:
         base = scan.dist(key)
         for tau, pick, relabel in relabelings:
             actual = scan.dist(tuple(map(relabel.__getitem__, key)))
@@ -526,9 +577,13 @@ def check_anonymous(
     tie_free: bool = False,
     budget: int = DEFAULT_BUDGET,
 ) -> WitnessReport:
-    """Permuting voters must leave the output distribution unchanged."""
+    """Permuting voters must leave the output distribution unchanged.  A
+    ballot scheme is anonymous by construction (see the module docstring)."""
+    by_ballot = mech.evaluate_ballot is not None
     scan = _GridScan(mech, m, n, k, tie_free, budget, "anonymity scan",
-                     lambda _: math.factorial(n))
+                     lambda _: math.factorial(n), walk=not by_ballot)
+    if by_ballot:
+        return scan.ballot_report("anonymous")
     # permute(key) is (key[sigma[0]], ..., key[sigma[n-1]]); the identity
     # permutation is skipped.
     moves = [(sigma, operator.itemgetter(*sigma))

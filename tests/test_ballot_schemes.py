@@ -7,8 +7,9 @@ below are the profile evaluators these schemes had before the ballot: the
 same formulas over the tables counted voter by voter.  Each scheme must
 give the same distribution, or raise the same error, on every profile;
 re-valuing voters without changing their tie-broken orders must leave its
-distribution unchanged; and a grid scan must evaluate it once per ballot,
-with the same report as the scan of the same evaluator as a profile scheme.
+distribution unchanged; and a grid scan must evaluate it at most once per
+ballot, with the same report as the scan of the same evaluator as a
+profile scheme.
 """
 
 import dataclasses
@@ -202,17 +203,19 @@ def test_grid_scans_evaluate_each_ballot_once(check, tie_free):
     # Both grids hold all 6 strict orders of 3 candidates, so 3 voters make
     # C(6+2, 3) = 56 ballots.  The truthfulness scan certifies a ballot
     # scheme by stochastic dominance, which reads every ballot of 3 strict
-    # orders through evaluate_ballot, once each.
+    # orders through evaluate_ballot, once each.  A ballot scheme is ordinal
+    # and anonymous by construction, so those scans evaluate it once, at the
+    # first profile.
     jstar = parse_mechanism("jstar", 3, 3)
     as_ballot, ballot_log = logged(jstar)
     as_profile, profile_log = logged(Mechanism("jstar", jstar.evaluate, anonymous=True))
     report = SCANS[check](as_ballot, 3, 3, 3, tie_free)
     assert report == SCANS[check](as_profile, 3, 3, 3, tie_free) and report.holds
     entry = "evaluate_ballot" if check == "truthful" else "evaluate"
-    assert len(ballot_log) == math.comb(6 + 2, 3) == 56
+    assert len(ballot_log) == (math.comb(6 + 2, 3) if check == "truthful" else 1)
     assert {name for name, _ in ballot_log} == {entry}
     assert len(profile_log) == PROFILE_SCHEME_EVALUATIONS[check, tie_free]
-    assert len({ballot for _, ballot in ballot_log}) == 56
+    assert len({ballot for _, ballot in ballot_log}) == len(ballot_log)
 
 
 @pytest.mark.parametrize("tie_free", [False, True])

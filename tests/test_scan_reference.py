@@ -11,13 +11,14 @@ profiles and cache distributions themselves.
 Each comparison checks the report field by field, the witness included,
 and the evaluations the mechanism saw, in order, so an evaluator error is
 raised at the same profile.  A ballot scheme (``jstar``, ``j1:1``,
-``const:1``) reads only the voters' tie-broken strict orders, and the scan
-evaluates it once per ballot: its evaluations must be the reference's,
-filtered to the first profile of each multiset of those orders.  The schemes are ones that hold and
-test-defined violators: voter 1's favorite (a dictatorship, not
-anonymous), ``const:1`` (not neutral) and ``rv`` (not ordinal).  The
-shapes cover n = 1, where no non-identity voter permutation exists, and
-m = 2.
+``const:1``) reads only the voters' tie-broken strict orders: its ordinal
+and anonymous verdicts follow from one evaluation, at the reference's
+first profile, and its neutral scan evaluates it once per ballot, first at
+that profile, and when it holds reads every ballot the reference reads.
+The schemes are ones that hold and test-defined violators: voter 1's
+favorite (a dictatorship, not anonymous), ``const:1`` (not neutral) and
+``rv`` (not ordinal).  The shapes cover n = 1, where no non-identity
+voter permutation exists, and m = 2.
 """
 
 from __future__ import annotations
@@ -172,30 +173,32 @@ def assert_same_report(got: WitnessReport, expected: WitnessReport) -> None:
     assert got == expected
 
 
-def first_of_each_ballot(log: list[Profile]) -> list[Profile]:
-    """The profiles of the log whose multiset of tie-broken strict orders
-    no earlier profile has."""
-    seen, firsts = set(), []
-    for profile in log:
-        orders = tuple(sorted(p.order for p in profile.prefs))
-        if orders not in seen:
-            seen.add(orders)
-            firsts.append(profile)
-    return firsts
+def ballot_of(profile: Profile) -> tuple[tuple[int, ...], ...]:
+    """The profile's multiset of tie-broken strict orders, sorted."""
+    return tuple(sorted(p.order for p in profile.prefs))
 
 
 def run_both(check: str, spec: str, shape) -> WitnessReport:
-    # A ballot scheme is evaluated once per ballot, at the first profile the
-    # reference evaluates with it; any other scheme at every profile the
+    # A ballot scheme's ordinal and anonymous scans evaluate it once, at the
+    # reference's first profile.  Its neutral scan evaluates it once per
+    # ballot, first at that profile, and reads the reference's ballots when
+    # it holds.  Any other scheme is evaluated at every profile the
     # reference evaluates, in the same order.
     fast, reference = PAIRS[check]
     mech, log = logged(spec, *shape[:2])
     ref_mech, ref_log = logged(spec, *shape[:2])
     report = fast(mech, *shape)
     assert_same_report(report, reference(ref_mech, *shape))
-    if mech.evaluate_ballot is not None:
-        ref_log = first_of_each_ballot(ref_log)
-    assert log == ref_log
+    if mech.evaluate_ballot is None:
+        assert log == ref_log
+    elif check != "neutral":
+        assert log == ref_log[:1]
+    else:
+        assert log[:1] == ref_log[:1]
+        ballots = [ballot_of(profile) for profile in log]
+        assert len(set(ballots)) == len(ballots)
+        if report.holds:
+            assert set(ballots) == {ballot_of(profile) for profile in ref_log}
     return report
 
 
