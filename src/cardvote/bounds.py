@@ -21,7 +21,7 @@ import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     CandidateDistribution,
@@ -171,9 +171,9 @@ class SlideStep:
 @dataclass(frozen=True)
 class SlideRun:
     """One interior run of one voter, slid ``gap`` grid steps in one
-    direction.  ``run`` is its ``(lo, hi)`` before the first slide, and slide
-    i moves it to ``(lo + i*shift, hi + i*shift)``.  Before slide i
-    (0 <= i <= gap) the benchmark functional is
+    direction.  ``run`` is its ``(lo, hi)`` before the first slide, and each
+    slide moves it one step left, or right for any other ``direction``.
+    Before slide i (0 <= i <= gap) the benchmark functional is
     ``(numer + i*d_numer) / (den * (denom + i*d_denom))``: ``d_numer`` and
     ``d_denom`` are the signed changes of one slide."""
 
@@ -187,9 +187,19 @@ class SlideRun:
     d_numer: int
     d_denom: int
 
-    @property
-    def shift(self) -> int:
-        return -1 if self.direction == "left" else 1
+    def slides(self) -> Iterator[tuple[int, int, int, int]]:
+        """``(lo, hi, numer, denom)`` for each slide, in order: the run's
+        position before it and the functional after it as ``numer / denom``,
+        with ``den`` multiplied in once per run rather than once per slide."""
+        (lo, hi), shift = self.run, -1 if self.direction == "left" else 1
+        numer, d_numer = self.numer, self.d_numer
+        denom, d_denom = self.den * self.denom, self.den * self.d_denom
+        for _ in range(self.gap):
+            numer += d_numer
+            denom += d_denom
+            yield lo, hi, numer, denom
+            lo += shift
+            hi += shift
 
 
 @dataclass(frozen=True)
@@ -211,15 +221,10 @@ class ReductionTrace:
         on as the next ``g_before``."""
         steps = []
         for r in self.runs:
-            (lo, hi), shift, den = r.run, r.shift, r.den
-            numer, denom = r.numer, r.denom
-            g = Fraction(numer, den * denom)
-            for i in range(r.gap):
-                numer += r.d_numer
-                denom += r.d_denom
-                g_next = Fraction(numer, den * denom)
-                steps.append(SlideStep(r.voter, (lo + i * shift, hi + i * shift),
-                                       r.direction, g, g_next))
+            g = Fraction(r.numer, r.den * r.denom)
+            for lo, hi, numer, denom in r.slides():
+                g_next = Fraction(numer, denom)
+                steps.append(SlideStep(r.voter, (lo, hi), r.direction, g, g_next))
                 g = g_next
         return tuple(steps)
 
@@ -444,14 +449,6 @@ def min_ratio_search(
 # ---------------------------------------------------------------------------
 # Experiments.
 
-@dataclass(frozen=True)
-class NegativeRow:
-    m: int
-    scheme: str
-    q: int
-    ratio: Fraction
-
-
 def all_q_ratios(profile: Profile) -> tuple[dict[int, Fraction], dict[int, Fraction]]:
     """Exact welfare ratios of every top-q lottery (q = 1..m) and every
     in-range pairwise-quota scheme on any one profile: the general sweep,
@@ -594,20 +591,18 @@ def negative_ratios(m: int, repeat: int = 1) -> tuple[dict[int, Fraction], dict[
 NEGATIVE_BUDGET = 200_000
 
 
-def upper_bound_experiment(ms: Sequence[int], repeat: int = 1) -> list[NegativeRow]:
-    """Evaluate every top-q lottery and every in-range pairwise-quota scheme
-    on the adversarial profile for each m, by :func:`negative_ratios`: in
+def upper_bound_experiment(
+    ms: Sequence[int], repeat: int = 1
+) -> list[tuple[int, dict[int, Fraction], dict[int, Fraction]]]:
+    """``(m, j1, j2)`` for each m in ``ms``, repeats kept, with j1 and j2 the
+    ratios of every top-q lottery and every in-range pairwise-quota scheme on
+    the adversarial profile, by quota, from :func:`negative_ratios`: in
     closed form, without building a profile.  ``repeat * sum(|m|)`` must fit
     ``NEGATIVE_BUDGET``, checked before anything is computed."""
     work = repeat * sum(map(abs, ms))
     if work > NEGATIVE_BUDGET:
         raise BudgetError(work, NEGATIVE_BUDGET, "adversarial sweep")
-    rows: list[NegativeRow] = []
-    for m in ms:
-        j1, j2 = negative_ratios(m, repeat)
-        rows.extend(NegativeRow(m, "j1", q, r) for q, r in j1.items())
-        rows.extend(NegativeRow(m, "j2", q, r) for q, r in j2.items())
-    return rows
+    return [(m, *negative_ratios(m, repeat)) for m in ms]
 
 
 @dataclass(frozen=True)

@@ -100,24 +100,17 @@ def _ratio_text(numer: int, denom: int) -> str:
 
 def _steps_array(runs) -> str:
     """The ``steps`` array of a ``reduce`` report, written from a trace's
-    :class:`~cardvote.bounds.SlideRun` records: each step's ``g_after`` by
-    ``_ratio_text`` from the run's integers, its ``g_before`` as the text
-    before it, and its run as the run's start shifted once per slide."""
+    :class:`~cardvote.bounds.SlideRun` records: each step's run and
+    ``g_after`` from :meth:`~cardvote.bounds.SlideRun.slides`, the latter by
+    ``_ratio_text``, and its ``g_before`` as the text before it."""
 
     def rendered():
         for r in runs:
             step = _STEP % (_quote(r.direction).replace("%", "%%"), r.voter)
-            (lo, hi), shift = r.run, r.shift
-            numer, d_numer = r.numer, r.d_numer
-            denom, d_denom = r.den * r.denom, r.den * r.d_denom
-            text = _ratio_text(numer, denom)
-            for _ in range(r.gap):
-                numer += d_numer
-                denom += d_denom
+            text = _ratio_text(r.numer, r.den * r.denom)
+            for lo, hi, numer, denom in r.slides():
                 before, text = text, _ratio_text(numer, denom)
                 yield step % (text, before, lo, hi)
-                lo += shift
-                hi += shift
 
     return _array(rendered(), "  ")
 
@@ -404,24 +397,25 @@ def _int_list(text: str) -> list[int]:
 def experiment_negative(ms_text: str, repeat: int, out: str | None):
     """Ratios of every top-q and pairwise-quota scheme on adversarial profiles."""
     ms = _int_list(ms_text)
-    rows = bounds.upper_bound_experiment(ms, repeat)
+    results = bounds.upper_bound_experiment(ms, repeat)
 
     def lines():
         # Every distinct ratio of one m is rendered once: most quotas share
         # a ratio, so its text and float conversions are reused.
-        m = None
-        for row in rows:
-            if row.m != m:
-                m, rendered = row.m, {}
-                reference = m ** (-2.0 / 3.0)
-                reference_text = format(reference, ".12g")
-            exact = row.ratio.numerator, row.ratio.denominator  # a Fraction's hash costs a pow
-            texts = rendered.get(exact)
-            if texts is None:
-                value = float(row.ratio)
-                texts = rendered[exact] = (str(row.ratio), format(value, ".12g"),
-                                           reference_text, format(value / reference, ".12g"))
-            yield (m, row.scheme, row.q, *texts)
+        for m, j1, j2 in results:
+            rendered = {}
+            reference = m ** (-2.0 / 3.0)
+            reference_text = format(reference, ".12g")
+            for scheme, ratios in (("j1", j1), ("j2", j2)):
+                for q, ratio in ratios.items():
+                    exact = ratio.numerator, ratio.denominator  # a Fraction's hash costs a pow
+                    texts = rendered.get(exact)
+                    if texts is None:
+                        value = float(ratio)
+                        texts = rendered[exact] = (
+                            str(ratio), format(value, ".12g"),
+                            reference_text, format(value / reference, ".12g"))
+                    yield (m, scheme, q, *texts)
 
     header = ("m", "scheme", "q", "ratio", "ratio_decimal", "m_pow_minus_2_3",
               "ratio_over_reference")
@@ -634,7 +628,11 @@ def fit_cmd(data_path: str, aggregate: str, out: str | None):
             lines = [line for line in fh if not line.startswith("#")]
     except (OSError, UnicodeDecodeError) as e:
         raise DataError(f"cannot read fit data {data_path}: {e}") from e
-    for row in csv.DictReader(io.StringIO("".join(lines))):
+    try:
+        rows = list(csv.DictReader(io.StringIO("".join(lines))))
+    except csv.Error as e:  # e.g. a bare carriage return, or a field past the size limit
+        raise DataError(f"fit data {data_path} is malformed CSV: {e}") from e
+    for row in rows:
         try:
             raw.append((int(row["m"]), core.parse_rational(row["ratio"])))
         except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:

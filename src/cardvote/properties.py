@@ -89,7 +89,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .core import Ballot, CandidateDistribution, Preference, Profile, check_grid_shape
+from .core import (Ballot, CandidateDistribution, Preference, Profile, cached_view,
+                   check_grid_shape)
 from .errors import BudgetError, PreconditionError
 
 DEFAULT_BUDGET = 10_000_000
@@ -275,12 +276,11 @@ class _GridScan:
     P**n >= 2**(n*b), and C(P+n-1, n) >= 2**min(n, P-1) and >= (P/n)**n >=
     2**(n*(b - n.bit_length())).
 
-    With ``walk`` false the scan stops at the gate and builds neither the
-    grid nor the cache: only :meth:`ballot_report` reads it."""
+    The grid and the cache are built on first read, so a scan that ends at
+    :meth:`ballot_report` builds neither."""
 
     def __init__(self, mech, m: int, n: int, k: int, tie_free: bool,
-                 budget: int, what: str, work: Callable[[int], int], orbits: bool = False,
-                 walk: bool = True):
+                 budget: int, what: str, work: Callable[[int], int], orbits: bool = False):
         if n < 1:
             raise PreconditionError(f"need at least one voter, got n={n}")
         check_grid_shape(m, k, tie_free)
@@ -300,14 +300,10 @@ class _GridScan:
             raise BudgetError(steps, budget, what)
         self.mech, self.orbits, self.priced = mech, orbits, steps
         self.space = SearchSpace(m, n, k, tie_free, pref_count, pref_count ** n)
-        if not walk:
-            return
-        self.prefs = list(enumerate_Rk_prefs(m, k, tie_free))
-        self._order_ids = None
-        if mech.evaluate_ballot is not None:
-            ids: dict[tuple[int, ...], int] = {}
-            self._order_ids = [ids.setdefault(p.order, len(ids)) for p in self.prefs]
-        self._dist: dict[tuple[int, ...], CandidateDistribution] = {}
+
+    @cached_view
+    def prefs(self) -> list[Preference]:
+        return list(enumerate_Rk_prefs(self.space.m, self.space.k, self.space.tie_free))
 
     def report(self, check: str, witness: object | None = None) -> WitnessReport:
         """The report of ``check`` on this grid: it holds unless given a witness."""
@@ -326,14 +322,25 @@ class _GridScan:
     def profile(self, key: tuple[int, ...]) -> Profile:
         return Profile(tuple(map(self.prefs.__getitem__, key)))
 
-    def dist(self, key: tuple[int, ...]) -> CandidateDistribution:
-        ids = self._order_ids
-        slot = key if ids is None else tuple(sorted(map(ids.__getitem__, key)))
-        found = self._dist.get(slot)
-        if found is None:
-            found = self.mech.evaluate(self.profile(key))
-            self._dist[slot] = found
-        return found
+    @cached_view
+    def dist(self) -> Callable[[tuple[int, ...]], CandidateDistribution]:
+        """The distribution at a key, evaluated once per cache slot; for a
+        ballot scheme, ``ids`` numbers each grid preference's strict order.
+        A closure over locals, as CPython 3.11 reads the attributes of a scan
+        whose ``__dict__`` holds cached views more slowly."""
+        ids, dists, evaluate, profile = None, {}, self.mech.evaluate, self.profile
+        if self.mech.evaluate_ballot is not None:
+            seen: dict[tuple[int, ...], int] = {}
+            ids = [seen.setdefault(p.order, len(seen)) for p in self.prefs]
+
+        def dist(key: tuple[int, ...]) -> CandidateDistribution:
+            slot = key if ids is None else tuple(sorted(map(ids.__getitem__, key)))
+            found = dists.get(slot)
+            if found is None:
+                found = dists[slot] = evaluate(profile(key))
+            return found
+
+        return dist
 
     def keys(self) -> Iterator[tuple[int, ...]]:
         indices = range(self.space.preference_count)
@@ -513,10 +520,8 @@ def check_ordinal(
     identical distributions.  Each profile is compared against the first
     member of its class, which the lexicographic scan has already evaluated.
     A ballot scheme is ordinal by construction (see the module docstring)."""
-    by_ballot = mech.evaluate_ballot is not None
-    scan = _GridScan(mech, m, n, k, tie_free, budget, "ordinal scan", lambda _: 1,
-                     walk=not by_ballot)
-    if by_ballot:
+    scan = _GridScan(mech, m, n, k, tie_free, budget, "ordinal scan", lambda _: 1)
+    if mech.evaluate_ballot is not None:
         return scan.ballot_report("ordinal")
     head = _weak_order_heads(scan.prefs)
     for key in scan.keys():
@@ -579,10 +584,9 @@ def check_anonymous(
 ) -> WitnessReport:
     """Permuting voters must leave the output distribution unchanged.  A
     ballot scheme is anonymous by construction (see the module docstring)."""
-    by_ballot = mech.evaluate_ballot is not None
     scan = _GridScan(mech, m, n, k, tie_free, budget, "anonymity scan",
-                     lambda _: math.factorial(n), walk=not by_ballot)
-    if by_ballot:
+                     lambda _: math.factorial(n))
+    if mech.evaluate_ballot is not None:
         return scan.ballot_report("anonymous")
     # permute(key) is (key[sigma[0]], ..., key[sigma[n-1]]); the identity
     # permutation is skipped.

@@ -90,15 +90,15 @@ def test_criterion_2_range_voting_manipulable():
 
 def test_criterion_3_negative_result():
     ms = [27, 64, 125, 216]
-    rows = upper_bound_experiment(ms)
+    results = upper_bound_experiment(ms)
+    assert [m for m, _, _ in results] == ms
     maxima = []
-    for m in ms:
+    for m, j1, j2 in results:
         root = integer_cbrt(m)
         assert root**3 == m
         cap = F(6, root * root)  # 6 * m^(-2/3), exact for cube m
-        ratios = [r.ratio for r in rows if r.m == m]
-        q_j1 = {r.q for r in rows if r.m == m and r.scheme == "j1"}
-        assert q_j1 == set(range(1, m + 1))
+        ratios = [*j1.values(), *j2.values()]
+        assert set(j1) == set(range(1, m + 1))
         for r in ratios:
             assert r <= cap
         maxima.append((m, max(ratios)))

@@ -382,10 +382,11 @@ class TestNegativeRatios:
         # as r^3 * m^2 <= 216; building the profile there would take minutes.
         m = 10**5
         start = time.perf_counter()
-        rows = upper_bound_experiment([m])
+        [(swept, j1, j2)] = upper_bound_experiment([m])
         assert time.perf_counter() - start < 5
-        assert len(rows) == m + len(j2q_quota_range(m - 1 + integer_cbrt(m * m)))
-        assert max(row.ratio for row in rows) ** 3 * m**2 <= 216
+        assert swept == m
+        assert len(j1) + len(j2) == m + len(j2q_quota_range(m - 1 + integer_cbrt(m * m)))
+        assert max(*j1.values(), *j2.values()) ** 3 * m**2 <= 216
 
     @pytest.mark.parametrize("m, repeat", [(7, 1), (-3, 1), (8, 0), (27, -2), (8, 10**20)])
     def test_refuses_what_gen_negative_refuses(self, m, repeat):
@@ -406,8 +407,11 @@ class TestNegativeRatios:
 
         monkeypatch.setattr(generators, "gen_negative", refuse)
         monkeypatch.setattr(bounds, "all_q_ratios", refuse)
-        rows = upper_bound_experiment([8, 27, 64], 2)
-        assert [(r.m, r.scheme, r.q, r.ratio) for r in rows] == expected
+        rows = [(m, scheme, q, r)
+                for m, j1, j2 in upper_bound_experiment([8, 27, 64], 2)
+                for scheme, family in (("j1", j1), ("j2", j2))
+                for q, r in family.items()]
+        assert rows == expected
 
     @pytest.mark.parametrize("ms, repeat", [
         ([NEGATIVE_BUDGET + 1], 1),
@@ -423,7 +427,7 @@ class TestNegativeRatios:
 
     def test_work_at_the_budget_runs(self, monkeypatch):
         monkeypatch.setattr(bounds, "NEGATIVE_BUDGET", 35)
-        assert {row.m for row in upper_bound_experiment([8, 27])} == {8, 27}
+        assert [m for m, _, _ in upper_bound_experiment([8, 27])] == [8, 27]
         with pytest.raises(BudgetError, match="needs 36 steps, budget is 35"):
             upper_bound_experiment([8, 28])
         with pytest.raises(BudgetError, match="needs 70 steps, budget is 35"):

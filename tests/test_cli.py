@@ -336,6 +336,13 @@ class TestExperiments:
         fit = invoke(runner, "fit", "--data", str(csv_path), "--aggregate", "max")
         assert fit.exit_code == 1  # only two m values: honest failure
 
+    def test_negative_repeated_m_prints_its_rows_again(self, runner):
+        once = invoke(runner, "experiment", "negative", "--m", "8").output.splitlines()
+        twice = invoke(runner, "experiment", "negative", "--m", "8,8").output.splitlines()
+        header, rows = once[1], once[2:]
+        assert len(rows) == 15
+        assert twice[1:] == [header, *rows, *rows]
+
     def test_negative_work_past_the_budget_is_refused(self, runner):
         start = time.perf_counter()
         result = runner.invoke(main, ["experiment", "negative",
@@ -445,23 +452,32 @@ def dumped(report: dict) -> str:
 
 def reduce_reference(trace: ReductionTrace, path: str, k: int) -> str:
     """The ``reduce`` report as one dict per step, dumped whole, with the
-    anomalies found by `Fraction` comparison."""
+    anomalies found by `Fraction` comparison.  Each run is stepped here from
+    its fields, not by ``SlideRun.slides``, which the writer shares: slide i
+    of a run sits at ``lo + i*shift`` (left for "left", right for any other
+    label) and moves the functional from g(i) to g(i+1)."""
+    steps, rises = [], []
+    for r in trace.runs:
+        shift = -1 if r.direction == "left" else 1
+        lo, hi = r.run
+        g = [Fraction(r.numer + i * r.d_numer, r.den * (r.denom + i * r.d_denom))
+             for i in range(r.gap + 1)]
+        for i in range(r.gap):
+            rises.append(g[i + 1] > g[i])
+            steps.append({
+                "voter": r.voter,
+                "run": [lo + i * shift, hi + i * shift],
+                "direction": r.direction,
+                "g_before": str(g[i]),
+                "g_after": str(g[i + 1]),
+            })
     return dumped({
         "config": {"subcommand": "reduce", "profile": path, "k": k},
         "result": profile_to_json_dict(trace.result),
         "g_initial": str(trace.g_initial),
         "g_final": str(trace.g_final),
-        "anomalies": [i for i, s in enumerate(trace.steps) if s.g_after > s.g_before],
-        "steps": [
-            {
-                "voter": s.voter,
-                "run": list(s.run),
-                "direction": s.direction,
-                "g_before": str(s.g_before),
-                "g_after": str(s.g_after),
-            }
-            for s in trace.steps
-        ],
+        "anomalies": [i for i, rose in enumerate(rises) if rose],
+        "steps": steps,
     })
 
 

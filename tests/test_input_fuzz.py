@@ -294,6 +294,8 @@ FIT_DATA = {
     "underflow.csv": "m,ratio\n8,1/2\n27,1e-400\n64,1/8\n",
     "overflow.csv": "m,ratio\n8,1/2\n27,1e400\n64,1/8\n",
     "zero_m.csv": "m,ratio\n0,1/2\n27,1/4\n64,1/8\n",
+    "bare_cr.csv": "m,ratio\n8,1/2\r3\n27,1/4\n64,1/8\n",
+    "long_field.csv": "m,ratio\n8," + "1" * 200_000 + "\n27,1/4\n64,1/8\n",
 }
 
 
@@ -316,3 +318,13 @@ def test_fit_rejects_points_without_a_float_logarithm(name, message):
     assert result.exit_code == 1, result.output
     assert isinstance(result.exception, SystemExit), repr(result.exception)
     assert message in result.output
+
+
+@pytest.mark.parametrize("name", ["bare_cr.csv", "long_field.csv"])
+def test_fit_rejects_malformed_csv(name):
+    # csv.DictReader raises csv.Error on a bare carriage return inside a line
+    # and on a field past csv.field_size_limit().
+    result = _invoke_with_files(["fit", "--data", name])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), repr(result.exception)
+    assert "malformed CSV" in result.output

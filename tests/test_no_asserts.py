@@ -16,6 +16,7 @@ grid scans have one budget gate, a grid family's shape has one check, no
 scheme is judged by its name, and no ballot evaluator reads a profile.
 Cached views use the one lock-free ``core.cached_view``, never
 ``functools.cached_property`` (which ``core`` and ``bounds`` used before).
+Only ``bounds`` steps a reduction run.
 Every definition is reached from the package, its public names or the
 benchmark tracer."""
 
@@ -274,6 +275,20 @@ def test_one_cached_view_mechanism():
         if (isinstance(node, ast.Attribute) and node.attr == "cached_property")
         or (isinstance(node, ast.Name) and node.id == "cached_property")
         or (isinstance(node, ast.alias) and node.name == "cached_property")
+    ]
+    assert found == []
+
+
+def test_only_bounds_steps_a_slide_run():
+    """A reduction run is stepped in one place, ``SlideRun.slides``: outside
+    ``bounds`` no module reads ``.gap``, ``.d_numer``, ``.d_denom`` or
+    ``.shift``.  This failed while ``cli._steps_array`` repeated the
+    stepping of ``ReductionTrace.steps`` from those four fields."""
+    found = [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path in SOURCES if path.name != "bounds.py"
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ("gap", "d_numer", "d_denom", "shift")
     ]
     assert found == []
 
