@@ -168,11 +168,22 @@ def _profile_body(profile: core.Profile, fmt: str) -> str:
 
 
 class _Main(click.Group):
-    """Root group: every command's ``CardvoteError`` exits 1 with ``Error: ...``."""
+    """Root group: a usage error and every command's ``CardvoteError`` exit 1
+    with ``Error: ...``, not click's 2, which here means a violation."""
+
+    def make_context(self, info_name, args, parent=None, **extra):
+        try:
+            return super().make_context(info_name, args, parent, **extra)
+        except click.UsageError as e:
+            e.exit_code = 1
+            raise
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
+        except click.UsageError as e:  # a subcommand's own parsing
+            e.exit_code = 1
+            raise
         except CardvoteError as e:
             raise click.ClickException(str(e)) from e
 

@@ -31,9 +31,7 @@ class BudgetError(CardvoteError):
     """Raised when an enumeration would exceed its configured budget;
     ``needed`` is its step count, or the text of a lower bound on it."""
 
-    def __init__(self, needed: int | str, budget: int, what: str = "enumeration"):
-        self.needed = needed
-        self.budget = budget
+    def __init__(self, needed: int | str, budget: int, what: str):
         try:
             count = str(needed)
         except ValueError:  # more digits than int() converts to text

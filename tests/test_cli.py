@@ -216,6 +216,33 @@ class TestBadInput:
         assert result.output.startswith("Error: ")
 
     @pytest.mark.parametrize(
+        "args",
+        [
+            "verify truthful --mech rv --m 3 --n 2 --k 10 --budget 1e3",
+            "verify truthful --mech rv --m abc --n 2 --k 10",
+            "verify truthful --mech rv --m 3 --n 2",
+            "--bogus",
+            "nosuch",
+            "fit --data {missing}",
+        ],
+    )
+    def test_usage_error(self, runner, tmp_path, args):
+        """click exits 2 on a usage error, the code that here means a
+        violation was found; the root group makes it 1."""
+        result = invoke(runner, *args.format(missing=tmp_path / "missing.csv").split())
+        assert result.exit_code == 1
+        assert "Traceback" not in result.output
+        assert "Error: " in result.output
+
+    @pytest.mark.parametrize(
+        "args, code", [("", 1), ("verify", 1), ("--help", 0), ("verify --help", 0)]
+    )
+    def test_bare_group_prints_help(self, runner, args, code):
+        result = invoke(runner, *args.split())
+        assert result.exit_code == code
+        assert "Commands:" in result.output
+
+    @pytest.mark.parametrize(
         "text",
         ["m,ratio\n8,1/2\n27,1/0\n64,1/4\n", "m,ratio\n8,1/2\n27\n64,1/4\n"],
         ids=["zero_denominator", "missing_ratio"],

@@ -17,8 +17,8 @@ scheme is judged by its name, and no ballot evaluator reads a profile.
 Cached views use the one lock-free ``core.cached_view``, never
 ``functools.cached_property`` (which ``core`` and ``bounds`` used before).
 Only ``bounds`` steps a reduction run.
-Every definition is reached from the package, its public names or the
-benchmark tracer."""
+Every definition is reached from the package, as a click command or from
+the benchmark tracer, and the package root binds only its modules."""
 
 import ast
 import dataclasses
@@ -69,7 +69,8 @@ def _used_names(tree: ast.AST) -> set[str]:
 
 def test_no_unused_imports():
     """Deleting a definition must not leave its imports behind; the package
-    ``__init__`` is exempt because its imports are the public re-exports."""
+    ``__init__`` is exempt because its imports are the modules it binds
+    (see ``test_package_root_binds_only_modules``)."""
     found = []
     for path in SOURCES:
         if path.name == "__init__.py":
@@ -379,15 +380,34 @@ def _is_click_command(node: ast.AST) -> bool:
                and d.func.attr in ("command", "group") for d in node.decorator_list)
 
 
+def test_package_root_binds_only_modules():
+    """``cardvote/__init__.py`` has one import, ``from . import`` of the
+    package's own modules, assigns only ``__all__`` and ``__version__``,
+    defines no function or class, and ``__all__`` names exactly those
+    modules.  This failed while it re-exported 45 of the modules' names."""
+    path = next(p for p in SOURCES if p.name == "__init__.py")
+    body = [node for node in ast.parse(path.read_text(), str(path)).body
+            if not (isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant))]
+    imports = [node for node in body if isinstance(node, ast.ImportFrom)]
+    assigned = [target.id for node in body if isinstance(node, ast.Assign)
+                for target in node.targets]
+    assert sorted(assigned) == ["__all__", "__version__"]
+    assert len(imports) == 1 and len(body) == 1 + len(assigned)
+    (root,) = imports
+    assert root.level == 1 and root.module is None
+    assert all(alias.asname is None for alias in root.names)
+    modules = [alias.name for alias in root.names]
+    assert {f"{name}.py" for name in modules} <= {p.name for p in SOURCES}
+    assert cardvote.__all__ == modules
+
+
 def test_every_module_level_definition_is_reached():
     """Every module-level function and class is referenced, by name or as
     an attribute, somewhere in the package outside its own definition, or
-    is re-exported by ``__init__``, a click command, or a name the benchmark
-    tracer wraps (read from the tracer itself, so the exemption follows it)."""
+    is a click command or a name the benchmark tracer wraps (read from the
+    tracer itself, so the exemption follows it)."""
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in SOURCES}
-    exported = {alias.asname or alias.name for node in trees["__init__.py"].body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
-    exempt = exported | _tracer_wrapped()
+    exempt = _tracer_wrapped()
     reads = [(stmt, _used_names(stmt) | {node.attr for node in ast.walk(stmt)
                                          if isinstance(node, ast.Attribute)})
              for tree in trees.values() for stmt in tree.body]
@@ -408,6 +428,7 @@ UNREAD_METHODS = {
     "Preference.normalized": "the standard constructor the README documents",
     "ReductionTrace.steps": "the per-slide view the benchmark tracer's hook and the tests read",
     "_Main.invoke": "a click override, which click calls",
+    "_Main.make_context": "a click override, which click calls",
 }
 
 
